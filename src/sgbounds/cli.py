@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -61,6 +60,19 @@ def _emit_rows(rows: list[tuple[float, float, str]], args) -> None:
     _write(_rows_csv(rows) if fmt == "csv" else _rows_json(rows), args.out)
 
 
+def _emit_report(report: dict, rows: list[tuple[float, float, str]], args) -> None:
+    """The JSON report or the CSV rows to stdout (JSON unless --format csv);
+    with --out, the .json and .csv files, or only the one --format names."""
+    fmt = args.format
+    if args.out is None:
+        _write(_rows_csv(rows) if fmt == "csv" else json.dumps(report, indent=1) + "\n", None)
+        return
+    if fmt in (None, "json"):
+        _write(json.dumps(report, indent=1) + "\n", args.out, ".json")
+    if fmt in (None, "csv"):
+        _write(_rows_csv(rows), args.out, ".csv")
+
+
 def _time_grid(t_max: float, step: float) -> list[float]:
     n = int(round(t_max / step))
     return [k * step for k in range(n + 1)]
@@ -73,6 +85,12 @@ def _require_keys(data: dict, allowed: set[str], where: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _required(data: dict, key: str, where: str):
+    if key not in data:
+        raise ConfigError(f"missing key {key!r} in {where}")
+    return data[key]
 
 
 def _load_config(path: str) -> dict:
@@ -98,13 +116,16 @@ def _build_profile(spec) -> ResolventProfile:
         if "jordan" in spec:
             block = spec["jordan"]
             _require_keys(block, {"n"}, "model.jordan")
-            return models.jordan_profile(JordanBlockModel(int(block["n"])))
+            return models.jordan_profile(JordanBlockModel(int(_required(block, "n", "model.jordan"))))
         block = spec["tabulated"]
         _require_keys(block, {"pairs", "path"}, "model.tabulated")
         if "path" in block:
-            pairs = json.loads(Path(block["path"]).read_text())
+            try:
+                pairs = json.loads(Path(block["path"]).read_text())
+            except OSError as exc:
+                raise ConfigError(f"cannot read model.tabulated.path: {exc}") from exc
         else:
-            pairs = block["pairs"]
+            pairs = _required(block, "pairs", "model.tabulated")
         return ResolventProfile.tabulated([(float(w), float(r)) for w, r in pairs])
     raise ConfigError(f"unsupported model spec {spec!r}")
 
@@ -129,10 +150,10 @@ def _build_omegas(spec) -> list[float]:
         return [float(w) for w in spec]
     if isinstance(spec, dict):
         _require_keys(spec, {"from", "to", "count", "log_spaced"}, "omega_set")
-        count = int(spec["count"])
+        count = int(_required(spec, "count", "omega_set"))
         if count < 1:
             raise ConfigError("omega_set.count must be positive")
-        a, b = float(spec["from"]), float(spec["to"])
+        a, b = float(_required(spec, "from", "omega_set")), float(_required(spec, "to", "omega_set"))
         xs = [a + (b - a) * k / (count - 1) if count > 1 else a for k in range(count)]
         if spec.get("log_spaced", False):
             xs = [math.exp(x) for x in xs]
@@ -144,8 +165,8 @@ def _build_grid(spec) -> tuple[float, int]:
     if not isinstance(spec, dict):
         raise ConfigError("grid must be an object with h and T")
     _require_keys(spec, {"h", "T"}, "grid")
-    h = float(spec["h"])
-    t_max = float(spec["T"])
+    h = float(_required(spec, "h", "grid"))
+    t_max = float(_required(spec, "T", "grid"))
     if h <= 0.0 or t_max < h:
         raise ConfigError("grid needs h > 0 and T >= h")
     return h, int(round(t_max / h))
@@ -214,11 +235,11 @@ def _cmd_update(args) -> int:
     gp_spec = config.get("gp")
     if gp_spec is not None:
         _require_keys(gp_spec, {"omega", "times", "split"}, "gp")
-        w = float(gp_spec["omega"])
+        w = float(_required(gp_spec, "omega", "gp"))
         pair = profile.pair(w)
         split = gp_spec.get("split", 0.5)
         gp_rows = []
-        for t in gp_spec["times"]:
+        for t in _required(gp_spec, "times", "gp"):
             t = float(t)
             a = split * t
             gp_rows.append({"t": t, "log_bound": gp_log_bound(m0, pair, a, t - a, t)})
@@ -228,14 +249,7 @@ def _cmd_update(args) -> int:
     rows = [(k * h, combined.log_at(k * h), "min_update") for k in range(n_steps + 1)]
     rows += [(k * h, cur.log_at(k * h), "chain") for k in range(n_steps + 1)]
 
-    fmt = args.format
-    if args.out is None:
-        _write(json.dumps(report, indent=1) + "\n" if fmt in (None, "json") else _rows_csv(rows), None)
-    else:
-        if fmt in (None, "json"):
-            _write(json.dumps(report, indent=1) + "\n", args.out, ".json")
-        if fmt in (None, "csv"):
-            _write(_rows_csv(rows), args.out, ".csv")
+    _emit_report(report, rows, args)
     return 0
 
 
@@ -260,15 +274,7 @@ def _cmd_iterate(args) -> int:
         rows += [
             (k * h, step.bound.log_at(k * h), f"step{step.index}") for k in range(n_steps + 1)
         ]
-    fmt = args.format
-    if args.out is None:
-        text = json.dumps(trace.to_json_dict(), indent=1) + "\n" if fmt in (None, "json") else _rows_csv(rows)
-        _write(text, None)
-    else:
-        if fmt in (None, "json"):
-            _write(json.dumps(trace.to_json_dict(), indent=1) + "\n", args.out, ".json")
-        if fmt in (None, "csv"):
-            _write(_rows_csv(rows), args.out, ".csv")
+    _emit_report(trace.to_json_dict(), rows, args)
     return 0
 
 
@@ -290,9 +296,9 @@ def _figure_omegar(args) -> list[tuple[float, float, str]]:
     return rows
 
 
-def jordan_figure_bounds(
-    threads: int = 1,
-) -> tuple[PiecewiseLogAffineBound, PiecewiseLogAffineBound, PiecewiseLogAffineBound]:
+def jordan_figure_bounds() -> tuple[
+    PiecewiseLogAffineBound, PiecewiseLogAffineBound, PiecewiseLogAffineBound
+]:
     """The three upper bounds of the size-3 Jordan block comparison.
 
     Returns (numerical-range bound, 3-abscissa stage, 101-abscissa stage).
@@ -305,10 +311,6 @@ def jordan_figure_bounds(
     numrange = PiecewiseLogAffineBound.exponential(models.jordan_numerical_range_slope(model))
     omegas_3 = [0.5, 1.0, 2.0]
     omegas_101 = [math.exp(-5.0 + 0.1 * k) for k in range(101)]
-    if threads > 1:
-        # warm the memoized profile in parallel; the chained updates then hit the cache
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(profile.rate, sorted(set(omegas_3 + omegas_101))))
     bound_3 = update_chain(numrange, omegas_3, profile)
     bound_101 = update_chain(bound_3, omegas_101, profile)
     return numrange, bound_3, bound_101
@@ -316,7 +318,7 @@ def jordan_figure_bounds(
 
 def _figure_jordan3(args) -> list[tuple[float, float, str]]:
     model = JordanBlockModel(3)
-    numrange, bound_3, bound_101 = jordan_figure_bounds(args.threads)
+    numrange, bound_3, bound_101 = jordan_figure_bounds()
     ts = _time_grid(args.t_max, args.step)
     rows = []
     for t in ts:
@@ -361,9 +363,7 @@ def _cmd_profile(args) -> int:
         else args.omega_min
         for k in range(args.count)
     ]
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        rates = list(pool.map(rate, omegas))
-    rows = [(w, r, "rate") for w, r in zip(omegas, rates)]
+    rows = [(w, rate(w), "rate") for w in omegas]
     _emit_rows(rows, args)
     return 0
 
@@ -382,7 +382,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("wei", help="sharpen the trivial bound at omega = 0")
     p.add_argument("rate", type=float)

@@ -11,17 +11,17 @@ through cancellation-free factorizations rather than the raw w^2 + nu^2.
 
 Jordan block of size n: nilpotent generator, exponential computed exactly
 from the terminating series, norms as largest singular values, the numerical
-range line of slope cos(pi / (n + 1)), and a resolvent rate obtained by
-minimizing the smallest singular value of (z - J) over the boundary line
-Re z = w (boundary search is enough because the resolvent norm obeys a
-maximum principle on the half-plane and vanishes at infinity).
+range line of slope cos(pi / (n + 1)), and the exact resolvent rate
+r(w) = sigma_min(w I - J).  (z - J)^{-1} = sum_k z^{-(k+1)} J^k is unitarily
+similar, via D = diag(e^{i j theta}) with z = |z| e^{i theta}, to
+(|z| - J)^{-1}, whose entries are nonnegative and decrease in |z|; so the sup
+of the resolvent norm over Re z >= w is attained at z = w.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +53,7 @@ _BISECT_MAX_ITER = 200
 
 
 class ConvergenceError(RuntimeError):
-    """A root find or refinement failed to converge."""
+    """A root find failed to converge."""
 
 
 # -- differentiation operator ------------------------------------------------
@@ -233,29 +233,10 @@ def jordan_matrix_exponential(model: JordanBlockModel, t: float) -> np.ndarray:
 
 
 def jordan_semigroup_norm(model: JordanBlockModel, t: float) -> float:
-    """Largest singular value of exp(tJ), by power iteration on the Gram matrix.
-
-    The Gram matrix has strictly positive entries for t > 0, so iteration from
-    a positive vector converges to the top eigenvalue.
-    """
+    """Largest singular value of exp(tJ)."""
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    exp_tj = jordan_matrix_exponential(model, t)
-    gram = exp_tj.T @ exp_tj
-    v = np.linspace(1.0, 2.0, model.n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ gram @ v)
-    for _ in range(10_000):
-        w = gram @ v
-        v = w / np.linalg.norm(w)
-        new_lam = float(v @ gram @ v)
-        if abs(new_lam - lam) <= 1e-13 * max(abs(new_lam), 1.0):
-            lam = new_lam
-            break
-        lam = new_lam
-    else:
-        raise ConvergenceError("Gram power iteration did not settle")
-    return math.sqrt(lam)
+    return float(np.linalg.norm(jordan_matrix_exponential(model, t), 2))
 
 
 def jordan_numerical_range_slope(model: JordanBlockModel) -> float:
@@ -263,62 +244,19 @@ def jordan_numerical_range_slope(model: JordanBlockModel) -> float:
     return math.cos(math.pi / (model.n + 1))
 
 
-def _min_singular_value(model: JordanBlockModel, omega: float, y: float) -> float:
-    z = complex(omega, y)
-    shifted = z * np.eye(model.n) - model.matrix()
-    return float(np.linalg.svd(shifted, compute_uv=False)[-1])
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(500):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    else:
-        raise ConvergenceError("golden-section refinement did not converge")
-    return min((fc, fd))
-
-
 def jordan_resolvent_rate(model: JordanBlockModel, omega: float) -> float:
-    """Resolvent rate of the Jordan block at omega > 0.
+    """Resolvent rate of the Jordan block at omega > 0: sigma_min(omega I - J).
 
-    Equals the infimum over the boundary line Re z = omega of the smallest
-    singular value of (z - J); by conjugation symmetry only Im z >= 0 is
-    searched (coarse scan plus golden-section refinement to 1e-8).  The scan
-    can only miss mass, so the result never exceeds the true rate by more
-    than the refinement tolerance.
+    The resolvent norm on Re z >= omega peaks at z = omega (module docstring).
     """
     if omega <= 0.0:
         raise ValueError("the block's spectrum {0} leaves no positive rate for omega <= 0")
-    if model.n == 1:
-        return omega  # resolvent norm of the scalar zero operator is 1/|z|
-    f = lambda y: _min_singular_value(model, omega, y)
-    ys = np.linspace(0.0, 10.0, 801)
-    # extra resolution near the real axis, where the minimum narrows as omega -> 0
-    ys = np.union1d(ys, omega * np.array([0.25, 0.5, 1.0, 2.0, 4.0]))
-    vals = np.array([f(y) for y in ys])
-    k = int(np.argmin(vals))
-    lo = ys[k - 1] if k > 0 else ys[0]
-    hi = ys[k + 1] if k + 1 < len(ys) else ys[-1]
-    best = _golden_min(f, lo, hi, 1e-8)
-    return min(best, float(vals[k]))
+    shifted = omega * np.eye(model.n) - model.matrix()
+    return float(np.linalg.svd(shifted, compute_uv=False)[-1])
 
 
 def jordan_profile(model: JordanBlockModel) -> ResolventProfile:
-    """The block's rate as a profile on ]0, inf[, memoized across sweeps."""
-    cached = lru_cache(maxsize=None)(lambda w: jordan_resolvent_rate(model, w))
-    return ResolventProfile.from_callable(cached, domain=(0.0, math.inf))
+    """The block's rate as a profile on ]0, inf[."""
+    return ResolventProfile.from_callable(
+        lambda w: jordan_resolvent_rate(model, w), domain=(0.0, math.inf)
+    )

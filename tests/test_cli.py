@@ -172,6 +172,23 @@ class TestIterate:
         _, second, _ = run(capsys, ["iterate", "--config", str(cfg), "--format", "csv"])
         assert first == second
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"model": {"tabulated": {"path": "/nonexistent.json"}}},
+            {"model": {"jordan": {}}},
+            {"grid": {"h": 0.1}},
+            {"omega_set": {"from": 0, "to": 1}},
+        ],
+        ids=["missing_path", "jordan_without_n", "grid_without_T", "omega_set_without_count"],
+    )
+    def test_malformed_config_exits_2(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(capsys, ["iterate", "--config", str(cfg)])
+        assert code == 2
+        assert "config error" in err
+
 
 class TestFigure:
     def test_diffop_rate_reference_point(self, capsys):
@@ -229,12 +246,6 @@ class TestProfileCommand:
         rows = parse_csv(out)
         assert rows[0][1] == pytest.approx(1.0, abs=1e-10)
         assert rows[-1][1] == pytest.approx(math.pi / 2, abs=1e-10)
-
-    def test_threads_do_not_change_output(self, capsys):
-        argv = ["profile", "--model", "jordan", "--n", "2", "--omega-min", "0.5", "--omega-max", "1.5", "--count", "3"]
-        _, single, _ = run(capsys, argv + ["--threads", "1"])
-        _, multi, _ = run(capsys, argv + ["--threads", "4"])
-        assert single == multi
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         from sgbounds import models

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgbounds import OmegaRPair, PiecewiseLogAffineBound, first_crossing_time, update_bound
 from sgbounds.models import (
@@ -255,6 +257,19 @@ class TestJordanRate:
         )
         assert got <= dense + 1e-8
         assert got == pytest.approx(dense, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.floats(1e-2, 50.0),
+        st.floats(-50.0, 50.0),
+    )
+    def test_closed_form_attains_the_sup(self, n, omega, y):
+        # the closed form is sigma_min at z = omega; no z on Re z = omega may go lower
+        model = JordanBlockModel(n)
+        shifted = complex(omega, y) * np.eye(n) - model.matrix()
+        sigma_min = np.linalg.svd(shifted, compute_uv=False)[-1]
+        assert sigma_min >= jordan_resolvent_rate(model, omega) * (1.0 - 1e-12)
 
     def test_monotone_in_omega(self):
         model = JordanBlockModel(3)
