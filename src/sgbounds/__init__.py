@@ -15,7 +15,6 @@ from .bounds import (
     PiecewiseLogAffineBound,
     allclose,
     canonicalize,
-    csv_samples,
     log_concavity,
     pointwise_min,
     splice,
@@ -72,7 +71,6 @@ __all__ = [
     "argmin_abscissas",
     "canonicalize",
     "crossing_candidate",
-    "csv_samples",
     "first_crossing_time",
     "gp_log_bound",
     "is_subadditive",

@@ -18,7 +18,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "CONTINUITY_TOL",
@@ -26,7 +26,6 @@ __all__ = [
     "PiecewiseLogAffineBound",
     "allclose",
     "canonicalize",
-    "csv_samples",
     "log_concavity",
     "pointwise_min",
     "splice",
@@ -215,11 +214,7 @@ def canonicalize(
         if merged and merged[-1][1] == a:
             continue
         merged.append((t, a, b))
-    return PiecewiseLogAffineBound(
-        tuple(p[0] for p in merged),
-        tuple(p[1] for p in merged),
-        tuple(p[2] for p in merged),
-    )
+    return PiecewiseLogAffineBound(*zip(*merged))
 
 
 def log_concavity(m: PiecewiseLogAffineBound) -> LogConcavityReport:
@@ -238,6 +233,27 @@ def _merged_breakpoints(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound
     return pts
 
 
+def _probe(s: float, e: float) -> float:
+    return s + (min(1.0, e - s) * 0.5 if math.isfinite(e) else 1.0)
+
+
+def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float, b: float) -> None:
+    """Append (lo, a, b); where a breakpoint or crossing merged within _BP_MERGE_TOL
+    left a jump at lo, start it where its line meets the last piece's.  A last piece
+    at most _BP_MERGE_TOL wide gives up its start to it, as in canonicalize."""
+    while pieces:
+        t0, a0, b0 = pieces[-1]
+        if lo - t0 > _BP_MERGE_TOL:
+            if a0 == a or abs((a0 * lo + b0) - (a * lo + b)) <= _continuity_slack(lo, a0, b0, a, b):
+                break
+            lo = (b - b0) / (a0 - a)
+            if lo - t0 > _BP_MERGE_TOL:
+                break
+        lo = t0
+        pieces.pop()
+    pieces.append((lo, a, b))
+
+
 def pointwise_min(
     m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound
 ) -> PiecewiseLogAffineBound:
@@ -246,40 +262,27 @@ def pointwise_min(
     Breakpoints of the result are the union of the inputs' breakpoints plus
     the crossing points of overlapping affine pieces, computed in closed form.
     When the two pieces coincide on an interval the piece of ``m1`` is kept,
-    which makes the operation deterministic.
+    which makes the operation deterministic.  The result takes one sweep over
+    the merged breakpoints, with one piece index per input that only moves right.
     """
     base = _merged_breakpoints(m1, m2)
-    refined: list[float] = []
-    for i, s in enumerate(base):
-        e = base[i + 1] if i + 1 < len(base) else math.inf
-        refined.append(s)
-        probe = s + (min(1.0, e - s) * 0.5 if math.isfinite(e) else 1.0)
-        j1 = m1.piece_index(probe)
-        j2 = m2.piece_index(probe)
-        a1, b1 = m1.slopes[j1], m1.intercepts[j1]
-        a2, b2 = m2.slopes[j2], m2.intercepts[j2]
-        if a1 != a2:
-            tc = (b2 - b1) / (a1 - a2)
-            # drop crossings that collide with an existing breakpoint
-            if s + _BP_MERGE_TOL < tc and tc < e - _BP_MERGE_TOL:
-                refined.append(tc)
     pieces: list[tuple[float, float, float]] = []
-    for i, s in enumerate(refined):
-        e = refined[i + 1] if i + 1 < len(refined) else math.inf
-        probe = s + (min(1.0, e - s) * 0.5 if math.isfinite(e) else 1.0)
-        j1 = m1.piece_index(probe)
-        j2 = m2.piece_index(probe)
-        v1 = m1.slopes[j1] * probe + m1.intercepts[j1]
-        v2 = m2.slopes[j2] * probe + m2.intercepts[j2]
-        if v2 < v1:
-            pieces.append((s, m2.slopes[j2], m2.intercepts[j2]))
-        else:
-            pieces.append((s, m1.slopes[j1], m1.intercepts[j1]))
-    return canonicalize(
-        tuple(p[0] for p in pieces),
-        tuple(p[1] for p in pieces),
-        tuple(p[2] for p in pieces),
-    )
+    j1 = j2 = 0
+    for s, e in zip(base, [*base[1:], math.inf]):
+        probe = _probe(s, e)
+        while j1 + 1 < len(m1.breakpoints) and m1.breakpoints[j1 + 1] <= probe:
+            j1 += 1
+        while j2 + 1 < len(m2.breakpoints) and m2.breakpoints[j2 + 1] <= probe:
+            j2 += 1
+        a1, b1, a2, b2 = m1.slopes[j1], m1.intercepts[j1], m2.slopes[j2], m2.intercepts[j2]
+        tc = (b2 - b1) / (a1 - a2) if a1 != a2 else s
+        # drop crossings that collide with an existing breakpoint
+        cuts = (s, tc, e) if s + _BP_MERGE_TOL < tc < e - _BP_MERGE_TOL else (s, e)
+        for lo, hi in zip(cuts, cuts[1:]):
+            probe = _probe(lo, hi)
+            a, b = (a2, b2) if a2 * probe + b2 < a1 * probe + b1 else (a1, b1)
+            _append_joined(pieces, lo, a, b)
+    return canonicalize(*zip(*pieces))
 
 
 def splice(
@@ -300,11 +303,7 @@ def splice(
     pieces.append((t, right.slopes[jr], right.intercepts[jr]))
     for j in range(jr + 1, len(right.breakpoints)):
         pieces.append((right.breakpoints[j], right.slopes[j], right.intercepts[j]))
-    return canonicalize(
-        tuple(p[0] for p in pieces),
-        tuple(p[1] for p in pieces),
-        tuple(p[2] for p in pieces),
-    )
+    return canonicalize(*zip(*pieces))
 
 
 def allclose(
@@ -323,10 +322,3 @@ def allclose(
     probes.extend((pts[-1] + 1.0, pts[-1] + 10.0))
     return all(abs(m1.log_at(t) - m2.log_at(t)) <= tol for t in probes)
 
-
-def csv_samples(m: PiecewiseLogAffineBound, ts: Iterable[float]) -> str:
-    """CSV rendering of sampled log values, columns ``t,log_bound``."""
-    lines = ["t,log_bound"]
-    for t in ts:
-        lines.append(f"{t:.17g},{m.log_at(t):.17g}")
-    return "\n".join(lines) + "\n"

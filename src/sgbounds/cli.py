@@ -74,14 +74,22 @@ def _emit_report(report: dict, rows: list[tuple[float, float, str]], args) -> No
 
 
 def _time_grid(t_max: float, step: float) -> list[float]:
+    if not step > 0.0:
+        raise ConfigError(f"step must be positive, got {step!r}")
     n = int(round(t_max / step))
     return [k * step for k in range(n + 1)]
+
+
+def _linspace(a: float, b: float, count: int) -> list[float]:
+    return [a + (b - a) * k / (count - 1) if count > 1 else a for k in range(count)]
 
 
 # -- config parsing -----------------------------------------------------------
 
 
 def _require_keys(data: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -93,13 +101,25 @@ def _required(data: dict, key: str, where: str):
     return data[key]
 
 
+def _parse(convert, value, where: str):
+    """convert(value), with a value of the wrong type or form reported as a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where} {value!r}: {exc}") from exc
+
+
+def _floats(values, where: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list")
+    return [_parse(float, x, where) for x in values]
+
+
 def _load_config(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
     _require_keys(
         data,
         {"model", "initial_bound", "omega_set", "grid", "iteration", "update", "gp", "output"},
@@ -116,8 +136,9 @@ def _build_profile(spec) -> ResolventProfile:
         if "jordan" in spec:
             block = spec["jordan"]
             _require_keys(block, {"n"}, "model.jordan")
-            return models.jordan_profile(JordanBlockModel(int(_required(block, "n", "model.jordan"))))
-        block = spec["tabulated"]
+            n = _parse(int, _required(block, "n", "model.jordan"), "model.jordan.n")
+            return models.jordan_profile(JordanBlockModel(n))
+        block = _required(spec, "tabulated", "model")
         _require_keys(block, {"pairs", "path"}, "model.tabulated")
         if "path" in block:
             try:
@@ -126,7 +147,8 @@ def _build_profile(spec) -> ResolventProfile:
                 raise ConfigError(f"cannot read model.tabulated.path: {exc}") from exc
         else:
             pairs = _required(block, "pairs", "model.tabulated")
-        return ResolventProfile.tabulated([(float(w), float(r)) for w, r in pairs])
+        table = _parse(lambda ps: [(float(w), float(r)) for w, r in ps], pairs, "model.tabulated.pairs")
+        return ResolventProfile.tabulated(table)
     raise ConfigError(f"unsupported model spec {spec!r}")
 
 
@@ -135,10 +157,10 @@ def _build_bound(spec) -> PiecewiseLogAffineBound:
         return PiecewiseLogAffineBound.constant()
     if isinstance(spec, dict):
         if set(spec) == {"exp"}:
-            return PiecewiseLogAffineBound.exponential(float(spec["exp"]))
+            return PiecewiseLogAffineBound.exponential(_parse(float, spec["exp"], "initial_bound.exp"))
         try:
             return PiecewiseLogAffineBound.from_json_dict(spec)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad initial_bound: {exc}") from exc
     raise ConfigError(f"unsupported initial_bound {spec!r}")
 
@@ -147,14 +169,14 @@ def _build_omegas(spec) -> list[float]:
     if isinstance(spec, list):
         if not spec:
             raise ConfigError("omega_set must be non-empty")
-        return [float(w) for w in spec]
+        return _floats(spec, "omega_set")
     if isinstance(spec, dict):
         _require_keys(spec, {"from", "to", "count", "log_spaced"}, "omega_set")
-        count = int(_required(spec, "count", "omega_set"))
+        count = _parse(int, _required(spec, "count", "omega_set"), "omega_set.count")
         if count < 1:
             raise ConfigError("omega_set.count must be positive")
-        a, b = float(_required(spec, "from", "omega_set")), float(_required(spec, "to", "omega_set"))
-        xs = [a + (b - a) * k / (count - 1) if count > 1 else a for k in range(count)]
+        a, b = (_parse(float, _required(spec, k, "omega_set"), f"omega_set.{k}") for k in ("from", "to"))
+        xs = _linspace(a, b, count)
         if spec.get("log_spaced", False):
             xs = [math.exp(x) for x in xs]
         return xs
@@ -162,11 +184,9 @@ def _build_omegas(spec) -> list[float]:
 
 
 def _build_grid(spec) -> tuple[float, int]:
-    if not isinstance(spec, dict):
-        raise ConfigError("grid must be an object with h and T")
     _require_keys(spec, {"h", "T"}, "grid")
-    h = float(_required(spec, "h", "grid"))
-    t_max = float(_required(spec, "T", "grid"))
+    h = _parse(float, _required(spec, "h", "grid"), "grid.h")
+    t_max = _parse(float, _required(spec, "T", "grid"), "grid.T")
     if h <= 0.0 or t_max < h:
         raise ConfigError("grid needs h > 0 and T >= h")
     return h, int(round(t_max / h))
@@ -193,7 +213,7 @@ def _cmd_update(args) -> int:
     omegas = _build_omegas(config.get("omega_set", []))
     update_spec = config.get("update", {})
     _require_keys(update_spec, {"order"}, "update")
-    order = [float(w) for w in update_spec.get("order", sorted(omegas))]
+    order = _floats(update_spec.get("order", sorted(omegas)), "update.order")
 
     report = {}
     cur = m0
@@ -235,12 +255,11 @@ def _cmd_update(args) -> int:
     gp_spec = config.get("gp")
     if gp_spec is not None:
         _require_keys(gp_spec, {"omega", "times", "split"}, "gp")
-        w = float(_required(gp_spec, "omega", "gp"))
+        w = _parse(float, _required(gp_spec, "omega", "gp"), "gp.omega")
         pair = profile.pair(w)
-        split = gp_spec.get("split", 0.5)
+        split = _parse(float, gp_spec.get("split", 0.5), "gp.split")
         gp_rows = []
-        for t in _required(gp_spec, "times", "gp"):
-            t = float(t)
+        for t in _floats(_required(gp_spec, "times", "gp"), "gp.times"):
             a = split * t
             gp_rows.append({"t": t, "log_bound": gp_log_bound(m0, pair, a, t - a, t)})
         report["gp"] = {"omega": w, "rate": pair.rate, "rows": gp_rows}
@@ -260,7 +279,7 @@ def _cmd_iterate(args) -> int:
     omegas = OmegaSet.of(_build_omegas(config.get("omega_set", [])))
     iter_spec = config.get("iteration", {})
     _require_keys(iter_spec, {"max_steps", "use_semigroupize"}, "iteration")
-    max_steps = int(iter_spec.get("max_steps", 8))
+    max_steps = _parse(int, iter_spec.get("max_steps", 8), "iteration.max_steps")
     use_envelope = bool(iter_spec.get("use_semigroupize", True))
     h, n_steps = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
 
@@ -338,16 +357,11 @@ def _figure_diffop_r(args) -> list[tuple[float, float, str]]:
     return rows
 
 
+_FIGURES = {"omegar": _figure_omegar, "jordan3": _figure_jordan3, "diffop_r": _figure_diffop_r}
+
+
 def _cmd_figure(args) -> int:
-    if args.name == "omegar":
-        rows = _figure_omegar(args)
-    elif args.name == "jordan3":
-        rows = _figure_jordan3(args)
-    elif args.name == "diffop_r":
-        rows = _figure_diffop_r(args)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ConfigError(f"unknown figure {args.name!r}")
-    _emit_rows(rows, args)
+    _emit_rows(_FIGURES[args.name](args), args)
     return 0
 
 
@@ -357,13 +371,7 @@ def _cmd_profile(args) -> int:
     else:
         model = JordanBlockModel(args.n)
         rate = lambda w: models.jordan_resolvent_rate(model, w)
-    omegas = [
-        args.omega_min + (args.omega_max - args.omega_min) * k / (args.count - 1)
-        if args.count > 1
-        else args.omega_min
-        for k in range(args.count)
-    ]
-    rows = [(w, rate(w), "rate") for w in omegas]
+    rows = [(w, rate(w), "rate") for w in _linspace(args.omega_min, args.omega_max, args.count)]
     _emit_rows(rows, args)
     return 0
 
@@ -401,7 +409,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_iterate)
 
     p = sub.add_parser("figure", help="emit the data behind a standard figure")
-    p.add_argument("name", choices=("omegar", "jordan3", "diffop_r"))
+    p.add_argument("name", choices=tuple(_FIGURES))
     p.add_argument("--omega-min", type=float, default=-3.0)
     p.add_argument("--omega-max", type=float, default=6.0)
     p.add_argument("--omega-step", type=float, default=0.05)

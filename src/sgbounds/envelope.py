@@ -64,23 +64,26 @@ class GridBound:
     def times(self) -> tuple[float, ...]:
         return tuple(k * self.h for k in range(len(self.values)))
 
-    def csv(self) -> str:
-        lines = ["t,log_value"]
-        for k, v in enumerate(self.values):
-            lines.append(f"{k * self.h:.17g},{v:.17g}")
-        return "\n".join(lines) + "\n"
+
+def _capped_envelope(g: GridBound, cap: int) -> GridBound:
+    """The split-at-smallest-part DP over decompositions with parts of at most cap steps."""
+    v = np.asarray(g.values, dtype=float)
+    out = np.empty_like(v)
+    out[0] = v[0]
+    for k in range(1, len(out)):
+        best = v[k] if k <= cap else math.inf
+        half = min(k // 2, cap)
+        if half >= 1:
+            best = min(best, np.min(out[1 : half + 1] + out[k - half : k][::-1]))
+        if math.isinf(best):
+            raise ValueError(f"no capped decomposition reaches grid index {k}")
+        out[k] = best
+    return GridBound(g.h, tuple(out.tolist()))
 
 
 def subadditive_envelope(g: GridBound) -> GridBound:
-    """The grid subadditive envelope, computed by the split-at-smallest-part DP."""
-    v = np.asarray(g.values, dtype=float)
-    out = v.copy()
-    for k in range(2, len(out)):
-        half = k // 2
-        best = np.min(out[1 : half + 1] + out[k - half : k][::-1])
-        if best < out[k]:
-            out[k] = best
-    return GridBound(g.h, tuple(out.tolist()))
+    """The grid subadditive envelope: the capped envelope with no binding cap."""
+    return _capped_envelope(g, len(g.values) - 1)
 
 
 def subadditive_envelope_capped(g: GridBound, s: float) -> GridBound:
@@ -93,28 +96,16 @@ def subadditive_envelope_capped(g: GridBound, s: float) -> GridBound:
     s_idx = int(round(s / g.h))
     if abs(s - s_idx * g.h) > 1e-9 * max(1.0, g.h) or s_idx < 1:
         raise ValueError(f"cap {s!r} must be a grid time >= h")
-    v = np.asarray(g.values, dtype=float)
-    out = np.empty_like(v)
-    out[0] = v[0]
-    for k in range(1, len(out)):
-        best = v[k] if k <= s_idx else math.inf
-        half = min(k // 2, s_idx)
-        if half >= 1:
-            split = np.min(out[1 : half + 1] + out[k - half : k][::-1])
-            best = min(best, split)
-        if math.isinf(best):
-            raise ValueError(f"no capped decomposition reaches grid index {k}")
-        out[k] = best
-    return GridBound(g.h, tuple(out.tolist()))
+    return _capped_envelope(g, s_idx)
 
 
-def is_subadditive(g: GridBound, tol: float = _SUBADDITIVE_TOL) -> bool:
-    """Whether g[i+j] <= g[i] + g[j] + tol for all positive i, j on the grid."""
+def is_subadditive(g: GridBound) -> bool:
+    """Whether g[i+j] <= g[i] + g[j] + 1e-10 for all positive i, j on the grid."""
     v = g.values
     n = len(v)
     for i in range(1, n):
         for j in range(i, n - i):
-            if v[i + j] > v[i] + v[j] + tol:
+            if v[i + j] > v[i] + v[j] + _SUBADDITIVE_TOL:
                 return False
     return True
 

@@ -48,7 +48,6 @@ _LIPSCHITZ_TOL = 1e-12
 class ResolventProfile:
     """A map omega -> r(omega), either tabulated or backed by a model callable."""
 
-    kind: str
     table: tuple[tuple[float, float], ...] = ()
     fn: Callable[[float], float] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
@@ -69,18 +68,13 @@ class ResolventProfile:
             if r0 < r1 - (w1 - w0) - _LIPSCHITZ_TOL:
                 raise ValueError(f"1-Lipschitz consistency violated between {w0!r} and {w1!r}")
         lo = min(w - r for w, r in table)
-        return cls(kind="tabulated", table=table, domain=(lo, math.inf))
+        return cls(table=table, domain=(lo, math.inf))
 
     @classmethod
     def from_callable(
         cls, fn: Callable[[float], float], domain: tuple[float, float] = (-math.inf, math.inf)
     ) -> "ResolventProfile":
-        return cls(kind="model", fn=fn, domain=domain)
-
-    def _check_domain(self, omega: float) -> None:
-        lo, hi = self.domain
-        if not lo < omega < hi:
-            raise ValueError(f"omega = {omega!r} outside profile domain ]{lo:g}, {hi:g}[")
+        return cls(fn=fn, domain=domain)
 
     def rate(self, omega: float) -> float:
         """A sound rate at omega: exact for models, conservative between table nodes.
@@ -89,9 +83,10 @@ class ResolventProfile:
         max(r_i - (w_i - omega), r at the nearest node below), which the
         tabulated inequalities guarantee to underestimate the true rate.
         """
-        self._check_domain(omega)
-        if self.kind == "model":
-            assert self.fn is not None
+        lo, hi = self.domain
+        if not lo < omega < hi:
+            raise ValueError(f"omega = {omega!r} outside profile domain ]{lo:g}, {hi:g}[")
+        if self.fn is not None:
             return self.fn(omega)
         best = -math.inf
         for w, r in self.table:
@@ -167,14 +162,13 @@ def argmin_abscissas(
     m: PiecewiseLogAffineBound,
     omegas: OmegaSet,
     profile: ResolventProfile,
-    tol: float = _ARGMIN_TOL,
 ) -> tuple[float, ...]:
-    """The abscissas whose crossing time attains the minimum over the set."""
+    """The abscissas whose crossing time attains the minimum over the set, to within 1e-9."""
     crossings = {w: first_crossing_time(m, profile.pair(w)) for w in omegas}
     best = min(crossings.values())
     if math.isinf(best):
         return tuple(omegas)
-    return tuple(w for w in omegas if crossings[w] <= best + tol)
+    return tuple(w for w in omegas if crossings[w] <= best + _ARGMIN_TOL)
 
 
 def min_update(

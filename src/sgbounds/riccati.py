@@ -11,7 +11,10 @@ constant profile mu_j = (slope_j - omega) / r; its first crossing of 1
 (:func:`first_crossing_time`) marks where the exponential sharpening of
 :func:`update_bound` begins: the updated bound keeps m up to twice the
 crossing time and afterwards takes the minimum with the line of slope
-omega - r through twice the crossing value.
+omega - r through twice the crossing value.  Crossing times, for bounds
+and for the normalized profiles of :func:`normalized_crossing_time` alike,
+come from these closed forms segment by segment; nothing is integrated
+numerically.
 
 The module also provides the weighted integral norms and the quantitative
 Gearhart-Pruss estimate (:func:`gp_log_bound`) they enter.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 from .bounds import PiecewiseLogAffineBound, log_concavity, pointwise_min, splice
 
@@ -272,21 +275,15 @@ def state_at(m: PiecewiseLogAffineBound, pair: OmegaRPair, t: float) -> float:
     raise AssertionError("final segment is unbounded")
 
 
-MuProfile = Union[float, Sequence[MuSegment], Callable[[float], float]]
-
-
-def normalized_crossing_time(mu: MuProfile, horizon: float = 50.0) -> float:
+def normalized_crossing_time(mu: float | Sequence[MuSegment]) -> float:
     """First b > 0 with u(b) = 1 for u' = u^2 + 2 mu(b) u + 1, u(0) = 0.
 
-    Accepts a constant, a sequence of :class:`MuSegment` in normalized time
-    (closed forms, exact), or a general callable (adaptive RK4).  For a
-    callable the search is truncated at ``horizon``: +inf is returned when
-    no crossing occurs before it.
+    Accepts a constant or a sequence of :class:`MuSegment` in normalized
+    time starting at 0; both are solved exactly by the closed forms, and the
+    last segment is extended to +inf.  Returns +inf when u never reaches 1.
     """
     if isinstance(mu, (int, float)):
         return _time_to_one(float(mu), 0.0)
-    if callable(mu):
-        return _crossing_by_integration(mu, horizon)
     segments = list(mu)
     if not segments:
         raise ValueError("profile needs at least one segment")
@@ -295,35 +292,6 @@ def normalized_crossing_time(mu: MuProfile, horizon: float = 50.0) -> float:
     if math.isfinite(segments[-1].t_end):
         segments[-1] = MuSegment(segments[-1].t_start, math.inf, segments[-1].mu)
     return _walk(segments, 1.0, shortcut=False).first_crossing
-
-
-def _rk4_step(f: Callable[[float, float], float], t: float, y: float, h: float) -> float:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _crossing_by_integration(mu: Callable[[float], float], horizon: float) -> float:
-    def f(t: float, y: float) -> float:
-        return y * y + 2.0 * mu(t) * y + 1.0
-
-    t, y = 0.0, 0.0
-    while t < horizon:
-        h = min(1e-3 / max(1.0, abs(f(t, y))), horizon - t)
-        y_next = _rk4_step(f, t, y, h)
-        if y_next >= 1.0:
-            lo, hi = t, t + h
-            for _ in range(80):  # bisect the crossing inside the last step
-                mid = 0.5 * (lo + hi)
-                if _rk4_step(f, t, y, mid - t) >= 1.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        t, y = t + h, y_next
-    return math.inf
 
 
 # -- the bound update -------------------------------------------------------

@@ -14,11 +14,11 @@ from sgbounds import (
     PiecewiseLogAffineBound,
     allclose,
     canonicalize,
-    csv_samples,
     log_concavity,
     pointwise_min,
     splice,
 )
+from sgbounds.bounds import _BP_MERGE_TOL
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
@@ -158,6 +158,49 @@ def test_min_idempotent_exact(m):
     assert pointwise_min(m, m) == m
 
 
+def _many_piece_bound(rng, breakpoints):
+    slopes = rng.uniform(-3.0, 3.0, size=len(breakpoints) + 1).tolist()
+    return PiecewiseLogAffineBound.from_slopes(slopes, breakpoints, float(rng.uniform(-1.0, 1.0)))
+
+
+def _near_coinciding_pairs(rng):
+    """Pairs of 50-300 pieces whose breakpoints, or whose crossings with each
+    other, lie within _BP_MERGE_TOL of a breakpoint of the first bound."""
+    for kind in ("shifted_breakpoints", "line_through_breakpoint", "crossings_at_breakpoints"):
+        for _ in range(8):
+            n = int(rng.integers(50, 301))
+            bps = np.cumsum(rng.uniform(0.05, 1.0, size=n - 1))
+            m1 = _many_piece_bound(rng, bps.tolist())
+            near = bps + rng.uniform(-1.0, 1.0, size=n - 1) * _BP_MERGE_TOL
+            if kind == "shifted_breakpoints":
+                yield m1, _many_piece_bound(rng, near.tolist())
+            elif kind == "line_through_breakpoint":
+                c = float(near[rng.integers(n - 1)])
+                slope = float(rng.uniform(-3.0, 3.0))
+                yield m1, PiecewiseLogAffineBound((0.0,), (slope,), (m1.log_at(c) - slope * c,))
+            else:
+                # knots alternately on, above and below m1 make it cross m1 at each knot on it
+                cs = near[:: max(1, n // 20)]
+                ts, vs = [0.0], [m1.log_at(0.0) + 0.5]
+                for k, (lo, hi) in enumerate(zip(cs, cs[1:])):
+                    ts += [lo, 0.5 * (lo + hi)]
+                    vs += [m1.log_at(lo), m1.log_at(0.5 * (lo + hi)) + (0.5 if k % 2 else -0.5)]
+                yield m1, PiecewiseLogAffineBound.from_knots(ts, vs)
+
+
+def test_min_many_pieces_near_coinciding_breakpoints():
+    rng = np.random.default_rng(2024)
+    for m1, m2 in _near_coinciding_pairs(rng):
+        pts = sorted({*m1.breakpoints, *m2.breakpoints})
+        probes = pts + [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+        probes += rng.uniform(0.0, pts[-1] + 10.0, size=1000).tolist()
+        for a, b in ((m1, m2), (m2, m1)):
+            merged = pointwise_min(a, b)
+            for t in probes:
+                assert abs(merged.log_at(t) - min(a.log_at(t), b.log_at(t))) <= 1e-10
+            assert pointwise_min(a, a) == a
+
+
 def test_canonicalization_preserves_values():
     # split pieces at sampled interior points and duplicate slopes, then recanonicalize
     rng = np.random.default_rng(7)
@@ -198,12 +241,3 @@ class TestSerialization:
     def test_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             PiecewiseLogAffineBound.from_json('{"breakpoints": [0], "slopes": [0], "intercepts": [0], "x": 1}')
-
-    def test_csv_samples(self):
-        text = csv_samples(WEI, [0.0, math.pi])
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,log_bound"
-        assert len(lines) == 3
-        t, v = lines[2].split(",")
-        assert float(t) == pytest.approx(math.pi)
-        assert float(v) == pytest.approx(-math.pi / 2)

@@ -190,6 +190,38 @@ class TestIterate:
         assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"omega_set": [None]},
+        {"initial_bound": {"exp": None}},
+        {"initial_bound": {"breakpoints": [0.0], "slopes": [0.0], "intercepts": [None]}},
+        {"model": {"tabulated": {"pairs": 5}}},
+        {"update": {"order": 5}},
+        {"gp": {"omega": 0, "times": 5}},
+        {"update": []},
+    ],
+    ids=["omega_null", "exp_null", "intercept_null", "pairs_number", "order_number", "gp_times_number", "update_list"],
+)
+def test_wrongly_typed_config_exits_2(capsys, tmp_path, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"tabulated": {"pairs": [[0.0, 1.0]]}}, "omega_set": [0.0], **override}))
+    code, _, err = run(capsys, ["update", "--config", str(cfg)])
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wei", "1", "--step", "0"], ["figure", "omegar", "--omega-step", "0"], ["figure", "diffop_r", "--omega-step", "0"]],
+    ids=["wei", "omegar", "diffop_r"],
+)
+def test_zero_step_exits_2(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "config error" in err
+
+
 class TestFigure:
     def test_diffop_rate_reference_point(self, capsys):
         code, out, _ = run(

@@ -177,10 +177,3 @@ def test_interpolant_matches_grid_and_extends():
     for k, v in enumerate(g.values):
         assert m.log_at(k * g.h) == pytest.approx(v, abs=1e-12)
     assert m.log_at(3.0) == pytest.approx(-1.75, abs=1e-12)  # last slope carried on
-
-
-def test_csv_export():
-    g = GridBound(0.5, (0.0, -1.0))
-    lines = g.csv().strip().splitlines()
-    assert lines[0] == "t,log_value"
-    assert lines[2].startswith("0.5,")

@@ -253,10 +253,6 @@ class TestNormalizedCrossing:
             else:
                 assert b_star == math.inf
 
-    def test_callable_profile_against_closed_form(self):
-        assert normalized_crossing_time(lambda _: 0.0) == pytest.approx(math.pi / 4, abs=1e-6)
-        assert normalized_crossing_time(lambda _: -2.0, horizon=10.0) == math.inf
-
 
 class TestUpdateBound:
     def test_wei_shape(self):
