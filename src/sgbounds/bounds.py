@@ -27,6 +27,7 @@ __all__ = [
     "allclose",
     "canonicalize",
     "log_concavity",
+    "min_with_tails",
     "pointwise_min",
     "splice",
 ]
@@ -282,6 +283,85 @@ def pointwise_min(
             probe = _probe(lo, hi)
             a, b = (a2, b2) if a2 * probe + b2 < a1 * probe + b1 else (a1, b1)
             _append_joined(pieces, lo, a, b)
+    return canonicalize(*zip(*pieces))
+
+
+def _staircase(tails: list[tuple[float, float]], t: float) -> list[tuple[float, float]]:
+    """The lines ``(slope, intercept)``, sorted by slope, less each one that
+    another lies on or below at t with a slope no larger, and so from t on.
+    The last one left is the lowest at t."""
+    kept: list[tuple[float, float]] = []
+    low = math.inf
+    for a, b in tails:
+        v = a * t + b
+        if v < low:
+            kept.append((a, b))
+            low = v
+    return kept
+
+
+def min_with_tails(
+    m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float]]
+) -> PiecewiseLogAffineBound:
+    """Pointwise minimum of m and the lines ``(start, slope, intercept)``, each
+    counted only on [start, inf), in canonical form.
+
+    One sweep over the breakpoints of m and the tail starts.  Each interval
+    starts from the line lowest at its left end and moves on to the line of
+    smaller slope whose crossing comes first; ties go to the smaller slope,
+    and m wins ties between equal lines.  A crossing that rounds to before the
+    current point takes effect there, never decided again by value, so each
+    move lowers the slope and the walk ends.  As in :func:`pointwise_min`,
+    crossings within ``_BP_MERGE_TOL`` of an interval's end are dropped and
+    pieces are joined where they meet.  The result is that of folding
+    ``splice(m, pointwise_min(m, tail), start)`` over the tails with
+    :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
+    """
+    if not tails:
+        return m
+    order = sorted(tails)
+    base = sorted({*m.breakpoints, *(tail[0] for tail in order)})
+    pieces: list[tuple[float, float, float]] = []
+    live: list[tuple[float, float]] = []  # the active tails (slope, intercept), by slope
+    n = len(m.breakpoints)
+    j = k = 0
+    for s, e in zip(base, [*base[1:], math.inf]):
+        probe = _probe(s, e)
+        while j + 1 < n and m.breakpoints[j + 1] <= probe:
+            j += 1
+        while k < len(order) and order[k][0] <= s:
+            bisect.insort(live, order[k][1:])
+            k += 1
+        live = _staircase(live, s)
+        am, bm = m.slopes[j], m.intercepts[j]
+        a, b = am, bm
+        if live:
+            at, bt = live[-1]
+            vt, vm = at * s + bt, am * s + bm
+            if vt < vm or (vt == vm and at < am):
+                a, b = at, bt
+        x = s
+        while True:
+            _append_joined(pieces, x, a, b)
+            # the next line is the one of smaller slope whose crossing comes
+            # first; tails are scanned by slope, so the first of tied crossings
+            # has the smaller slope
+            best, nxt = e - _BP_MERGE_TOL, None
+            for a2, b2 in live:
+                if a2 >= a:
+                    break
+                tc = (b2 - b) / (a - a2)
+                if tc < x:
+                    tc = x
+                if tc < best:
+                    best, nxt = tc, (a2, b2)
+            if am < a:
+                tc = max((bm - b) / (a - am), x)
+                if tc < best or (nxt is not None and tc == best and am < nxt[0]):
+                    best, nxt = tc, (am, bm)
+            if nxt is None:
+                break
+            x, (a, b) = best, nxt
     return canonicalize(*zip(*pieces))
 
 

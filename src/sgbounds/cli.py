@@ -73,11 +73,18 @@ def _emit_report(report: dict, rows: list[tuple[float, float, str]], args) -> No
         _write(_rows_csv(rows), args.out, ".csv")
 
 
+def _step_count(span: float, step: float) -> int:
+    """round(span / step); a ratio that is not finite is a ConfigError."""
+    ratio = span / step
+    if not math.isfinite(ratio):
+        raise ConfigError(f"{span!r} / {step!r} steps is not a finite count")
+    return int(round(ratio))
+
+
 def _time_grid(t_max: float, step: float) -> list[float]:
     if not step > 0.0:
         raise ConfigError(f"step must be positive, got {step!r}")
-    n = int(round(t_max / step))
-    return [k * step for k in range(n + 1)]
+    return [k * step for k in range(_step_count(t_max, step) + 1)]
 
 
 def _linspace(a: float, b: float, count: int) -> list[float]:
@@ -178,7 +185,10 @@ def _build_omegas(spec) -> list[float]:
         a, b = (_parse(float, _required(spec, k, "omega_set"), f"omega_set.{k}") for k in ("from", "to"))
         xs = _linspace(a, b, count)
         if spec.get("log_spaced", False):
-            xs = [math.exp(x) for x in xs]
+            try:
+                xs = [math.exp(x) for x in xs]
+            except OverflowError as exc:
+                raise ConfigError(f"log_spaced omega_set up to exp({b!r}) overflows") from exc
         return xs
     raise ConfigError(f"unsupported omega_set {spec!r}")
 
@@ -189,7 +199,7 @@ def _build_grid(spec) -> tuple[float, int]:
     t_max = _parse(float, _required(spec, "T", "grid"), "grid.T")
     if h <= 0.0 or t_max < h:
         raise ConfigError("grid needs h > 0 and T >= h")
-    return h, int(round(t_max / h))
+    return h, _step_count(t_max, h)
 
 
 # -- subcommands ---------------------------------------------------------------

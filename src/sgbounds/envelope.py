@@ -100,14 +100,15 @@ def subadditive_envelope_capped(g: GridBound, s: float) -> GridBound:
 
 
 def is_subadditive(g: GridBound) -> bool:
-    """Whether g[i+j] <= g[i] + g[j] + 1e-10 for all positive i, j on the grid."""
-    v = g.values
+    """Whether g[i+j] <= g[i] + g[j] + 1e-10 for all positive i, j on the grid.
+
+    One vectorised comparison per i checks every j >= i at once.
+    """
+    v = np.asarray(g.values, dtype=float)
     n = len(v)
-    for i in range(1, n):
-        for j in range(i, n - i):
-            if v[i + j] > v[i] + v[j] + _SUBADDITIVE_TOL:
-                return False
-    return True
+    return not any(
+        np.any(v[2 * i :] > v[i] + v[i : n - i] + _SUBADDITIVE_TOL) for i in range(1, (n + 1) // 2)
+    )
 
 
 def piecewise_interpolant(g: GridBound) -> PiecewiseLogAffineBound:

@@ -6,13 +6,20 @@ sound).  Tabulated profiles are validated against monotonicity and the
 1-Lipschitz consistency r(w') >= r(w) - (w - w'), and are interpolated by the
 conservative lower envelope these inequalities imply.
 
+The set update :func:`min_update` takes the pointwise minimum of the
+single-abscissa updates.  Each keeps m up to its splice point and then takes
+the minimum with its tail line, so the minimum over the set is one sweep over
+m and all the tails, each counted from its own splice point on.
+
 Two iterations are provided.  :func:`iterate` alternates the best update over
 the whole abscissa set with the grid subadditive envelope; the envelope is a
 no-op on log-concave iterates, in which case the exact piecewise form is kept,
 and otherwise the iteration continues from the piecewise interpolant of the
-grid.  :func:`iterate_updates_only` stays entirely in the exact representation
-and requires a log-concave start, which the update preserves.  Order-sensitive
-single passes are available as :func:`update_chain`.
+grid.  :func:`iterate_updates_only` stays entirely in the exact
+representation and requires a log-concave start, which the update preserves.
+Both compute the rates of the set once per call, and the crossing times of
+each iterate once, shared by its argmin report and the next update.
+Order-sensitive single passes are available as :func:`update_chain`.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import PiecewiseLogAffineBound, allclose, log_concavity, pointwise_min
+from .bounds import PiecewiseLogAffineBound, allclose, log_concavity, min_with_tails
 from .envelope import GridBound, piecewise_interpolant, subadditive_envelope
-from .riccati import OmegaRPair, first_crossing_time, update_bound
+from .riccati import OmegaRPair, first_crossing_time, update_bound, update_tail
 
 __all__ = [
     "IterationStep",
@@ -158,29 +165,49 @@ class IterationTrace:
         return self.steps[-1].bound
 
 
+def _pairs(omegas: OmegaSet, profile: ResolventProfile) -> list[OmegaRPair]:
+    return [profile.pair(w) for w in omegas]
+
+
+def _crossings(m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair]) -> list[float]:
+    return [first_crossing_time(m, pair) for pair in pairs]
+
+
+def _argmin(omegas: OmegaSet, crossings: Sequence[float]) -> tuple[float, ...]:
+    best = min(crossings)
+    if math.isinf(best):
+        return tuple(omegas)
+    return tuple(w for w, c in zip(omegas, crossings) if c <= best + _ARGMIN_TOL)
+
+
+def _min_update(
+    m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair], crossings: Sequence[float]
+) -> PiecewiseLogAffineBound:
+    tails = [update_tail(m, pair, c) for pair, c in zip(pairs, crossings)]
+    return min_with_tails(m, [tail for tail in tails if tail is not None])
+
+
 def argmin_abscissas(
     m: PiecewiseLogAffineBound,
     omegas: OmegaSet,
     profile: ResolventProfile,
 ) -> tuple[float, ...]:
     """The abscissas whose crossing time attains the minimum over the set, to within 1e-9."""
-    crossings = {w: first_crossing_time(m, profile.pair(w)) for w in omegas}
-    best = min(crossings.values())
-    if math.isinf(best):
-        return tuple(omegas)
-    return tuple(w for w in omegas if crossings[w] <= best + _ARGMIN_TOL)
+    return _argmin(omegas, _crossings(m, _pairs(omegas, profile)))
 
 
 def min_update(
     m: PiecewiseLogAffineBound, omegas: OmegaSet, profile: ResolventProfile
 ) -> PiecewiseLogAffineBound:
-    """Pointwise minimum of the Riccati updates over all abscissas in the set."""
-    out = None
-    for w in omegas:
-        u = update_bound(m, profile.pair(w))
-        out = u if out is None else pointwise_min(out, u)
-    assert out is not None
-    return out
+    """Pointwise minimum of the Riccati updates over all abscissas in the set.
+
+    Each update keeps m up to its splice point and then takes the minimum with
+    its tail line, so the minimum over the set is that of m with every tail,
+    each counted from its own splice point on: one sweep over m and the tails
+    (:func:`~sgbounds.bounds.min_with_tails`).
+    """
+    pairs = _pairs(omegas, profile)
+    return _min_update(m, pairs, _crossings(m, pairs))
 
 
 def update_chain(
@@ -217,18 +244,21 @@ def iterate(
     if max_steps < 1:
         raise ValueError("need at least one step")
     omegas = omegas if isinstance(omegas, OmegaSet) else OmegaSet.of(omegas)
+    pairs = _pairs(omegas, profile)
     h, n_steps = grid
     cur = m
     cur_grid = GridBound.sample(m, h, n_steps)
-    steps = [IterationStep(0, m, cur_grid, argmin_abscissas(m, omegas, profile))]
+    crossings = _crossings(m, pairs)
+    steps = [IterationStep(0, m, cur_grid, _argmin(omegas, crossings))]
     stationary_at = None
     for k in range(1, max_steps + 1):
-        updated = min_update(cur, omegas, profile)
+        updated = _min_update(cur, pairs, crossings)
         sampled = GridBound.sample(updated, h, n_steps)
         enveloped = subadditive_envelope(sampled)
         drift = float(np.max(np.abs(np.subtract(enveloped.values, sampled.values))))
         cur = updated if drift <= _STATIONARY_TOL else piecewise_interpolant(enveloped)
-        steps.append(IterationStep(k, cur, enveloped, argmin_abscissas(cur, omegas, profile)))
+        crossings = _crossings(cur, pairs)
+        steps.append(IterationStep(k, cur, enveloped, _argmin(omegas, crossings)))
         gap = float(np.max(np.abs(np.subtract(enveloped.values, cur_grid.values))))
         cur_grid = enveloped
         if gap <= _STATIONARY_TOL:
@@ -255,12 +285,15 @@ def iterate_updates_only(
     if max_steps < 1:
         raise ValueError("need at least one step")
     omegas = omegas if isinstance(omegas, OmegaSet) else OmegaSet.of(omegas)
-    steps = [IterationStep(0, m, None, argmin_abscissas(m, omegas, profile))]
+    pairs = _pairs(omegas, profile)
+    crossings = _crossings(m, pairs)
+    steps = [IterationStep(0, m, None, _argmin(omegas, crossings))]
     stationary_at = None
     cur = m
     for k in range(1, max_steps + 1):
-        new = min_update(cur, omegas, profile)
-        steps.append(IterationStep(k, new, None, argmin_abscissas(new, omegas, profile)))
+        new = _min_update(cur, pairs, crossings)
+        crossings = _crossings(new, pairs)
+        steps.append(IterationStep(k, new, None, _argmin(omegas, crossings)))
         if allclose(new, cur, _STATIONARY_TOL):
             stationary_at = k - 1
             break

@@ -14,7 +14,8 @@ crossing time and afterwards takes the minimum with the line of slope
 omega - r through twice the crossing value.  Crossing times, for bounds
 and for the normalized profiles of :func:`normalized_crossing_time` alike,
 come from these closed forms segment by segment; nothing is integrated
-numerically.
+numerically.  The walk over a bound's pieces stops at the piece where the
+crossing lands, and builds no segment beyond it.
 
 The module also provides the weighted integral norms and the quantitative
 Gearhart-Pruss estimate (:func:`gp_log_bound`) they enter.
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .bounds import PiecewiseLogAffineBound, log_concavity, pointwise_min, splice
+from .bounds import PiecewiseLogAffineBound, _continuity_slack, log_concavity, min_with_tails
 
 __all__ = [
     "BRANCH_TOL",
@@ -47,6 +48,7 @@ __all__ = [
     "solve_crossing",
     "state_at",
     "update_bound",
+    "update_tail",
     "weighted_inv_norm_sq",
 ]
 
@@ -212,46 +214,48 @@ def _time_to_one(mu: float, start: float) -> float:
 # -- segment walks ----------------------------------------------------------
 
 
-def mu_segments(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> tuple[MuSegment, ...]:
-    """The piecewise-constant profile mu_j = (slope_j - omega) / r of a bound."""
-    out = []
+def mu_segments(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> Iterator[MuSegment]:
+    """The piecewise-constant profile mu_j = (slope_j - omega) / r of a bound, piece by piece."""
+    bps = m.breakpoints
     for j, a in enumerate(m.slopes):
-        t0 = m.breakpoints[j]
-        t1 = m.breakpoints[j + 1] if j + 1 < len(m.breakpoints) else math.inf
-        out.append(MuSegment(t0, t1, (a - pair.omega) / pair.rate))
-    return tuple(out)
+        t1 = bps[j + 1] if j + 1 < len(bps) else math.inf
+        yield MuSegment(bps[j], t1, (a - pair.omega) / pair.rate)
 
 
-def _walk(segments: Sequence[MuSegment], rate: float, shortcut: bool) -> RiccatiSolution:
+def _walk(segments: Iterable[MuSegment], rate: float, shortcut: bool) -> RiccatiSolution:
+    # the final segment extends to +inf, so its candidate (finite or +inf) is
+    # always accepted and the walk never asks for a segment past it
     state = 0.0
     kept: list[MuSegment] = []
     states: list[float] = []
-    for j, seg in enumerate(segments):
+    segments = iter(segments)
+    seg = next(segments)
+    while True:
         kept.append(seg)
         states.append(state)
         cand = crossing_candidate(seg, state, rate)
         if cand <= seg.t_end + _CANDIDATE_SLACK:
             return RiccatiSolution(tuple(kept), tuple(states), cand)
-        if shortcut and j + 1 < len(segments) and segments[j + 1].mu <= -1.0:
+        following = next(segments)
+        if shortcut and following.mu <= -1.0:
             # decreasing mu profile: once a reachable-mu window is missed and
             # the next mu is <= -1, the state can never reach 1 again
             return RiccatiSolution(tuple(kept), tuple(states), math.inf)
         state = propagate(rate * (seg.t_end - seg.t_start), seg.mu, state)
         state = min(max(state, 0.0), _BELOW_ONE)
-    # unreachable: the final segment extends to +inf, so its candidate
-    # (finite or +inf) is always accepted
-    raise AssertionError("segment walk fell through the final segment")
+        seg = following
 
 
 def solve_crossing(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> RiccatiSolution:
     """Walk the bound's segments until the driven state first reaches 1.
 
-    The early-exit shortcut for unreachable continuations is applied only
-    when log m is concave (so the mu_j are decreasing); otherwise every
-    segment is scanned until the final, infinite one settles the answer.
+    Segments are built as the walk reaches them, so the walk stops at the
+    piece where the crossing lands.  The early-exit shortcut for unreachable
+    continuations is applied only when log m is concave (so the mu_j are
+    decreasing); otherwise every segment is scanned until the final, infinite
+    one settles the answer.
     """
-    segs = mu_segments(m, pair)
-    return _walk(segs, pair.rate, shortcut=log_concavity(m).is_concave)
+    return _walk(mu_segments(m, pair), pair.rate, shortcut=log_concavity(m).is_concave)
 
 
 def first_crossing_time(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> float:
@@ -307,22 +311,36 @@ def update_bound(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> PiecewiseLogAf
     is then postponed to the first time the tail line re-enters below m,
     which yields the tightest continuous majorant of the exact update.
     """
+    tail = update_tail(m, pair, first_crossing_time(m, pair))
+    return m if tail is None else min_with_tails(m, [tail])
+
+
+def update_tail(
+    m: PiecewiseLogAffineBound, pair: OmegaRPair, crossing: float
+) -> tuple[float, float, float] | None:
+    """The tail ``(start, slope, intercept)`` that :func:`update_bound` takes the
+    minimum with from ``start`` on, given m's first crossing time for the pair;
+    None when the update leaves m unchanged.
+
+    The splice is postponed to the re-entry whenever the tail lies below m at
+    twice the crossing by more than the jump a bound can store there.
+    """
     if not m.is_normalized:
         raise ValueError("update requires a normalized bound (m(0) = 1)")
-    crossing = first_crossing_time(m, pair)
     if not math.isfinite(crossing):
-        return m
+        return None
     log_at_crossing = m.log_at(crossing)
     slope = pair.omega - pair.rate
     intercept = 2.0 * log_at_crossing - slope * 2.0 * crossing
-    tail = PiecewiseLogAffineBound((0.0,), (slope,), (intercept,))
     start = 2.0 * crossing
-    gap = tail.log_at(start) - m.log_at(start)
-    if gap < -1e-9:
+    j = m.piece_index(start)
+    a, b = m.slopes[j], m.intercepts[j]
+    gap = (slope * start + intercept) - (a * start + b)
+    if gap < -_continuity_slack(start, a, b, slope, intercept):
         start = _first_reentry(m, slope, intercept, start)
         if start is None:
-            return m
-    return splice(m, pointwise_min(m, tail), start)
+            return None
+    return start, slope, intercept
 
 
 def _first_reentry(

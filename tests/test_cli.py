@@ -222,6 +222,25 @@ def test_zero_step_exits_2(capsys, argv):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["wei", "1", "--t-max", "inf"], None),
+        (["iterate"], {"grid": {"h": 1e-300, "T": 1e300}}),
+        (["iterate"], {"omega_set": {"from": 0, "to": 1000, "count": 3, "log_spaced": True}}),
+    ],
+    ids=["wei_t_max_inf", "grid_step_count_overflows", "log_spaced_omegas_overflow"],
+)
+def test_non_finite_size_exits_2(capsys, tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG_53, **config}))
+        argv = [*argv, "--config", str(cfg)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "config error" in err
+
+
 class TestFigure:
     def test_diffop_rate_reference_point(self, capsys):
         code, out, _ = run(

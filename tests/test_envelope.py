@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_lattice_grid, random_log_concave_bound
+from conftest import random_bound, random_lattice_grid, random_log_concave_bound
 from sgbounds import (
     GridBound,
     PiecewiseLogAffineBound,
@@ -18,6 +18,7 @@ from sgbounds import (
     subadditive_envelope,
     subadditive_envelope_capped,
 )
+from sgbounds.envelope import _SUBADDITIVE_TOL
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
@@ -142,6 +143,24 @@ class TestSubadditivityCheck:
         rng = np.random.default_rng(67)
         for _ in range(20):
             assert is_subadditive(GridBound.sample(random_log_concave_bound(rng), 0.25, 30))
+
+    def test_matches_the_double_loop(self):
+        def double_loop(g):
+            v = g.values
+            for i in range(1, len(v)):
+                for j in range(i, len(v) - i):
+                    if v[i + j] > v[i] + v[j] + _SUBADDITIVE_TOL:
+                        return False
+            return True
+
+        rng = np.random.default_rng(71)
+        lattice = [random_lattice_grid(rng, max_len=40) for _ in range(200)]
+        grids = lattice + [subadditive_envelope(g) for g in lattice[:50]]
+        grids += [GridBound.sample(random_log_concave_bound(rng), 0.25, 60) for _ in range(50)]
+        grids += [GridBound.sample(random_bound(rng), 0.25, 60) for _ in range(50)]
+        verdicts = [is_subadditive(g) for g in grids]
+        assert verdicts == [double_loop(g) for g in grids]
+        assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
 
 
 lattice_values = st.lists(

@@ -20,8 +20,10 @@ from sgbounds import (
     gp_log_bound,
     log_concavity,
     normalized_crossing_time,
+    pointwise_min,
     propagate,
     solve_crossing,
+    splice,
     state_at,
     update_bound,
     weighted_inv_norm_sq,
@@ -306,6 +308,39 @@ class TestUpdateBound:
         u = update_bound(m, pair)
         for t in np.linspace(0.0, 30.0, 301):
             assert u.log_at(t) <= m.log_at(t) + 1e-12
+
+
+    @staticmethod
+    def _almost_submultiplicative(g):
+        # flat up to pi/2 - 2g, then rising: with the pair (0, 1) the crossing
+        # is pi/4, and the tail lies about g below m at twice the crossing
+        m = PiecewiseLogAffineBound.from_slopes([0.0, 0.5], [math.pi / 2 - 2.0 * g])
+        pair = OmegaRPair(0.0, 1.0)
+        crossing = first_crossing_time(m, pair)
+        slope = pair.omega - pair.rate
+        tail = PiecewiseLogAffineBound((0.0,), (slope,), (2.0 * m.log_at(crossing) - 2.0 * slope * crossing,))
+        return m, pair, tail, 2.0 * crossing
+
+    @pytest.mark.parametrize("g", [1e-11, 1e-10, 5e-10])
+    def test_gap_above_the_continuity_slack_postpones_the_splice(self, g):
+        m, pair, tail, start = self._almost_submultiplicative(g)
+        u = update_bound(m, pair)
+        for j in range(1, len(u.breakpoints)):
+            t = u.breakpoints[j]
+            left = u.slopes[j - 1] * t + u.intercepts[j - 1]
+            assert abs(left - u.log_at(t)) <= 1e-12
+        for t in np.linspace(0.0, 20.0, 2001):
+            if t < start:
+                assert u.log_at(t) == m.log_at(t)
+            else:
+                assert u.log_at(t) >= min(m.log_at(t), tail.log_at(t)) - 1e-12
+                assert u.log_at(t) <= m.log_at(t) + 1e-12
+
+    def test_gaps_outside_that_range_keep_their_results(self):
+        m, pair, tail, start = self._almost_submultiplicative(1e-13)
+        assert update_bound(m, pair) == splice(m, pointwise_min(m, tail), start)
+        m, pair, _, _ = self._almost_submultiplicative(2e-9)
+        assert update_bound(m, pair) == m
 
 
 class TestMonotonicityProperties:
