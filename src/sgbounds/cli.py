@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import models
-from .bounds import PiecewiseLogAffineBound
-from .iteration import OmegaSet, ResolventProfile, iterate, iterate_updates_only, min_update, update_chain
+from .bounds import PiecewiseLogAffineBound, min_with_tails
+from .iteration import OmegaSet, ResolventProfile, iterate, iterate_updates_only, update_chain
 from .models import ConvergenceError, JordanBlockModel
-from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound
+from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound, update_tail
 
 __all__ = ["ConfigError", "main"]
 
@@ -60,17 +60,25 @@ def _emit_rows(rows: list[tuple[float, float, str]], args) -> None:
     _write(_rows_csv(rows) if fmt == "csv" else _rows_json(rows), args.out)
 
 
-def _emit_report(report: dict, rows: list[tuple[float, float, str]], args) -> None:
-    """The JSON report or the CSV rows to stdout (JSON unless --format csv);
-    with --out, the .json and .csv files, or only the one --format names."""
+def _emit_report(
+    report: dict, labelled: list[tuple[PiecewiseLogAffineBound, str]], grid: tuple[float, int], args
+) -> None:
+    """The JSON report or the CSV rows to stdout (JSON unless --format csv); with
+    --out, the .json and .csv files, or only the one --format names.  The rows
+    (each bound's log value at t = k h, k = 0..n) are built only for a CSV."""
     fmt = args.format
+    h, n = grid
+
+    def csv() -> str:
+        return _rows_csv([(k * h, b.log_at(k * h), label) for b, label in labelled for k in range(n + 1)])
+
     if args.out is None:
-        _write(_rows_csv(rows) if fmt == "csv" else json.dumps(report, indent=1) + "\n", None)
+        _write(csv() if fmt == "csv" else json.dumps(report, indent=1) + "\n", None)
         return
     if fmt in (None, "json"):
         _write(json.dumps(report, indent=1) + "\n", args.out, ".json")
     if fmt in (None, "csv"):
-        _write(_rows_csv(rows), args.out, ".csv")
+        _write(csv(), args.out, ".csv")
 
 
 def _step_count(span: float, step: float) -> int:
@@ -205,6 +213,16 @@ def _build_grid(spec) -> tuple[float, int]:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _tails(m: PiecewiseLogAffineBound, pair: OmegaRPair, crossing: float) -> list[tuple[float, float, float]]:
+    """The update's tail as a list, empty when the update leaves m unchanged."""
+    tail = update_tail(m, pair, crossing)
+    return [] if tail is None else [tail]
+
+
+def _update_row(w: float, pair: OmegaRPair, crossing: float, bound: PiecewiseLogAffineBound) -> dict:
+    return {"omega": w, "rate": pair.rate, "first_crossing": crossing, "bound": bound.to_json_dict()}
+
+
 def _cmd_wei(args) -> int:
     if args.rate <= 0.0:
         raise ConfigError("rate must be positive")
@@ -226,39 +244,24 @@ def _cmd_update(args) -> int:
     order = _floats(update_spec.get("order", sorted(omegas)), "update.order")
 
     report = {}
-    cur = m0
-    combined = m0
+    cur = combined = m0
     if m0.is_normalized:
-        singles = []
-        for w in sorted(set(omegas)):
-            pair = profile.pair(w)
-            singles.append(
-                {
-                    "omega": w,
-                    "rate": pair.rate,
-                    "first_crossing": first_crossing_time(m0, pair),
-                    "bound": update_bound(m0, pair).to_json_dict(),
-                }
-            )
-        chain_steps = []
+        # one rate per distinct abscissa, one crossing walk per bound and abscissa
+        distinct = OmegaSet.of(omegas)
+        pairs = {w: profile.pair(w) for w in dict.fromkeys([*distinct, *order])}
+        singles, tails = [], []
+        for w in distinct:
+            crossing = first_crossing_time(m0, pairs[w])
+            tail = _tails(m0, pairs[w], crossing)
+            tails += tail
+            singles.append(_update_row(w, pairs[w], crossing, min_with_tails(m0, tail)))
+        chain = []
         for w in order:
-            pair = profile.pair(w)
-            crossing = first_crossing_time(cur, pair)
-            cur = update_bound(cur, pair)
-            chain_steps.append(
-                {
-                    "omega": w,
-                    "rate": pair.rate,
-                    "first_crossing": crossing,
-                    "bound": cur.to_json_dict(),
-                }
-            )
-        combined = min_update(m0, OmegaSet.of(omegas), profile)
-        report = {
-            "singles": singles,
-            "chain": chain_steps,
-            "min_update": combined.to_json_dict(),
-        }
+            crossing = first_crossing_time(cur, pairs[w])
+            cur = min_with_tails(cur, _tails(cur, pairs[w], crossing))
+            chain.append(_update_row(w, pairs[w], crossing, cur))
+        combined = min_with_tails(m0, tails)
+        report = {"singles": singles, "chain": chain, "min_update": combined.to_json_dict()}
     elif config.get("gp") is None:
         raise ConfigError("updates need a normalized initial_bound (log value 0 at t = 0)")
 
@@ -268,17 +271,12 @@ def _cmd_update(args) -> int:
         w = _parse(float, _required(gp_spec, "omega", "gp"), "gp.omega")
         pair = profile.pair(w)
         split = _parse(float, gp_spec.get("split", 0.5), "gp.split")
-        gp_rows = []
-        for t in _floats(_required(gp_spec, "times", "gp"), "gp.times"):
-            a = split * t
-            gp_rows.append({"t": t, "log_bound": gp_log_bound(m0, pair, a, t - a, t)})
-        report["gp"] = {"omega": w, "rate": pair.rate, "rows": gp_rows}
+        times = _floats(_required(gp_spec, "times", "gp"), "gp.times")
+        rows = [{"t": t, "log_bound": gp_log_bound(m0, pair, split * t, t - split * t, t)} for t in times]
+        report["gp"] = {"omega": w, "rate": pair.rate, "rows": rows}
 
-    h, n_steps = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
-    rows = [(k * h, combined.log_at(k * h), "min_update") for k in range(n_steps + 1)]
-    rows += [(k * h, cur.log_at(k * h), "chain") for k in range(n_steps + 1)]
-
-    _emit_report(report, rows, args)
+    grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
+    _emit_report(report, [(combined, "min_update"), (cur, "chain")], grid, args)
     return 0
 
 
@@ -291,19 +289,15 @@ def _cmd_iterate(args) -> int:
     _require_keys(iter_spec, {"max_steps", "use_semigroupize"}, "iteration")
     max_steps = _parse(int, iter_spec.get("max_steps", 8), "iteration.max_steps")
     use_envelope = bool(iter_spec.get("use_semigroupize", True))
-    h, n_steps = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
+    grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
 
     if use_envelope:
-        trace = iterate(m0, omegas, profile, max_steps, (h, n_steps))
+        trace = iterate(m0, omegas, profile, max_steps, grid)
     else:
         trace = iterate_updates_only(m0, omegas, profile, max_steps)
 
-    rows = []
-    for step in trace.steps:
-        rows += [
-            (k * h, step.bound.log_at(k * h), f"step{step.index}") for k in range(n_steps + 1)
-        ]
-    _emit_report(trace.to_json_dict(), rows, args)
+    labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
+    _emit_report(trace.to_json_dict(), labelled, grid, args)
     return 0
 
 

@@ -24,6 +24,7 @@ Order-sensitive single passes are available as :func:`update_chain`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,6 +66,8 @@ class ResolventProfile:
         if not table:
             raise ValueError("tabulated profile needs at least one pair")
         for w, r in table:
+            if not (math.isfinite(w) and math.isfinite(r)):
+                raise ValueError(f"tabulated pair ({w!r}, {r!r}) must be finite")
             if r <= 0.0:
                 raise ValueError(f"tabulated rate at omega = {w!r} must be positive")
         for (w0, r0), (w1, r1) in zip(table, table[1:]):
@@ -86,21 +89,23 @@ class ResolventProfile:
     def rate(self, omega: float) -> float:
         """A sound rate at omega: exact for models, conservative between table nodes.
 
-        Between tabulated nodes the value is the lower envelope
-        max(r_i - (w_i - omega), r at the nearest node below), which the
-        tabulated inequalities guarantee to underestimate the true rate.
+        For a table: the lower envelope max(r_i for w_i < omega, r_i - (w_i - omega)
+        for w_i >= omega), which the tabulated inequalities keep below the true
+        rate.  As the r_i are non-decreasing and the r_i - w_i non-increasing, the
+        last node below omega and the first at or above it attain the max; on a
+        table admitted only within ``_LIPSCHITZ_TOL`` these two may fall up to
+        about 1e-12 below it, which only enlarges the bound.
         """
         lo, hi = self.domain
         if not lo < omega < hi:
             raise ValueError(f"omega = {omega!r} outside profile domain ]{lo:g}, {hi:g}[")
         if self.fn is not None:
             return self.fn(omega)
-        best = -math.inf
-        for w, r in self.table:
-            if w >= omega:
-                best = max(best, r - (w - omega))
-            else:
-                best = max(best, r)
+        i = bisect.bisect_left(self.table, (omega,))
+        best = self.table[i - 1][1] if i > 0 else -math.inf
+        if i < len(self.table):
+            w, r = self.table[i]
+            best = max(best, r - (w - omega))
         if best <= 0.0:
             raise ValueError(f"no positive rate available at omega = {omega!r}")
         return best

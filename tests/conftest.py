@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from sgbounds import GridBound, PiecewiseLogAffineBound
+from sgbounds import GridBound, PiecewiseLogAffineBound, ResolventProfile
 
 
 def random_log_concave_bound(rng: np.random.Generator, max_pieces: int = 4) -> PiecewiseLogAffineBound:
@@ -36,6 +36,16 @@ def random_lattice_grid(rng: np.random.Generator, max_len: int = 12) -> GridBoun
     values = (0.25 * rng.integers(-8, 9, size=n + 1)).tolist()
     values[0] = 0.0
     return GridBound(0.5, tuple(values))
+
+
+def chain_profile(rng: np.random.Generator, n: int) -> tuple[ResolventProfile, float, float]:
+    """A tabulated profile (positive, non-decreasing, 1-Lipschitz rates) and its
+    first and last abscissas."""
+    omegas = np.unique(np.round(np.sort(rng.uniform(-3.0, 3.0, size=n)), 9)).tolist()
+    rates = [rng.uniform(0.05, 0.5)]
+    for w0, w1 in zip(omegas, omegas[1:]):
+        rates.append(rates[-1] + rng.uniform(0.0, 0.9) * (w1 - w0))
+    return ResolventProfile.tabulated(list(zip(omegas, map(float, rates)))), omegas[0], omegas[-1]
 
 
 @st.composite

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sgbounds import PiecewiseLogAffineBound
+from conftest import chain_profile, random_bound, random_log_concave_bound
+from sgbounds import OmegaSet, PiecewiseLogAffineBound, first_crossing_time, min_update, update_bound
 from sgbounds.cli import main
 
 
@@ -132,6 +134,44 @@ class TestUpdate:
         assert code == 2
         assert "unknown keys" in err
 
+    def test_report_matches_the_library(self, capsys, tmp_path):
+        rng = np.random.default_rng(31)
+        for k in range(6):
+            profile, lo, hi = chain_profile(rng, 60)
+            m0 = random_bound(rng, 6) if k % 2 else random_log_concave_bound(rng, 6)
+            distinct = rng.uniform(lo, hi, size=12).tolist()
+            omegas = distinct + distinct[::3]
+            order = distinct[::2] + distinct[1:4] + [hi + 0.5] + distinct[:2]
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(
+                json.dumps(
+                    {
+                        "model": {"tabulated": {"pairs": [list(p) for p in profile.table]}},
+                        "initial_bound": m0.to_json_dict(),
+                        "omega_set": omegas,
+                        "update": {"order": order},
+                    }
+                )
+            )
+            code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
+            assert code == 0
+            report = json.loads(out)
+            assert [s["omega"] for s in report["singles"]] == sorted(distinct)
+            for single in report["singles"]:
+                pair = profile.pair(single["omega"])
+                assert single["rate"] == profile.rate(single["omega"])
+                assert single["first_crossing"] == first_crossing_time(m0, pair)
+                assert single["bound"] == update_bound(m0, pair).to_json_dict()
+            cur = m0
+            assert [s["omega"] for s in report["chain"]] == order
+            for step in report["chain"]:
+                pair = profile.pair(step["omega"])
+                assert step["rate"] == pair.rate
+                assert step["first_crossing"] == first_crossing_time(cur, pair)
+                cur = update_bound(cur, pair)
+                assert step["bound"] == cur.to_json_dict()
+            assert report["min_update"] == min_update(m0, OmegaSet.of(omegas), profile).to_json_dict()
+
     def test_writes_both_formats(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(CONFIG_53))
@@ -179,8 +219,9 @@ class TestIterate:
             {"model": {"jordan": {}}},
             {"grid": {"h": 0.1}},
             {"omega_set": {"from": 0, "to": 1}},
+            {"model": {"tabulated": {"pairs": [[0.0, 0.1], [math.nan, 100.0]]}}, "omega_set": [0.5]},
         ],
-        ids=["missing_path", "jordan_without_n", "grid_without_T", "omega_set_without_count"],
+        ids=["missing_path", "jordan_without_n", "grid_without_T", "omega_set_without_count", "non_finite_pair"],
     )
     def test_malformed_config_exits_2(self, capsys, tmp_path, config):
         cfg = tmp_path / "cfg.json"

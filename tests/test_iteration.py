@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_log_concave_bound
+from conftest import chain_profile, random_log_concave_bound
 from sgbounds import (
     GridBound,
     OmegaRPair,
@@ -58,11 +58,79 @@ class TestResolventProfile:
         with pytest.raises(ValueError):
             ResolventProfile.tabulated([(0.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.0, 0.1), (math.nan, 100.0)],
+            [(math.nan, 100.0), (0.0, 0.1)],
+            [(0.0, math.nan)],
+            [(0.0, math.inf)],
+            [(-math.inf, 0.5)],
+            [(0.0, 0.5), (math.inf, 1.0)],
+        ],
+    )
+    def test_rejects_non_finite_pairs(self, pairs):
+        with pytest.raises(ValueError, match="finite"):
+            ResolventProfile.tabulated(pairs)
+
     def test_callable_profile(self):
         profile = ResolventProfile.from_callable(lambda w: 1.0 + w, domain=(-1.0, math.inf))
         assert profile.rate(0.5) == 1.5
         with pytest.raises(ValueError):
             profile.rate(-2.0)
+
+
+def scan_rate(table, omega):
+    """The tabulated rate as a scan of the whole table."""
+    best = -math.inf
+    for w, r in table:
+        if w >= omega:
+            best = max(best, r - (w - omega))
+        else:
+            best = max(best, r)
+    return best
+
+
+def edge_profile(rng, n):
+    """A table on the tolerance edges: flat runs, slope exactly 1, and rates
+    that fall, or rise faster than slope 1, by less than ``_LIPSCHITZ_TOL``."""
+    omegas = np.unique(np.round(np.sort(rng.uniform(-3.0, 3.0, size=n)), 9)).tolist()
+    rates = [float(rng.uniform(0.5, 1.0))]
+    for w0, w1 in zip(omegas, omegas[1:]):
+        dw = w1 - w0
+        step = [0.0, dw, -0.5e-12, dw + 0.5e-12][int(rng.integers(4))]
+        rates.append(rates[-1] + step)
+    return ResolventProfile.tabulated(list(zip(omegas, rates)))
+
+
+def rate_queries(rng, profile):
+    """Nodes, midpoints and random points between nodes, below the first and above the last."""
+    ws = [w for w, _ in profile.table]
+    (w0, r0), wn = profile.table[0], ws[-1]
+    mids = [0.5 * (a + b) for a, b in zip(ws, ws[1:])]
+    inner = rng.uniform(w0, wn, size=50).tolist()
+    outer = [w0 - 0.5 * r0, w0 - 1e-9, wn + 1e-9, wn + 1.0, wn + 100.0]
+    return ws + mids + inner + outer
+
+
+class TestTwoNodeRate:
+    def test_equals_the_scan_on_margin_tables(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5, 60, 300):
+            for _ in range(5):
+                profile, _, _ = chain_profile(rng, n)
+                for w in rate_queries(rng, profile):
+                    assert profile.rate(w) == scan_rate(profile.table, w)
+
+    def test_never_above_the_scan_on_edge_tables(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 5, 60):
+            for _ in range(20):
+                profile = edge_profile(rng, n)
+                for w in rate_queries(rng, profile):
+                    two_node, scan = profile.rate(w), scan_rate(profile.table, w)
+                    assert two_node <= scan
+                    assert scan - two_node <= 1e-11
 
 
 class TestOmegaSet:

@@ -14,11 +14,10 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import random_bound, random_log_concave_bound
+from conftest import chain_profile, random_bound, random_log_concave_bound
 from sgbounds import (
     OmegaSet,
     PiecewiseLogAffineBound,
-    ResolventProfile,
     allclose,
     first_crossing_time,
     iterate,
@@ -75,15 +74,6 @@ def shift_start(rng, family):
         first = rng.uniform(0.1, 0.5) if family == "rise" else rng.uniform(1.0, 2.0)
         bps = first + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 2.0, size=pieces - 2))])
     return PiecewiseLogAffineBound.from_slopes([float(a) for a in slopes], bps.tolist())
-
-
-def chain_profile(rng, n):
-    """A tabulated profile: positive, non-decreasing, 1-Lipschitz rates."""
-    omegas = np.unique(np.round(np.sort(rng.uniform(-3.0, 3.0, size=n)), 9)).tolist()
-    rates = [rng.uniform(0.05, 0.5)]
-    for w0, w1 in zip(omegas, omegas[1:]):
-        rates.append(rates[-1] + rng.uniform(0.0, 0.9) * (w1 - w0))
-    return ResolventProfile.tabulated(list(zip(omegas, map(float, rates)))), omegas[0], omegas[-1]
 
 
 def chain_start(rng):
