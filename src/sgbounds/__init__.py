@@ -41,16 +41,14 @@ from .riccati import (
     MuSegment,
     OmegaRPair,
     PoleError,
-    RiccatiSolution,
     crossing_candidate,
     first_crossing_time,
     gp_log_bound,
+    log_weighted_inv_norm_sq,
     normalized_crossing_time,
     propagate,
-    solve_crossing,
     state_at,
     update_bound,
-    weighted_inv_norm_sq,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +64,6 @@ __all__ = [
     "PiecewiseLogAffineBound",
     "PoleError",
     "ResolventProfile",
-    "RiccatiSolution",
     "allclose",
     "argmin_abscissas",
     "canonicalize",
@@ -77,17 +74,16 @@ __all__ = [
     "iterate",
     "iterate_updates_only",
     "log_concavity",
+    "log_weighted_inv_norm_sq",
     "min_update",
     "normalized_crossing_time",
     "piecewise_interpolant",
     "pointwise_min",
     "propagate",
-    "solve_crossing",
     "splice",
     "state_at",
     "subadditive_envelope",
     "subadditive_envelope_capped",
     "update_bound",
     "update_chain",
-    "weighted_inv_norm_sq",
 ]

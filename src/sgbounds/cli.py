@@ -271,7 +271,11 @@ def _cmd_update(args) -> int:
         w = _parse(float, _required(gp_spec, "omega", "gp"), "gp.omega")
         pair = profile.pair(w)
         split = _parse(float, gp_spec.get("split", 0.5), "gp.split")
+        if not 0.0 < split < 1.0:
+            raise ConfigError(f"gp.split must lie in ]0, 1[, got {split!r}")
         times = _floats(_required(gp_spec, "times", "gp"), "gp.times")
+        if not all(map(math.isfinite, times)):
+            raise ConfigError(f"gp.times must be finite, got {times!r}")
         rows = [{"t": t, "log_bound": gp_log_bound(m0, pair, split * t, t - split * t, t)} for t in times]
         report["gp"] = {"omega": w, "rate": pair.rate, "rows": rows}
 

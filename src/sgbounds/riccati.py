@@ -11,14 +11,13 @@ constant profile mu_j = (slope_j - omega) / r; its first crossing of 1
 (:func:`first_crossing_time`) marks where the exponential sharpening of
 :func:`update_bound` begins: the updated bound keeps m up to twice the
 crossing time and afterwards takes the minimum with the line of slope
-omega - r through twice the crossing value.  Crossing times, for bounds
-and for the normalized profiles of :func:`normalized_crossing_time` alike,
-come from these closed forms segment by segment; nothing is integrated
-numerically.  The walk over a bound's pieces stops at the piece where the
-crossing lands, and builds no segment beyond it.
+omega - r through twice the crossing value.  Crossing times come from
+these closed forms piece by piece; nothing is integrated numerically, and
+the walk over a bound's pieces stops at the piece where the crossing lands.
 
-The module also provides the weighted integral norms and the quantitative
-Gearhart-Pruss estimate (:func:`gp_log_bound`) they enter.
+The module also provides the weighted integral norm of 1/m
+(:func:`log_weighted_inv_norm_sq`) and the quantitative Gearhart-Pruss
+estimate (:func:`gp_log_bound`) it enters.
 
 All formulas are arranged to stay accurate for very large |mu| (rates of
 order exp(-|omega|) drive mu up to 1e17 in the model operators): differences
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .bounds import PiecewiseLogAffineBound, _continuity_slack, log_concavity, min_with_tails
 
@@ -39,17 +38,15 @@ __all__ = [
     "MuSegment",
     "OmegaRPair",
     "PoleError",
-    "RiccatiSolution",
     "crossing_candidate",
     "first_crossing_time",
     "gp_log_bound",
+    "log_weighted_inv_norm_sq",
     "normalized_crossing_time",
     "propagate",
-    "solve_crossing",
     "state_at",
     "update_bound",
     "update_tail",
-    "weighted_inv_norm_sq",
 ]
 
 # |mu^2 - 1| below this uses the parabolic (mu^2 = 1) formulas: the
@@ -92,20 +89,6 @@ class MuSegment:
     def __post_init__(self) -> None:
         if not self.t_start < self.t_end:
             raise ValueError("segment must have positive length")
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """Segment-by-segment Riccati walk: states at segment starts and the crossing.
-
-    ``states[j]`` is the flow value at ``segments[j].t_start``; the walk stops
-    at the segment containing the first crossing of 1, recorded in
-    ``first_crossing`` (may be +inf).
-    """
-
-    segments: tuple[MuSegment, ...]
-    states: tuple[float, ...]
-    first_crossing: float
 
 
 # -- constant-mu closed forms ----------------------------------------------
@@ -211,91 +194,67 @@ def _time_to_one(mu: float, start: float) -> float:
     return 0.5 * math.log(num / den) / eta
 
 
-# -- segment walks ----------------------------------------------------------
-
-
-def mu_segments(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> Iterator[MuSegment]:
-    """The piecewise-constant profile mu_j = (slope_j - omega) / r of a bound, piece by piece."""
-    bps = m.breakpoints
-    for j, a in enumerate(m.slopes):
-        t1 = bps[j + 1] if j + 1 < len(bps) else math.inf
-        yield MuSegment(bps[j], t1, (a - pair.omega) / pair.rate)
-
-
-def _walk(segments: Iterable[MuSegment], rate: float, shortcut: bool) -> RiccatiSolution:
-    # the final segment extends to +inf, so its candidate (finite or +inf) is
-    # always accepted and the walk never asks for a segment past it
-    state = 0.0
-    kept: list[MuSegment] = []
-    states: list[float] = []
-    segments = iter(segments)
-    seg = next(segments)
-    while True:
-        kept.append(seg)
-        states.append(state)
-        cand = crossing_candidate(seg, state, rate)
-        if cand <= seg.t_end + _CANDIDATE_SLACK:
-            return RiccatiSolution(tuple(kept), tuple(states), cand)
-        following = next(segments)
-        if shortcut and following.mu <= -1.0:
-            # decreasing mu profile: once a reachable-mu window is missed and
-            # the next mu is <= -1, the state can never reach 1 again
-            return RiccatiSolution(tuple(kept), tuple(states), math.inf)
-        state = propagate(rate * (seg.t_end - seg.t_start), seg.mu, state)
-        state = min(max(state, 0.0), _BELOW_ONE)
-        seg = following
-
-
-def solve_crossing(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> RiccatiSolution:
-    """Walk the bound's segments until the driven state first reaches 1.
-
-    Segments are built as the walk reaches them, so the walk stops at the
-    piece where the crossing lands.  The early-exit shortcut for unreachable
-    continuations is applied only when log m is concave (so the mu_j are
-    decreasing); otherwise every segment is scanned until the final, infinite
-    one settles the answer.
-    """
-    return _walk(mu_segments(m, pair), pair.rate, shortcut=log_concavity(m).is_concave)
+# -- the crossing walk ------------------------------------------------------
 
 
 def first_crossing_time(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> float:
-    """First t with phi(t) = 1 for the flow driven by m, omega and r; +inf if none."""
-    return solve_crossing(m, pair).first_crossing
+    """First t with phi(t) = 1 for the flow driven by m, omega and r; +inf if none.
+
+    Walks m's pieces with mu_j = (slope_j - omega) / r and stops at the piece
+    where the crossing lands; the last piece extends to +inf, so its candidate
+    (finite or +inf) ends the walk.  When log m is concave the mu_j decrease,
+    so a missed crossing followed by a piece with mu <= -1 can never be made
+    up, and the walk returns +inf there.
+    """
+    rate, omega = pair.rate, pair.omega
+    bps, slopes = m.breakpoints, m.slopes
+    shortcut = log_concavity(m).is_concave
+    state = 0.0
+    mu = (slopes[0] - omega) / rate
+    j = 0
+    while True:
+        t0 = bps[j]
+        t1 = bps[j + 1] if j + 1 < len(bps) else math.inf
+        dt = _time_to_one(mu, state)
+        crossing = t0 + dt / rate if math.isfinite(dt) else math.inf
+        if crossing <= t1 + _CANDIDATE_SLACK:
+            return crossing
+        following = (slopes[j + 1] - omega) / rate
+        if shortcut and following <= -1.0:
+            return math.inf
+        state = min(max(propagate(rate * (t1 - t0), mu, state), 0.0), _BELOW_ONE)
+        mu = following
+        j += 1
+
+
+# ``perfbench/spans.py`` traces the walk under this name and wraps every module
+# attribute that is the same object, so the alias keeps the trace complete.
+solve_crossing = first_crossing_time
 
 
 def state_at(m: PiecewiseLogAffineBound, pair: OmegaRPair, t: float) -> float:
-    """The driven state phi(t), propagated segment by segment from phi(0) = 0.
+    """The driven state phi(t), propagated piece by piece from phi(0) = 0.
 
     Valid past the crossing as long as the flow has not blown up; raises
     :class:`PoleError` beyond the blow-up time.
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
+    bps = m.breakpoints
     state = 0.0
-    for seg in mu_segments(m, pair):
-        if t <= seg.t_end:
-            return propagate(pair.rate * (t - seg.t_start), seg.mu, state)
-        state = propagate(pair.rate * (seg.t_end - seg.t_start), seg.mu, state)
-    raise AssertionError("final segment is unbounded")
+    for j, a in enumerate(m.slopes):
+        mu = (a - pair.omega) / pair.rate
+        t1 = bps[j + 1] if j + 1 < len(bps) else math.inf
+        if t <= t1:
+            return propagate(pair.rate * (t - bps[j]), mu, state)
+        state = propagate(pair.rate * (t1 - bps[j]), mu, state)
+    raise AssertionError("final piece is unbounded")
 
 
-def normalized_crossing_time(mu: float | Sequence[MuSegment]) -> float:
-    """First b > 0 with u(b) = 1 for u' = u^2 + 2 mu(b) u + 1, u(0) = 0.
-
-    Accepts a constant or a sequence of :class:`MuSegment` in normalized
-    time starting at 0; both are solved exactly by the closed forms, and the
-    last segment is extended to +inf.  Returns +inf when u never reaches 1.
-    """
-    if isinstance(mu, (int, float)):
-        return _time_to_one(float(mu), 0.0)
-    segments = list(mu)
-    if not segments:
-        raise ValueError("profile needs at least one segment")
-    if segments[0].t_start != 0.0:
-        raise ValueError("profile must start at 0")
-    if math.isfinite(segments[-1].t_end):
-        segments[-1] = MuSegment(segments[-1].t_start, math.inf, segments[-1].mu)
-    return _walk(segments, 1.0, shortcut=False).first_crossing
+def normalized_crossing_time(mu: float) -> float:
+    """First b > 0 with u(b) = 1 for u' = u^2 + 2 mu u + 1, u(0) = 0, with
+    constant mu; +inf when u never reaches 1."""
+    return _time_to_one(float(mu), 0.0)
 
 
 # -- the bound update -------------------------------------------------------
@@ -388,7 +347,14 @@ def _logsumexp(terms: Sequence[float]) -> float:
     return top + math.log(sum(math.exp(x - top) for x in terms))
 
 
-def _log_weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon: float) -> float:
+def log_weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon: float) -> float:
+    """log of the squared weighted norm of 1/m: the integral of
+    exp(2 omega s) / m(s)^2 over [0, horizon].
+
+    Summed piece by piece in log scale from the exact exponential
+    antiderivative, so it neither overflows nor underflows; a piece whose
+    exponent omega - slope is within 1e-13 of 0 takes the linear formula.
+    """
     if horizon <= 0.0:
         raise ValueError("integration horizon must be positive")
     terms = []
@@ -399,32 +365,6 @@ def _log_weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon:
         hi = m.breakpoints[j + 1] if j + 1 < len(m.breakpoints) else math.inf
         terms.append(_piece_integral_log(omega - a, m.intercepts[j], lo, min(hi, horizon)))
     return _logsumexp(terms)
-
-
-def weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon: float) -> float:
-    """The squared weighted norm of 1/m: integral of exp(2 omega s) / m(s)^2 over [0, horizon].
-
-    Computed piece by piece from the exact exponential antiderivative, with a
-    linear-in-s branch when omega matches a slope to within 1e-13.
-    """
-    if horizon <= 0.0:
-        raise ValueError("integration horizon must be positive")
-    total = 0.0
-    for j, a in enumerate(m.slopes):
-        lo = m.breakpoints[j]
-        if lo >= horizon:
-            break
-        hi = min(m.breakpoints[j + 1] if j + 1 < len(m.breakpoints) else math.inf, horizon)
-        kappa = omega - a
-        try:
-            scale = math.exp(2.0 * kappa * lo - 2.0 * m.intercepts[j])
-            if abs(kappa) < _DEGENERATE_EXP_TOL:
-                total += (hi - lo) * scale
-            else:
-                total += scale * math.expm1(2.0 * kappa * (hi - lo)) / (2.0 * kappa)
-        except OverflowError:
-            return math.inf  # every term is positive, so one huge piece settles it
-    return total
 
 
 def gp_log_bound(
@@ -447,6 +387,6 @@ def gp_log_bound(
     value = pair.omega * t - math.log(pair.rate)
     if with_decay:
         value -= pair.rate * (t - a - b)
-    value -= 0.5 * _log_weighted_inv_norm_sq(m, pair.omega, a)
-    value -= 0.5 * _log_weighted_inv_norm_sq(m, pair.omega, b)
+    value -= 0.5 * log_weighted_inv_norm_sq(m, pair.omega, a)
+    value -= 0.5 * log_weighted_inv_norm_sq(m, pair.omega, b)
     return value

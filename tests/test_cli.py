@@ -240,9 +240,14 @@ class TestIterate:
         {"model": {"tabulated": {"pairs": 5}}},
         {"update": {"order": 5}},
         {"gp": {"omega": 0, "times": 5}},
+        {"gp": {"omega": 0, "times": [4.0], "split": math.nan}},
+        {"gp": {"omega": 0, "times": [math.inf]}},
         {"update": []},
     ],
-    ids=["omega_null", "exp_null", "intercept_null", "pairs_number", "order_number", "gp_times_number", "update_list"],
+    ids=[
+        "omega_null", "exp_null", "intercept_null", "pairs_number", "order_number", "gp_times_number",
+        "gp_split_nan", "gp_times_inf", "update_list",
+    ],
 )
 def test_wrongly_typed_config_exits_2(capsys, tmp_path, override):
     cfg = tmp_path / "cfg.json"

@@ -19,14 +19,13 @@ from sgbounds import (
     first_crossing_time,
     gp_log_bound,
     log_concavity,
+    log_weighted_inv_norm_sq,
     normalized_crossing_time,
     pointwise_min,
     propagate,
-    solve_crossing,
     splice,
     state_at,
     update_bound,
-    weighted_inv_norm_sq,
 )
 
 ONE = PiecewiseLogAffineBound.constant()
@@ -166,14 +165,17 @@ class TestCrossingTimes:
             if math.isfinite(crossing):
                 assert state_at(m, pair, crossing) == pytest.approx(1.0, abs=1e-10)
 
-    def test_solution_states_stay_in_unit_interval(self):
-        sol = solve_crossing(WEI, PAIR_53)
-        assert sol.states[0] == 0.0
-        assert all(0.0 <= s < 1.0 for s in sol.states)
-        assert sol.segments[0].mu == pytest.approx(20.0)
-
     def test_phi_at_known_value(self):
         assert state_at(WEI, PAIR_53, math.pi / 2) == pytest.approx(0.5597, abs=5e-4)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_state_across_a_steep_ramp_tends_to_the_jump_rule(self, eps):
+        # a ramp of height -0.5 and width eps drives mu down to -0.5/eps; as
+        # eps -> 0 the state across it is multiplied by exp(2 * -0.5)
+        m = PiecewiseLogAffineBound.from_slopes([0.0, -0.5 / eps, 0.0], [0.3, 0.3 + eps])
+        pair = OmegaRPair(0.0, 1.0)
+        ratio = state_at(m, pair, 0.3 + eps) / state_at(m, pair, 0.3)
+        assert abs(ratio - math.exp(-1.0)) <= 4.0 * eps + 1e-8
 
 
 def crossing_by_event_integration(m, pair, t_max=80.0):
@@ -237,18 +239,17 @@ class TestNormalizedCrossing:
         assert normalized_crossing_time(20.0) == pytest.approx(0.05 * 1.8464, abs=2.5e-5)
 
     def test_segments_match_physical_rescaling(self):
+        # stretching time by r and the slopes to (a_j - omega) / r gives the
+        # normalized flow (omega 0, rate 1), whose crossing is r times m's
         rng = np.random.default_rng(9)
         for _ in range(25):
             m = random_bound(rng)
             pair = OmegaRPair(float(rng.uniform(-2, 1)), float(rng.uniform(0.1, 2.0)))
-            segs = []
-            for j, a in enumerate(m.slopes):
-                t0 = m.breakpoints[j]
-                t1 = m.breakpoints[j + 1] if j + 1 < len(m.breakpoints) else math.inf
-                segs.append(
-                    MuSegment(pair.rate * t0, pair.rate * t1, (a - pair.omega) / pair.rate)
-                )
-            b_star = normalized_crossing_time(segs)
+            scaled = PiecewiseLogAffineBound.from_slopes(
+                [(a - pair.omega) / pair.rate for a in m.slopes],
+                [pair.rate * t for t in m.breakpoints[1:]],
+            )
+            b_star = first_crossing_time(scaled, OmegaRPair(0.0, 1.0))
             a_star = first_crossing_time(m, pair)
             if math.isfinite(a_star):
                 assert b_star == pytest.approx(pair.rate * a_star, abs=1e-9)
@@ -397,7 +398,7 @@ class TestMonotonicityProperties:
 
 class TestWeightedNorm:
     def test_flat_bound_exact(self):
-        assert weighted_inv_norm_sq(ONE, 0.0, 3.0) == 3.0
+        assert log_weighted_inv_norm_sq(ONE, 0.0, 3.0) == math.log(3.0)
 
     def test_pure_exponential_symbolic(self):
         rng = np.random.default_rng(47)
@@ -407,13 +408,13 @@ class TestWeightedNorm:
             c = float(rng.uniform(0.5, 5.0))
             m = PiecewiseLogAffineBound.exponential(w0)
             expected = (1.0 - math.exp(2.0 * (omega - w0) * c)) / (2.0 * (w0 - omega))
-            got = weighted_inv_norm_sq(m, omega, c)
+            got = math.exp(log_weighted_inv_norm_sq(m, omega, c))
             assert got == pytest.approx(expected, rel=1e-12)
             oracle, err = quad(lambda s: math.exp(2 * omega * s - 2 * w0 * s), 0.0, c, epsabs=1e-13)
             assert got == pytest.approx(oracle, abs=max(1e-10, 10 * err))
 
     def test_wei_bound_against_quadrature(self):
-        got = weighted_inv_norm_sq(WEI, -1.0, 3.0)
+        got = math.exp(log_weighted_inv_norm_sq(WEI, -1.0, 3.0))
         oracle, err = quad(
             lambda s: math.exp(-2.0 * s) * math.exp(-2.0 * WEI.log_at(s)),
             0.0,
@@ -425,15 +426,16 @@ class TestWeightedNorm:
 
     def test_degenerate_slope_branch(self):
         m = PiecewiseLogAffineBound.exponential(-0.75)
-        assert weighted_inv_norm_sq(m, -0.75, 4.0) == pytest.approx(4.0, rel=1e-13)
+        assert math.exp(log_weighted_inv_norm_sq(m, -0.75, 4.0)) == pytest.approx(4.0, rel=1e-13)
 
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
-            weighted_inv_norm_sq(ONE, 0.0, 0.0)
+            log_weighted_inv_norm_sq(ONE, 0.0, 0.0)
 
-    def test_huge_positive_weight_saturates(self):
-        assert weighted_inv_norm_sq(ONE, 1.0, 500.0) == math.inf
-        # the log-scale route used by the resolvent bound stays finite
+    def test_huge_positive_weight_stays_finite(self):
+        # the norm itself, (exp(1000) - 1) / 2, overflows a float; its log does not
+        value = log_weighted_inv_norm_sq(ONE, 1.0, 500.0)
+        assert value == pytest.approx(1000.0 - math.log(2.0), abs=1e-12)
         value = gp_log_bound(ONE, OmegaRPair(1.0, 0.5), 500.0, 500.0, 1000.0)
         assert math.isfinite(value)
 
