@@ -326,8 +326,8 @@ def min_with_tails(
     n = len(m.breakpoints)
     j = k = 0
     for s, e in zip(base, [*base[1:], math.inf]):
-        probe = _probe(s, e)
-        while j + 1 < n and m.breakpoints[j + 1] <= probe:
+        # base holds every breakpoint of m, so none lies inside [s, e[
+        while j + 1 < n and m.breakpoints[j + 1] <= s:
             j += 1
         while k < len(order) and order[k][0] <= s:
             bisect.insort(live, order[k][1:])

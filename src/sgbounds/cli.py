@@ -135,11 +135,7 @@ def _load_config(path: str) -> dict:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _require_keys(
-        data,
-        {"model", "initial_bound", "omega_set", "grid", "iteration", "update", "gp", "output"},
-        "config",
-    )
+    _require_keys(data, {"model", "initial_bound", "omega_set", "grid", "iteration", "update", "gp"}, "config")
     return data
 
 
@@ -442,9 +438,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, PoleError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -34,7 +34,8 @@ _SUBADDITIVE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GridBound:
-    """Log values of a bound at times 0, h, 2h, ..., with value 0 at t = 0."""
+    """Log values of a bound at times 0, h, 2h, ...; the value at t = 0 is exactly
+    0, since every semigroup has log||S(0)|| = 0."""
 
     h: float
     values: tuple[float, ...]
@@ -44,21 +45,21 @@ class GridBound:
             raise ValueError("grid step must be positive")
         if not self.values:
             raise ValueError("grid must hold at least the t = 0 value")
-        if abs(self.values[0]) > 1e-12:
-            raise ValueError("grid value at t = 0 must vanish (m(0) = 1)")
+        if self.values[0] != 0.0:
+            raise ValueError("grid value at t = 0 must be 0 (m(0) = 1)")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("grid values must be finite")
 
     @classmethod
     def sample(cls, m: PiecewiseLogAffineBound, h: float, n_steps: int) -> "GridBound":
-        """Sample log m at 0, h, ..., n_steps * h."""
+        """Sample log m at h, ..., n_steps * h, with the exact 0 at t = 0."""
         if h <= 0.0:
             raise ValueError("grid step must be positive")
         if n_steps <= 0:
             raise ValueError("need at least one grid step")
         if not m.is_normalized:
             raise ValueError("sampling requires a normalized bound")
-        return cls(h, tuple(m.log_at(k * h) for k in range(n_steps + 1)))
+        return cls(h, (0.0, *(m.log_at(k * h) for k in range(1, n_steps + 1))))
 
     @property
     def times(self) -> tuple[float, ...]:

@@ -28,10 +28,11 @@ conjugates, and coth-type branches are written with expm1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import PiecewiseLogAffineBound, _continuity_slack, log_concavity, min_with_tails
+from .bounds import PiecewiseLogAffineBound, _continuity_slack, min_with_tails
 
 __all__ = [
     "BRANCH_TOL",
@@ -53,11 +54,6 @@ __all__ = [
 # trigonometric and hyperbolic branches lose precision as eta -> 0 and the
 # parabolic form is their analytic limit.
 BRANCH_TOL = 1e-10
-
-# slack for accepting a crossing candidate at the right endpoint of a segment
-_CANDIDATE_SLACK = 1e-12
-
-_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class PoleError(ArithmeticError):
@@ -200,31 +196,24 @@ def _time_to_one(mu: float, start: float) -> float:
 def first_crossing_time(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> float:
     """First t with phi(t) = 1 for the flow driven by m, omega and r; +inf if none.
 
-    Walks m's pieces with mu_j = (slope_j - omega) / r and stops at the piece
-    where the crossing lands; the last piece extends to +inf, so its candidate
-    (finite or +inf) ends the walk.  When log m is concave the mu_j decrease,
-    so a missed crossing followed by a piece with mu <= -1 can never be made
-    up, and the walk returns +inf there.
+    Walks m's pieces with mu_j = (slope_j - omega) / r.  A crossing counts
+    only on the piece where it lands, and a state that reaches 1 by a piece's
+    end crosses at that end; the last piece extends to +inf, so its candidate
+    (finite or +inf) ends the walk.
     """
-    rate, omega = pair.rate, pair.omega
-    bps, slopes = m.breakpoints, m.slopes
-    shortcut = log_concavity(m).is_concave
+    bps = m.breakpoints
     state = 0.0
-    mu = (slopes[0] - omega) / rate
-    j = 0
-    while True:
+    for j, a in enumerate(m.slopes):
+        mu = (a - pair.omega) / pair.rate
         t0 = bps[j]
         t1 = bps[j + 1] if j + 1 < len(bps) else math.inf
-        dt = _time_to_one(mu, state)
-        crossing = t0 + dt / rate if math.isfinite(dt) else math.inf
-        if crossing <= t1 + _CANDIDATE_SLACK:
+        crossing = t0 + _time_to_one(mu, state) / pair.rate
+        if crossing <= t1:
             return crossing
-        following = (slopes[j + 1] - omega) / rate
-        if shortcut and following <= -1.0:
-            return math.inf
-        state = min(max(propagate(rate * (t1 - t0), mu, state), 0.0), _BELOW_ONE)
-        mu = following
-        j += 1
+        state = max(propagate(pair.rate * (t1 - t0), mu, state), 0.0)
+        if state >= 1.0:
+            return t1
+    raise AssertionError("final piece is unbounded")
 
 
 # ``perfbench/spans.py`` traces the walk under this name and wraps every module
@@ -325,15 +314,14 @@ def _first_reentry(
 
 # -- weighted norms and the Gearhart-Pruss estimate -------------------------
 
-_DEGENERATE_EXP_TOL = 1e-13
-
 
 def _piece_integral_log(kappa: float, beta: float, lo: float, hi: float) -> float:
     """log of the integral of exp(2 kappa s - 2 beta) over [lo, hi]."""
     width = hi - lo
-    if abs(kappa) < _DEGENERATE_EXP_TOL:
-        return math.log(width) + 2.0 * kappa * lo - 2.0 * beta
     z = 2.0 * kappa * width
+    if abs(z) < sys.float_info.min:
+        # z zero or subnormal: the linear formula is exact to rounding
+        return math.log(width) + 2.0 * kappa * lo - 2.0 * beta
     if z > 700.0:  # expm1 would overflow; log(expm1(z)/(2 kappa)) ~ z - log(2 kappa)
         return 2.0 * kappa * lo - 2.0 * beta + z - math.log(2.0 * kappa)
     # expm1(z)/(2 kappa) > 0 for either sign of kappa
@@ -352,8 +340,9 @@ def log_weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon: 
     exp(2 omega s) / m(s)^2 over [0, horizon].
 
     Summed piece by piece in log scale from the exact exponential
-    antiderivative, so it neither overflows nor underflows; a piece whose
-    exponent omega - slope is within 1e-13 of 0 takes the linear formula.
+    antiderivative, so it neither overflows nor underflows; only a piece whose
+    exponent 2 (omega - slope) times its width is 0 or subnormal takes the
+    linear formula.
     """
     if horizon <= 0.0:
         raise ValueError("integration horizon must be positive")

@@ -220,8 +220,16 @@ class TestIterate:
             {"grid": {"h": 0.1}},
             {"omega_set": {"from": 0, "to": 1}},
             {"model": {"tabulated": {"pairs": [[0.0, 0.1], [math.nan, 100.0]]}}, "omega_set": [0.5]},
+            {**CONFIG_53, "output": {"dir": "results"}},
         ],
-        ids=["missing_path", "jordan_without_n", "grid_without_T", "omega_set_without_count", "non_finite_pair"],
+        ids=[
+            "missing_path",
+            "jordan_without_n",
+            "grid_without_T",
+            "omega_set_without_count",
+            "non_finite_pair",
+            "output_key",
+        ],
     )
     def test_malformed_config_exits_2(self, capsys, tmp_path, config):
         cfg = tmp_path / "cfg.json"

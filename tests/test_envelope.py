@@ -64,6 +64,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             GridBound(0.1, (1.0, 0.0))  # nonzero value at t = 0
 
+    def test_origin_is_exactly_zero(self):
+        # every semigroup has log||S(0)|| = 0, whatever a normalized bound's
+        # log m(0) within the continuity tolerance
+        m = PiecewiseLogAffineBound.from_slopes([0.5, -1.0], [2.0], -5e-13)
+        assert m.is_normalized
+        g = GridBound.sample(m, 0.5, 8)
+        assert g.values[0] == 0.0
+        assert piecewise_interpolant(g)(0.0) == 1.0
+        with pytest.raises(ValueError):
+            GridBound(0.5, (1e-13, 0.0))
+
 
 class TestEnvelope:
     def test_pair_recursion_spot(self):

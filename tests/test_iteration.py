@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_profile, random_log_concave_bound
 from sgbounds import (
@@ -20,12 +22,13 @@ from sgbounds import (
     first_crossing_time,
     iterate,
     iterate_updates_only,
+    log_concavity,
     min_update,
     pointwise_min,
     update_bound,
     update_chain,
 )
-from sgbounds.models import diffop_profile
+from sgbounds.models import JordanBlockModel, diffop_profile, jordan_profile, jordan_semigroup_norm
 
 ONE = PiecewiseLogAffineBound.constant()
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
@@ -269,6 +272,63 @@ class TestIterateUpdatesOnly:
         for prev, step in zip(trace.steps, trace.steps[1:]):
             for t in ts:
                 assert step.bound.log_at(t) <= prev.bound.log_at(t) + 1e-12
+
+
+def emitted_bounds(m, omegas, profile):
+    """Every bound that update_bound, update_chain, min_update and, from a
+    log-concave start, iterate_updates_only emit from m over the abscissas."""
+    bounds = [update_bound(m, profile.pair(w)) for w in omegas]
+    bounds += [update_chain(m, omegas, profile), min_update(m, OmegaSet.of(omegas), profile)]
+    if log_concavity(m).is_concave:
+        bounds += [step.bound for step in iterate_updates_only(m, omegas, profile, 3).steps]
+    return bounds
+
+
+@st.composite
+def shift_starts(draw):
+    """Normalized bounds of 1-4 pieces with log m >= 0 on [0, 1), concave or not."""
+    n = draw(st.integers(1, 4))
+    slopes = [draw(st.floats(0.0, 3.0))]
+    for _ in range(n - 1):
+        slopes.append(slopes[-1] + draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0])))
+    widths = [draw(st.floats(0.05, 1.5)) for _ in range(n - 1)]
+    m = PiecewiseLogAffineBound.from_slopes(slopes, np.cumsum(widths).tolist())
+    # log m is continuous and piecewise affine: its minimum on [0, 1] is at a knot or at 1
+    assume(min(m.log_at(t) for t in (*m.breakpoints, 1.0) if t <= 1.0) >= 0.0)
+    return m
+
+
+JORDAN3 = JordanBlockModel(3)
+JORDAN_TS = np.linspace(0.0, 30.0, 601)
+JORDAN_LOG_NORMS = [math.log(jordan_semigroup_norm(JORDAN3, t)) for t in JORDAN_TS]
+
+
+class TestDomination:
+    """Every emitted bound lies at or above the exact semigroup norm."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shift_starts(),
+        st.lists(st.sampled_from([-40.0, -30.0, -10.0]) | st.floats(-40.0, 5.0), min_size=1, max_size=4),
+    )
+    def test_shift_bounds_stay_above_the_norm(self, m, omegas):
+        # the shift on [0, 1] has ||S(t)|| = 1 for t < 1 and 0 from t = 1 on
+        for bound in emitted_bounds(m, omegas, diffop_profile()):
+            assert min(bound.log_at(k * 1e-3) for k in range(1000)) >= -1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.cos(math.pi / 4), 2.0),
+        st.floats(-5.0, 1.5),
+        st.integers(1, 6),
+    )
+    def test_jordan_bounds_stay_above_the_norm(self, c, lowest, count):
+        # exp(c t) with c at least the numerical range's abscissa cos(pi/4) is valid
+        omegas = np.exp(np.linspace(lowest, 1.5, count)).tolist()
+        m = PiecewiseLogAffineBound.exponential(c)
+        for bound in emitted_bounds(m, omegas, jordan_profile(JORDAN3)):
+            for t, log_norm in zip(JORDAN_TS, JORDAN_LOG_NORMS):
+                assert bound.log_at(t) >= log_norm - 1e-9
 
 
 def test_trace_json_round_trip():

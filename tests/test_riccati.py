@@ -130,6 +130,18 @@ class TestPropagate:
                 assert dpsi == pytest.approx(-(psi * psi + 2 * mu * psi + 1.0), abs=1e-6 * max(1.0, psi * psi))
 
 
+def knife_edge_cases(seed: int, count: int = 30):
+    """(omega, rate, first slope, c0): c0 is the crossing of the one-piece bound
+    of that first slope, for first mu in [-0.5, 3] and rates in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        omega, rate = float(rng.uniform(-1.0, 0.5)), float(rng.uniform(0.5, 2.0))
+        a0 = omega + float(rng.uniform(-0.5, 3.0)) * rate
+        c0 = first_crossing_time(PiecewiseLogAffineBound.exponential(a0), OmegaRPair(omega, rate))
+        assert math.isfinite(c0)
+        yield omega, rate, a0, c0
+
+
 class TestCrossingTimes:
     def test_candidate_rejects_bad_start(self):
         seg = MuSegment(0.0, math.inf, 0.0)
@@ -176,6 +188,37 @@ class TestCrossingTimes:
         pair = OmegaRPair(0.0, 1.0)
         ratio = state_at(m, pair, 0.3 + eps) / state_at(m, pair, 0.3)
         assert abs(ratio - math.exp(-1.0)) <= 4.0 * eps + 1e-8
+
+    # two-piece bounds whose breakpoint sits at the first piece's own crossing
+    # c0: a crossing counts only on the piece where it lands
+    @pytest.mark.parametrize("mu_next", [-1.0, -2.0])
+    def test_no_crossing_just_before_a_piece_that_cannot_reach_one(self, mu_next):
+        for omega, rate, a0, c0 in knife_edge_cases(71):
+            m = PiecewiseLogAffineBound.from_slopes([a0, omega + mu_next * rate], [c0 * (1.0 - 1e-13)])
+            assert first_crossing_time(m, OmegaRPair(omega, rate)) == math.inf
+
+    def test_crossing_just_before_a_slower_piece_lands_on_it(self):
+        for omega, rate, a0, c0 in knife_edge_cases(73):
+            bp = c0 * (1.0 - 1e-13)
+            m = PiecewiseLogAffineBound.from_slopes([a0, omega - 0.5 * rate], [bp])
+            pair = OmegaRPair(omega, rate)
+            crossing = first_crossing_time(m, pair)
+            assert bp < crossing <= bp + 1e-11
+            assert state_at(m, pair, crossing) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("mu_next", [-2.0, -1.0, -0.5])
+    def test_breakpoints_within_ulps_of_the_crossing(self, mu_next):
+        for omega, rate, a0, c0 in knife_edge_cases(79):
+            for direction in (0.0, math.inf):
+                bp = c0
+                for _ in range(5):
+                    m = PiecewiseLogAffineBound.from_slopes([a0, omega + mu_next * rate], [bp])
+                    crossing = first_crossing_time(m, OmegaRPair(omega, rate))
+                    if math.isinf(crossing):
+                        assert bp < c0
+                    else:
+                        assert abs(crossing - c0) <= 1e-12
+                    bp = math.nextafter(bp, direction)
 
 
 def crossing_by_event_integration(m, pair, t_max=80.0):
@@ -427,6 +470,14 @@ class TestWeightedNorm:
     def test_degenerate_slope_branch(self):
         m = PiecewiseLogAffineBound.exponential(-0.75)
         assert math.exp(log_weighted_inv_norm_sq(m, -0.75, 4.0)) == pytest.approx(4.0, rel=1e-13)
+
+    def test_nearly_flat_exponent_keeps_its_sign(self):
+        # the integral of exp(2 kappa s) over [0, 3] is 3 (1 + 3 kappa + ...), so
+        # its log is log 3 + 3 kappa to within 1e-26 at kappa = +-1e-14
+        for kappa in (1e-14, -1e-14):
+            value = log_weighted_inv_norm_sq(ONE, kappa, 3.0)
+            assert (value > math.log(3.0)) == (kappa > 0.0)
+            assert abs(value - (math.log(3.0) + 3.0 * kappa)) <= 1e-15
 
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
