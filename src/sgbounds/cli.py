@@ -45,7 +45,7 @@ def _rows_csv(rows: list[tuple[float, float, str]]) -> str:
 
 
 def _rows_json(rows: list[tuple[float, float, str]]) -> str:
-    return json.dumps([{"t": t, "value": v, "label": label} for t, v, label in rows], indent=1) + "\n"
+    return json.dumps([{"t": t, "value": v, "label": label} for t, v, label in rows]) + "\n"
 
 
 def _write(text: str, out: str | None, suffix: str = "") -> None:
@@ -73,10 +73,10 @@ def _emit_report(
         return _rows_csv([(k * h, b.log_at(k * h), label) for b, label in labelled for k in range(n + 1)])
 
     if args.out is None:
-        _write(csv() if fmt == "csv" else json.dumps(report, indent=1) + "\n", None)
+        _write(csv() if fmt == "csv" else json.dumps(report) + "\n", None)
         return
     if fmt in (None, "json"):
-        _write(json.dumps(report, indent=1) + "\n", args.out, ".json")
+        _write(json.dumps(report) + "\n", args.out, ".json")
     if fmt in (None, "csv"):
         _write(csv(), args.out, ".csv")
 
@@ -124,6 +124,23 @@ def _parse(convert, value, where: str):
         raise ConfigError(f"bad {where} {value!r}: {exc}") from exc
 
 
+def _integer(value, where: str) -> int:
+    """An integral JSON number (3 or 3.0); a bool, a string or a fraction is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(spec: dict, key: str, default: bool, where: str) -> bool:
+    """spec[key] (default when absent), which must be a JSON boolean."""
+    value = spec.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _floats(values, where: str) -> list[float]:
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list")
@@ -147,7 +164,7 @@ def _build_profile(spec) -> ResolventProfile:
         if "jordan" in spec:
             block = spec["jordan"]
             _require_keys(block, {"n"}, "model.jordan")
-            n = _parse(int, _required(block, "n", "model.jordan"), "model.jordan.n")
+            n = _integer(_required(block, "n", "model.jordan"), "model.jordan.n")
             return models.jordan_profile(JordanBlockModel(n))
         block = _required(spec, "tabulated", "model")
         _require_keys(block, {"pairs", "path"}, "model.tabulated")
@@ -183,12 +200,12 @@ def _build_omegas(spec) -> list[float]:
         return _floats(spec, "omega_set")
     if isinstance(spec, dict):
         _require_keys(spec, {"from", "to", "count", "log_spaced"}, "omega_set")
-        count = _parse(int, _required(spec, "count", "omega_set"), "omega_set.count")
+        count = _integer(_required(spec, "count", "omega_set"), "omega_set.count")
         if count < 1:
             raise ConfigError("omega_set.count must be positive")
         a, b = (_parse(float, _required(spec, k, "omega_set"), f"omega_set.{k}") for k in ("from", "to"))
         xs = _linspace(a, b, count)
-        if spec.get("log_spaced", False):
+        if _flag(spec, "log_spaced", False, "omega_set"):
             try:
                 xs = [math.exp(x) for x in xs]
             except OverflowError as exc:
@@ -287,8 +304,8 @@ def _cmd_iterate(args) -> int:
     omegas = OmegaSet.of(_build_omegas(config.get("omega_set", [])))
     iter_spec = config.get("iteration", {})
     _require_keys(iter_spec, {"max_steps", "use_semigroupize"}, "iteration")
-    max_steps = _parse(int, iter_spec.get("max_steps", 8), "iteration.max_steps")
-    use_envelope = bool(iter_spec.get("use_semigroupize", True))
+    max_steps = _integer(iter_spec.get("max_steps", 8), "iteration.max_steps")
+    use_envelope = _flag(iter_spec, "use_semigroupize", True, "iteration")
     grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
 
     if use_envelope:

@@ -10,6 +10,11 @@ j <= k/2 and an already-enveloped remainder, so
     out[k] = min(g[k], min_{1 <= j <= k/2} out[j] + out[k-j]).
 
 Only grid semantics are claimed: nothing is asserted off-grid.
+
+The envelope can only act on a bound that is not subadditive.  If f = log m
+is concave with f(0) >= 0, then f(a) + f(b) >= f(a + b) + f(0) >= f(a + b),
+so the DP leaves such a grid unchanged up to rounding, and
+:func:`~sgbounds.iteration.iterate` skips it there.
 """
 
 from __future__ import annotations
@@ -52,14 +57,21 @@ class GridBound:
 
     @classmethod
     def sample(cls, m: PiecewiseLogAffineBound, h: float, n_steps: int) -> "GridBound":
-        """Sample log m at h, ..., n_steps * h, with the exact 0 at t = 0."""
+        """Sample log m at h, ..., n_steps * h, with the exact 0 at t = 0.
+
+        One vectorised lookup and evaluation with the roundings of
+        :meth:`PiecewiseLogAffineBound.log_at`, so each value equals it.
+        """
         if h <= 0.0:
             raise ValueError("grid step must be positive")
         if n_steps <= 0:
             raise ValueError("need at least one grid step")
         if not m.is_normalized:
             raise ValueError("sampling requires a normalized bound")
-        return cls(h, (0.0, *(m.log_at(k * h) for k in range(1, n_steps + 1))))
+        t = np.arange(1, n_steps + 1) * h
+        j = np.searchsorted(m.breakpoints, t, side="right") - 1
+        logs = np.asarray(m.slopes)[j] * t + np.asarray(m.intercepts)[j]
+        return cls(h, (0.0, *logs.tolist()))
 
     @property
     def times(self) -> tuple[float, ...]:

@@ -12,11 +12,18 @@ the minimum with its tail line, so the minimum over the set is one sweep over
 m and all the tails, each counted from its own splice point on.
 
 Two iterations are provided.  :func:`iterate` alternates the best update over
-the whole abscissa set with the grid subadditive envelope; the envelope is a
-no-op on log-concave iterates, in which case the exact piecewise form is kept,
-and otherwise the iteration continues from the piecewise interpolant of the
-grid.  :func:`iterate_updates_only` stays entirely in the exact
-representation and requires a log-concave start, which the update preserves.
+the whole abscissa set with the grid subadditive envelope.  The envelope runs
+only where it can act: a log-concave iterate f = log m with f(0) >= 0 is
+already subadditive, since concavity gives f(a) + f(b) >= f(a + b) + f(0) >=
+f(a + b), so its sampled grid is kept as the envelope grid and the exact
+piecewise form is carried on (the dynamic program could only lower grid
+values by rounding, so skipping it errs toward the larger bound).  A
+normalized iterate with f(0) in [-CONTINUITY_TOL, 0) keeps the envelope.
+Otherwise the exact form is kept when the envelope moves no grid value by
+more than 1e-10, and the iteration continues from the piecewise interpolant
+of the grid when it does.  :func:`iterate_updates_only` stays entirely in the
+exact representation and requires a log-concave start, which the update
+preserves.
 Both compute the rates of the set once per call, and the crossing times of
 each iterate once, shared by its argmin report and the next update.
 Order-sensitive single passes are available as :func:`update_chain`.
@@ -237,12 +244,15 @@ def iterate(
 ) -> IterationTrace:
     """Iterate (envelope o best-update) from a normalized bound.
 
-    Each step applies :func:`min_update` exactly on the piecewise form, then
-    the grid subadditive envelope.  If the envelope leaves the sampled values
-    unchanged (log-concave case) the exact piecewise form is carried to the
-    next step; otherwise the iteration continues from the interpolant of the
-    envelope grid.  Stops early once two successive grid snapshots agree to
-    1e-10 in sup norm, recording the earlier index in ``stationary_at``.
+    Each step applies :func:`min_update` exactly on the piecewise form and
+    samples it on the grid.  A log-concave update with log m(0) >= 0 is
+    subadditive, so its samples are the step's grid and the exact form is
+    carried to the next step without running the envelope.  Any other update
+    goes through the grid subadditive envelope: if that moves no grid value
+    by more than 1e-10 the exact form is carried on, otherwise the iteration
+    continues from the interpolant of the envelope grid.  Stops early once
+    two successive grid snapshots agree to 1e-10 in sup norm, recording the
+    earlier index in ``stationary_at``.
     """
     if not m.is_normalized:
         raise ValueError("iteration requires a normalized bound")
@@ -259,9 +269,12 @@ def iterate(
     for k in range(1, max_steps + 1):
         updated = _min_update(cur, pairs, crossings)
         sampled = GridBound.sample(updated, h, n_steps)
-        enveloped = subadditive_envelope(sampled)
-        drift = float(np.max(np.abs(np.subtract(enveloped.values, sampled.values))))
-        cur = updated if drift <= _STATIONARY_TOL else piecewise_interpolant(enveloped)
+        if log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0:
+            cur, enveloped = updated, sampled
+        else:
+            enveloped = subadditive_envelope(sampled)
+            drift = float(np.max(np.abs(np.subtract(enveloped.values, sampled.values))))
+            cur = updated if drift <= _STATIONARY_TOL else piecewise_interpolant(enveloped)
         crossings = _crossings(cur, pairs)
         steps.append(IterationStep(k, cur, enveloped, _argmin(omegas, crossings)))
         gap = float(np.max(np.abs(np.subtract(enveloped.values, cur_grid.values))))

@@ -212,6 +212,14 @@ class TestIterate:
         _, second, _ = run(capsys, ["iterate", "--config", str(cfg), "--format", "csv"])
         assert first == second
 
+    def test_json_report_is_one_line(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG_53, "iteration": {"max_steps": 2.0}}))
+        code, out, _ = run(capsys, ["iterate", "--config", str(cfg), "--format", "json"])
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert 2 <= len(json.loads(out)["steps"]) <= 3
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -221,6 +229,11 @@ class TestIterate:
             {"omega_set": {"from": 0, "to": 1}},
             {"model": {"tabulated": {"pairs": [[0.0, 0.1], [math.nan, 100.0]]}}, "omega_set": [0.5]},
             {**CONFIG_53, "output": {"dir": "results"}},
+            {**CONFIG_53, "iteration": {"use_semigroupize": "false"}},
+            {**CONFIG_53, "iteration": {"use_semigroupize": 0}},
+            {**CONFIG_53, "iteration": {"max_steps": 2.7}},
+            {**CONFIG_53, "iteration": {"max_steps": True}},
+            {**CONFIG_53, "iteration": {"max_steps": "3"}},
         ],
         ids=[
             "missing_path",
@@ -229,6 +242,11 @@ class TestIterate:
             "omega_set_without_count",
             "non_finite_pair",
             "output_key",
+            "use_semigroupize_string",
+            "use_semigroupize_number",
+            "max_steps_fraction",
+            "max_steps_bool",
+            "max_steps_string",
         ],
     )
     def test_malformed_config_exits_2(self, capsys, tmp_path, config):
@@ -251,10 +269,18 @@ class TestIterate:
         {"gp": {"omega": 0, "times": [4.0], "split": math.nan}},
         {"gp": {"omega": 0, "times": [math.inf]}},
         {"update": []},
+        {"omega_set": {"from": -1, "to": 0, "count": 2, "log_spaced": "no"}},
+        {"omega_set": {"from": 0, "to": 1, "count": 2.5}},
+        {"omega_set": {"from": 0, "to": 1, "count": True}},
+        {"omega_set": {"from": 0, "to": 1, "count": "2"}},
+        {"model": {"jordan": {"n": 2.5}}, "omega_set": [1.0]},
+        {"model": {"jordan": {"n": True}}, "omega_set": [1.0]},
+        {"model": {"jordan": {"n": "3"}}, "omega_set": [1.0]},
     ],
     ids=[
         "omega_null", "exp_null", "intercept_null", "pairs_number", "order_number", "gp_times_number",
-        "gp_split_nan", "gp_times_inf", "update_list",
+        "gp_split_nan", "gp_times_inf", "update_list", "log_spaced_string", "count_fraction", "count_bool",
+        "count_string", "jordan_n_fraction", "jordan_n_bool", "jordan_n_string",
     ],
 )
 def test_wrongly_typed_config_exits_2(capsys, tmp_path, override):

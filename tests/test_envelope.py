@@ -76,6 +76,37 @@ class TestSampling:
             GridBound(0.5, (1e-13, 0.0))
 
 
+def log_at_loop(m, h, n):
+    return (0.0, *(m.log_at(k * h) for k in range(1, n + 1)))
+
+
+class TestSamplingMatchesLogAt:
+    def test_random_bounds(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            m = random_bound(rng, 6) if rng.random() < 0.5 else random_log_concave_bound(rng, 6)
+            h = float(rng.uniform(0.01, 1.0))
+            n = int(rng.integers(1, 400))
+            assert GridBound.sample(m, h, n).values == log_at_loop(m, h, n)
+
+    def test_breakpoints_on_grid_times(self):
+        rng = np.random.default_rng(31)
+        for h in (0.05, 0.1, 0.15, 0.3, 1.0 / 3.0):
+            ks = np.sort(rng.choice(np.arange(1, 200), size=5, replace=False))
+            slopes = rng.uniform(-2.0, 2.0, size=6).tolist()
+            m = PiecewiseLogAffineBound.from_slopes(slopes, [int(k) * h for k in ks])
+            assert set(m.breakpoints[1:]) <= {k * h for k in range(1, 201)}
+            assert GridBound.sample(m, h, 250).values == log_at_loop(m, h, 250)
+
+    def test_interpolant_of_many_pieces(self):
+        rng = np.random.default_rng(37)
+        values = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.05, 0.04, size=1500))])
+        m = piecewise_interpolant(GridBound(0.02, tuple(values.tolist())))
+        assert len(m.breakpoints) >= 1000
+        for h, n in ((0.02, 2000), (0.013, 2500), (0.05, 700)):
+            assert GridBound.sample(m, h, n).values == log_at_loop(m, h, n)
+
+
 class TestEnvelope:
     def test_pair_recursion_spot(self):
         g = GridBound(1.0, (0.0, -1.0, 1.0))

@@ -25,6 +25,7 @@ from sgbounds import (
     log_concavity,
     min_update,
     pointwise_min,
+    subadditive_envelope,
     update_bound,
     update_chain,
 )
@@ -253,6 +254,52 @@ class TestIterate:
         for step in trace.steps:
             lowest = min(step.bound.log_at(k * 1e-3) for k in range(1000))
             assert lowest >= 0.0, f"step {step.index}: log m reaches {lowest:.3g} on [0, 1)"
+
+
+@pytest.fixture
+def envelope_calls(monkeypatch):
+    """Count the calls iterate makes to the grid subadditive envelope."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return subadditive_envelope(g)
+
+    monkeypatch.setattr("sgbounds.iteration.subadditive_envelope", counted)
+    return calls
+
+
+class TestEnvelopeSkip:
+    """The envelope runs only on iterates it can act on: not log-concave, or log m(0) < 0."""
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_concave_normalized_start_skips_the_envelope(self, envelope_calls, seed):
+        m = random_log_concave_bound(np.random.default_rng(seed))
+        assert m.intercepts[0] == 0.0
+        h, n = 0.25, 240
+        trace = iterate(m, OmegaSet.of([0.0, -1.0]), PROFILE_53, 5, (h, n))
+        assert envelope_calls == []
+        for step in trace.steps:
+            assert step.grid == GridBound.sample(step.bound, h, n)
+            excess = np.subtract(step.grid.values, subadditive_envelope(step.grid).values)
+            assert 0.0 <= excess.min() and excess.max() <= 1e-12
+
+    def test_rise_start_runs_the_envelope(self, envelope_calls):
+        m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
+        omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), diffop_profile(), 0.05, 200
+        updated = min_update(m, omegas, profile)
+        assert not log_concavity(updated).is_concave
+        trace = iterate(m, omegas, profile, 3, (h, n))
+        assert envelope_calls
+        sampled = GridBound.sample(updated, h, n)
+        assert trace.steps[1].grid == subadditive_envelope(sampled)
+        assert trace.steps[1].grid != sampled
+
+    def test_concave_start_below_one_at_zero_runs_the_envelope(self, envelope_calls):
+        m = PiecewiseLogAffineBound.from_slopes([0.5, -1.0], [2.0], -1e-13)
+        assert m.is_normalized and log_concavity(m).is_concave
+        trace = iterate(m, OmegaSet.of([0.0, -1.0]), PROFILE_53, 3, (0.25, 80))
+        assert len(envelope_calls) == len(trace.steps) - 1
 
 
 class TestIterateUpdatesOnly:
