@@ -33,7 +33,6 @@ from .iteration import (
     ResolventProfile,
     argmin_abscissas,
     iterate,
-    iterate_updates_only,
     min_update,
     update_chain,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "gp_log_bound",
     "is_subadditive",
     "iterate",
-    "iterate_updates_only",
     "log_concavity",
     "log_weighted_inv_norm_sq",
     "min_update",

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import models
 from .bounds import PiecewiseLogAffineBound, min_with_tails
-from .iteration import OmegaSet, ResolventProfile, iterate, iterate_updates_only, update_chain
+from .iteration import OmegaSet, ResolventProfile, iterate, update_chain
 from .models import ConvergenceError, JordanBlockModel
 from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound, update_tail
 
@@ -92,6 +92,8 @@ def _step_count(span: float, step: float) -> int:
 def _time_grid(t_max: float, step: float) -> list[float]:
     if not step > 0.0:
         raise ConfigError(f"step must be positive, got {step!r}")
+    if t_max < 0.0:
+        raise ConfigError(f"sweep span must not be negative, got {t_max!r}")
     return [k * step for k in range(_step_count(t_max, step) + 1)]
 
 
@@ -308,11 +310,7 @@ def _cmd_iterate(args) -> int:
     use_envelope = _flag(iter_spec, "use_semigroupize", True, "iteration")
     grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
 
-    if use_envelope:
-        trace = iterate(m0, omegas, profile, max_steps, grid)
-    else:
-        trace = iterate_updates_only(m0, omegas, profile, max_steps)
-
+    trace = iterate(m0, omegas, profile, max_steps, grid, envelope=use_envelope)
     labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
     _emit_report(trace.to_json_dict(), labelled, grid, args)
     return 0
@@ -387,6 +385,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"count must be at least 1, got {args.count!r}")
     if args.model == "diffop":
         rate = models.diffop_rate
     else:

@@ -52,7 +52,7 @@ class GridBound:
             raise ValueError("grid must hold at least the t = 0 value")
         if self.values[0] != 0.0:
             raise ValueError("grid value at t = 0 must be 0 (m(0) = 1)")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("grid values must be finite")
 
     @classmethod

@@ -11,21 +11,21 @@ single-abscissa updates.  Each keeps m up to its splice point and then takes
 the minimum with its tail line, so the minimum over the set is one sweep over
 m and all the tails, each counted from its own splice point on.
 
-Two iterations are provided.  :func:`iterate` alternates the best update over
-the whole abscissa set with the grid subadditive envelope.  The envelope runs
-only where it can act: a log-concave iterate f = log m with f(0) >= 0 is
-already subadditive, since concavity gives f(a) + f(b) >= f(a + b) + f(0) >=
-f(a + b), so its sampled grid is kept as the envelope grid and the exact
-piecewise form is carried on (the dynamic program could only lower grid
-values by rounding, so skipping it errs toward the larger bound).  A
-normalized iterate with f(0) in [-CONTINUITY_TOL, 0) keeps the envelope.
-Otherwise the exact form is kept when the envelope moves no grid value by
-more than 1e-10, and the iteration continues from the piecewise interpolant
-of the grid when it does.  :func:`iterate_updates_only` stays entirely in the
-exact representation and requires a log-concave start, which the update
-preserves.
-Both compute the rates of the set once per call, and the crossing times of
-each iterate once, shared by its argmin report and the next update.
+The iteration :func:`iterate` alternates the best update over the whole
+abscissa set with the grid subadditive envelope.  The envelope runs only where
+it can act: a log-concave iterate f = log m with f(0) >= 0 is already
+subadditive, since concavity gives f(a) + f(b) >= f(a + b) + f(0) >= f(a + b),
+so its sampled grid is kept as the envelope grid and the exact piecewise form
+is carried on (the dynamic program could only lower grid values by rounding,
+so skipping it errs toward the larger bound).  A normalized iterate with f(0)
+in [-CONTINUITY_TOL, 0) keeps the envelope.  Otherwise the exact form is kept
+when the envelope moves no grid value by more than 1e-10, and the iteration
+continues from the piecewise interpolant of the grid when it does.  With
+``envelope=False`` the envelope never runs: every iterate is a
+:func:`min_update` of the one before, in exact form, and its sampled grid is
+the step's grid.  The rates of the set are computed once per call, and the
+crossing times of each iterate once, shared by its argmin report and the next
+update.
 Order-sensitive single passes are available as :func:`update_chain`.
 """
 
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import PiecewiseLogAffineBound, allclose, log_concavity, min_with_tails
+from .bounds import PiecewiseLogAffineBound, log_concavity, min_with_tails
 from .envelope import GridBound, piecewise_interpolant, subadditive_envelope
 from .riccati import OmegaRPair, first_crossing_time, update_bound, update_tail
 
@@ -49,7 +49,6 @@ __all__ = [
     "ResolventProfile",
     "argmin_abscissas",
     "iterate",
-    "iterate_updates_only",
     "min_update",
     "update_chain",
 ]
@@ -149,14 +148,14 @@ class OmegaSet:
 class IterationStep:
     index: int
     bound: PiecewiseLogAffineBound
-    grid: GridBound | None
+    grid: GridBound
     argmin_omegas: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
             "bound": self.bound.to_json_dict(),
-            "grid": None if self.grid is None else {"h": self.grid.h, "values": list(self.grid.values)},
+            "grid": {"h": self.grid.h, "values": list(self.grid.values)},
             "argmin_omegas": list(self.argmin_omegas),
         }
 
@@ -241,18 +240,20 @@ def iterate(
     profile: ResolventProfile,
     max_steps: int,
     grid: tuple[float, int],
+    envelope: bool = True,
 ) -> IterationTrace:
     """Iterate (envelope o best-update) from a normalized bound.
 
     Each step applies :func:`min_update` exactly on the piecewise form and
     samples it on the grid.  A log-concave update with log m(0) >= 0 is
     subadditive, so its samples are the step's grid and the exact form is
-    carried to the next step without running the envelope.  Any other update
-    goes through the grid subadditive envelope: if that moves no grid value
-    by more than 1e-10 the exact form is carried on, otherwise the iteration
-    continues from the interpolant of the envelope grid.  Stops early once
-    two successive grid snapshots agree to 1e-10 in sup norm, recording the
-    earlier index in ``stationary_at``.
+    carried to the next step without running the envelope; with
+    ``envelope=False`` every update is treated so, from any normalized start.
+    Any other update goes through the grid subadditive envelope: if that
+    moves no grid value by more than 1e-10 the exact form is carried on,
+    otherwise the iteration continues from the interpolant of the envelope
+    grid.  Stops early once two successive grid snapshots agree to 1e-10 in
+    sup norm, recording the earlier index in ``stationary_at``.
     """
     if not m.is_normalized:
         raise ValueError("iteration requires a normalized bound")
@@ -269,7 +270,7 @@ def iterate(
     for k in range(1, max_steps + 1):
         updated = _min_update(cur, pairs, crossings)
         sampled = GridBound.sample(updated, h, n_steps)
-        if log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0:
+        if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
             cur, enveloped = updated, sampled
         else:
             enveloped = subadditive_envelope(sampled)
@@ -282,38 +283,4 @@ def iterate(
         if gap <= _STATIONARY_TOL:
             stationary_at = k - 1
             break
-    return IterationTrace(tuple(steps), stationary_at)
-
-
-def iterate_updates_only(
-    m: PiecewiseLogAffineBound,
-    omegas: OmegaSet | Sequence[float],
-    profile: ResolventProfile,
-    max_steps: int,
-) -> IterationTrace:
-    """Iterate the best update alone, entirely in the exact piecewise form.
-
-    Requires a log-concave start: concavity makes the bound subadditive, so
-    the envelope step would be a no-op anyway, and every iterate stays
-    log-concave because the update preserves concavity and minima of concave
-    functions are concave.
-    """
-    if not log_concavity(m).is_concave:
-        raise ValueError("updates-only iteration requires a log-concave bound")
-    if max_steps < 1:
-        raise ValueError("need at least one step")
-    omegas = omegas if isinstance(omegas, OmegaSet) else OmegaSet.of(omegas)
-    pairs = _pairs(omegas, profile)
-    crossings = _crossings(m, pairs)
-    steps = [IterationStep(0, m, None, _argmin(omegas, crossings))]
-    stationary_at = None
-    cur = m
-    for k in range(1, max_steps + 1):
-        new = _min_update(cur, pairs, crossings)
-        crossings = _crossings(new, pairs)
-        steps.append(IterationStep(k, new, None, _argmin(omegas, crossings)))
-        if allclose(new, cur, _STATIONARY_TOL):
-            stationary_at = k - 1
-            break
-        cur = new
     return IterationTrace(tuple(steps), stationary_at)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_profile, random_bound, random_log_concave_bound
-from sgbounds import OmegaSet, PiecewiseLogAffineBound, first_crossing_time, min_update, update_bound
+from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, first_crossing_time, min_update, update_bound
 from sgbounds.cli import main
 
 
@@ -220,6 +220,30 @@ class TestIterate:
         assert out.count("\n") == 1 and out.endswith("\n")
         assert 2 <= len(json.loads(out)["steps"]) <= 3
 
+    def test_non_concave_start_without_envelope(self, capsys, tmp_path):
+        # the shift with a valid start that is not log-concave, h = 0.15 not dividing 1
+        m0 = PiecewiseLogAffineBound((0.0, 0.3, 0.45), (0.0, 1.0, 0.0), (0.0, -0.3, 0.15))
+        h, n = 0.15, 40
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "model": "diffop",
+                    "initial_bound": m0.to_json_dict(),
+                    "omega_set": [-40.0, 0.0],
+                    "grid": {"h": h, "T": 6.0},
+                    "iteration": {"max_steps": 3, "use_semigroupize": False},
+                }
+            )
+        )
+        code, out, _ = run(capsys, ["iterate", "--config", str(cfg), "--format", "json"])
+        assert code == 0
+        for step in json.loads(out)["steps"]:
+            bound = PiecewiseLogAffineBound.from_json_dict(step["bound"])
+            assert GridBound(step["grid"]["h"], tuple(step["grid"]["values"])) == GridBound.sample(bound, h, n)
+            lowest = min(bound.log_at(k * 1e-3) for k in range(1000))
+            assert lowest >= 0.0, f"step {step['index']}: log m reaches {lowest:.3g} on [0, 1)"
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -299,6 +323,25 @@ def test_wrongly_typed_config_exits_2(capsys, tmp_path, override):
 def test_zero_step_exits_2(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wei", "1", "--t-max", "-1"],
+        ["figure", "jordan3", "--t-max", "-1"],
+        ["figure", "diffop_r", "--omega-min", "5", "--omega-max", "-5"],
+        ["figure", "omegar", "--omega-min", "5", "--omega-max", "-5"],
+        ["profile", "--count", "0"],
+        ["profile", "--count", "-3"],
+    ],
+    ids=["wei", "jordan3", "diffop_r", "omegar", "profile_count_0", "profile_count_negative"],
+)
+def test_empty_sweep_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
     assert "config error" in err
 
 

@@ -21,7 +21,6 @@ from sgbounds import (
     argmin_abscissas,
     first_crossing_time,
     iterate,
-    iterate_updates_only,
     log_concavity,
     min_update,
     pointwise_min,
@@ -219,11 +218,7 @@ class TestIterate:
             if not m.is_normalized:
                 continue
             with_env = iterate(m, omegas, PROFILE_53, 4, (0.5, 60))
-            without = iterate_updates_only(m, omegas, PROFILE_53, 4)
-            n = min(len(with_env.steps), len(without.steps))
-            for k in range(n):
-                sampled = GridBound.sample(without.steps[k].bound, 0.5, 60)
-                assert with_env.steps[k].grid.values == pytest.approx(sampled.values, abs=1e-10)
+            assert with_env == iterate(m, omegas, PROFILE_53, 4, (0.5, 60), envelope=False)
 
     def test_argmin_crossing_is_preserved_by_one_step(self):
         # at a minimizing frequency, the updated bound keeps the same crossing time
@@ -303,31 +298,38 @@ class TestEnvelopeSkip:
 
 
 class TestIterateUpdatesOnly:
-    def test_rejects_non_concave(self):
-        bumpy = PiecewiseLogAffineBound.from_slopes([-1.0, 0.5], [1.0])
-        with pytest.raises(ValueError):
-            iterate_updates_only(bumpy, OmegaSet.of([0.0]), PROFILE_53, 3)
+    """iterate with envelope=False: every step is the set update of the one before."""
 
     def test_single_frequency_second_step_is_noop(self):
-        trace = iterate_updates_only(ONE, OmegaSet.of([0.0]), PROFILE_53, 4)
+        trace = iterate(ONE, OmegaSet.of([0.0]), PROFILE_53, 4, (0.25, 80), envelope=False)
         assert trace.stationary_at == 1
         assert trace.steps[2].bound == trace.steps[1].bound
 
     def test_iterates_non_increasing(self):
-        trace = iterate_updates_only(ONE, OmegaSet.of([0.0, -1.0]), PROFILE_53, 5)
+        trace = iterate(ONE, OmegaSet.of([0.0, -1.0]), PROFILE_53, 5, (0.25, 320), envelope=False)
         ts = np.linspace(0.0, 80.0, 200)
         for prev, step in zip(trace.steps, trace.steps[1:]):
             for t in ts:
                 assert step.bound.log_at(t) <= prev.bound.log_at(t) + 1e-12
 
+    def test_non_concave_start_runs_no_envelope(self, envelope_calls):
+        m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
+        assert not log_concavity(m).is_concave
+        omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), diffop_profile(), 0.05, 200
+        trace = iterate(m, omegas, profile, 3, (h, n), envelope=False)
+        assert envelope_calls == []
+        assert len(trace.steps) > 1
+        for prev, step in zip(trace.steps, trace.steps[1:]):
+            assert step.bound == min_update(prev.bound, omegas, profile)
+            assert step.grid == GridBound.sample(step.bound, h, n)
+
 
 def emitted_bounds(m, omegas, profile):
-    """Every bound that update_bound, update_chain, min_update and, from a
-    log-concave start, iterate_updates_only emit from m over the abscissas."""
+    """Every bound that update_bound, update_chain, min_update and iterate
+    without the envelope emit from m over the abscissas."""
     bounds = [update_bound(m, profile.pair(w)) for w in omegas]
     bounds += [update_chain(m, omegas, profile), min_update(m, OmegaSet.of(omegas), profile)]
-    if log_concavity(m).is_concave:
-        bounds += [step.bound for step in iterate_updates_only(m, omegas, profile, 3).steps]
+    bounds += [step.bound for step in iterate(m, omegas, profile, 3, (0.15, 40), envelope=False).steps]
     return bounds
 
 
