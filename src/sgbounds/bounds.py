@@ -286,18 +286,37 @@ def pointwise_min(
     return canonicalize(*zip(*pieces))
 
 
-def _staircase(tails: list[tuple[float, float]], t: float) -> list[tuple[float, float]]:
-    """The lines ``(slope, intercept)``, sorted by slope, less each one that
-    another lies on or below at t with a slope no larger, and so from t on.
-    The last one left is the lowest at t."""
-    kept: list[tuple[float, float]] = []
-    low = math.inf
-    for a, b in tails:
-        v = a * t + b
-        if v < low:
-            kept.append((a, b))
-            low = v
-    return kept
+def _cross(hi: tuple[float, float], lo: tuple[float, float]) -> float:
+    """The time from which the line ``lo`` of smaller slope lies below ``hi``."""
+    return (lo[1] - hi[1]) / (hi[0] - lo[0])
+
+
+def _insert(live: list[tuple[float, float]], line: tuple[float, float]) -> None:
+    """Add ``line`` to ``live``, a lower envelope of lines ``(slope, intercept)``:
+    sorted by slope, each strictly lowest somewhere.  The line is dropped if it
+    is nowhere lowest, and so is each neighbour it leaves nowhere lowest; of
+    two equal slopes the lower intercept stays."""
+    i = bisect.bisect_left(live, line)
+    if i and live[i - 1][0] == line[0] or line in live[i : i + 1]:
+        return
+    if i < len(live) and live[i][0] == line[0]:
+        del live[i]
+    if 0 < i < len(live) and _cross(live[i], line) >= _cross(line, live[i - 1]):
+        return
+    live.insert(i, line)
+    while i > 1 and _cross(line, live[i - 1]) >= _cross(live[i - 1], live[i - 2]):
+        del live[i - 1]
+        i -= 1
+    while i + 2 < len(live) and _cross(live[i + 2], live[i + 1]) >= _cross(live[i + 1], line):
+        del live[i + 1]
+
+
+def _expire(live: list[tuple[float, float]], s: float) -> None:
+    """Cut the envelope ``live`` to [s, inf): pop the last line while the one
+    before it is as low at s.  Along an envelope the values at s fall to the
+    lowest line and rise after it, so the last line left is the lowest at s."""
+    while len(live) > 1 and live[-2][0] * s + live[-2][1] <= live[-1][0] * s + live[-1][1]:
+        live.pop()
 
 
 def min_with_tails(
@@ -306,15 +325,16 @@ def min_with_tails(
     """Pointwise minimum of m and the lines ``(start, slope, intercept)``, each
     counted only on [start, inf), in canonical form.
 
-    One sweep over the breakpoints of m and the tail starts.  Each interval
-    starts from the line lowest at its left end and moves on to the line of
-    smaller slope whose crossing comes first; ties go to the smaller slope,
-    and m wins ties between equal lines.  A crossing that rounds to before the
-    current point takes effect there, never decided again by value, so each
-    move lowers the slope and the walk ends.  As in :func:`pointwise_min`,
-    crossings within ``_BP_MERGE_TOL`` of an interval's end are dropped and
-    pieces are joined where they meet.  The result is that of folding
-    ``splice(m, pointwise_min(m, tail), start)`` over the tails with
+    One sweep over the breakpoints of m and the tail starts, keeping the tails'
+    lower envelope on [s, inf) for each interval start s, the last line lowest
+    at s.  Each interval starts from the lower of m and that line and moves on
+    to the line of smaller slope whose crossing comes first; ties go to the
+    smaller slope, and m wins ties between equal lines.  A crossing that rounds
+    to before the current point takes effect there, never decided again by
+    value, so each move lowers the slope and the walk ends.  As in
+    :func:`pointwise_min`, crossings within ``_BP_MERGE_TOL`` of an interval's
+    end are dropped and pieces are joined where they meet.  The result is that
+    of folding ``splice(m, pointwise_min(m, tail), start)`` over the tails with
     :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
     """
     if not tails:
@@ -322,7 +342,7 @@ def min_with_tails(
     order = sorted(tails)
     base = sorted({*m.breakpoints, *(tail[0] for tail in order)})
     pieces: list[tuple[float, float, float]] = []
-    live: list[tuple[float, float]] = []  # the active tails (slope, intercept), by slope
+    live: list[tuple[float, float]] = []  # the tails' lower envelope on [s, inf)
     n = len(m.breakpoints)
     j = k = 0
     for s, e in zip(base, [*base[1:], math.inf]):
@@ -330,9 +350,9 @@ def min_with_tails(
         while j + 1 < n and m.breakpoints[j + 1] <= s:
             j += 1
         while k < len(order) and order[k][0] <= s:
-            bisect.insort(live, order[k][1:])
+            _insert(live, order[k][1:])
             k += 1
-        live = _staircase(live, s)
+        _expire(live, s)
         am, bm = m.slopes[j], m.intercepts[j]
         a, b = am, bm
         if live:

@@ -455,7 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConvergenceError, PoleError) as exc:
+    except (ConvergenceError, PoleError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

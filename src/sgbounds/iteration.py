@@ -9,7 +9,9 @@ conservative lower envelope these inequalities imply.
 The set update :func:`min_update` takes the pointwise minimum of the
 single-abscissa updates.  Each keeps m up to its splice point and then takes
 the minimum with its tail line, so the minimum over the set is one sweep over
-m and all the tails, each counted from its own splice point on.
+m and all the tails, each counted from its own splice point on.  The sweep
+scans only the tails' lower envelope from the current point on, which holds
+few of a large set's tails.
 
 The iteration :func:`iterate` alternates the best update over the whole
 abscissa set with the grid subadditive envelope.  The envelope runs only where

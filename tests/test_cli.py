@@ -432,3 +432,23 @@ class TestProfileCommand:
         code, _, err = run(capsys, ["profile", "--model", "diffop", "--count", "2"])
         assert code == 3
         assert "numeric failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["profile", "--omega-min", "-800", "--omega-max", "-700", "--count", "2"], None),
+        (["iterate", "--config"], {**CONFIG_53, "model": "diffop", "omega_set": [-400.0, 0.0]}),
+    ],
+    ids=["profile", "iterate"],
+)
+def test_rate_overflow_exits_3(capsys, tmp_path, argv, config):
+    # the shift model's rate evaluates expm1(2 eta), which overflows below omega = -354.9
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, str(cfg)]
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert "numeric failure" in err
+    assert "Traceback" not in err

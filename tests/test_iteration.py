@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_profile, random_log_concave_bound
@@ -324,12 +324,13 @@ class TestIterateUpdatesOnly:
             assert step.grid == GridBound.sample(step.bound, h, n)
 
 
-def emitted_bounds(m, omegas, profile):
+def emitted_bounds(m, omegas, profile, h=0.15):
     """Every bound that update_bound, update_chain, min_update and iterate
-    without the envelope emit from m over the abscissas."""
+    without the envelope, on a grid of step h up to T = 6, emit from m over
+    the abscissas."""
     bounds = [update_bound(m, profile.pair(w)) for w in omegas]
     bounds += [update_chain(m, omegas, profile), min_update(m, OmegaSet.of(omegas), profile)]
-    bounds += [step.bound for step in iterate(m, omegas, profile, 3, (0.15, 40), envelope=False).steps]
+    bounds += [step.bound for step in iterate(m, omegas, profile, 3, (h, round(6.0 / h)), envelope=False).steps]
     return bounds
 
 
@@ -347,6 +348,7 @@ def shift_starts(draw):
     return m
 
 
+SHIFT_OMEGAS = st.sampled_from([-40.0, -30.0, -10.0]) | st.floats(-40.0, 5.0)
 JORDAN3 = JordanBlockModel(3)
 JORDAN_TS = np.linspace(0.0, 30.0, 601)
 JORDAN_LOG_NORMS = [math.log(jordan_semigroup_norm(JORDAN3, t)) for t in JORDAN_TS]
@@ -358,11 +360,16 @@ class TestDomination:
     @settings(max_examples=60, deadline=None)
     @given(
         shift_starts(),
-        st.lists(st.sampled_from([-40.0, -30.0, -10.0]) | st.floats(-40.0, 5.0), min_size=1, max_size=4),
+        st.lists(SHIFT_OMEGAS, min_size=1, max_size=4)
+        | st.lists(SHIFT_OMEGAS, max_size=2).map(lambda ws: [-40.0, 0.0, *ws]),
+        st.sampled_from([0.15, 0.3]),
     )
-    def test_shift_bounds_stay_above_the_norm(self, m, omegas):
-        # the shift on [0, 1] has ||S(t)|| = 1 for t < 1 and 0 from t = 1 on
-        for bound in emitted_bounds(m, omegas, diffop_profile()):
+    @example(PiecewiseLogAffineBound.from_slopes([0.0, 1.0, 0.0], [0.3, 0.45]), [-40.0, 0.0], 0.15)
+    def test_shift_bounds_stay_above_the_norm(self, m, omegas, h):
+        # the shift on [0, 1] has ||S(t)|| = 1 for t < 1 and 0 from t = 1 on;
+        # an Omega holding -40 and 0 with a grid step not dividing 1 is where
+        # the envelope's interpolant passes under it (the strict xfail above)
+        for bound in emitted_bounds(m, omegas, diffop_profile(), h):
             assert min(bound.log_at(k * 1e-3) for k in range(1000)) >= -1e-9
 
     @settings(max_examples=40, deadline=None)

@@ -4,15 +4,20 @@ The oracle builds each single update as ``splice(m, pointwise_min(m, tail),
 start)`` and folds the updates with ``pointwise_min``.  On the shapes the
 benchmark workloads draw, the sweep must agree bit for bit; on arbitrary
 starts and on tails placed to hit the sweep's tie and merge rules it must
-agree to 1e-12 in log scale.
+agree to 1e-12 in log scale.  The tails' lower envelope the sweep keeps is
+checked on its own against a brute-force one in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_profile, random_bound, random_log_concave_bound
 from sgbounds import (
@@ -27,7 +32,7 @@ from sgbounds import (
     update_bound,
     update_chain,
 )
-from sgbounds.bounds import _BP_MERGE_TOL, min_with_tails
+from sgbounds.bounds import _BP_MERGE_TOL, _expire, _insert, min_with_tails
 from sgbounds.models import diffop_profile
 from sgbounds.riccati import update_tail
 
@@ -86,6 +91,20 @@ def chain_start(rng):
 
 
 @pytest.mark.parametrize("family", ["concave", "rise", "bumpy"])
+def test_workload_size_matches_bit_for_bit(family):
+    # 200 abscissas in [-5, 5], as the benchmark draws them: here most tails
+    # are nowhere lowest and leave the envelope at once; the second update
+    # starts from the first one's many pieces
+    rng = np.random.default_rng(["concave", "rise", "bumpy"].index(family) + 151)
+    m = shift_start(rng, family)
+    omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=200).tolist())
+    for _ in range(2):
+        expected = pairwise_min_update(m, omegas, DIFFOP)
+        assert min_update(m, omegas, DIFFOP) == expected
+        m = expected
+
+
+@pytest.mark.parametrize("family", ["concave", "rise", "bumpy"])
 def test_shift_shapes_match_bit_for_bit(family):
     rng = np.random.default_rng(["concave", "rise", "bumpy"].index(family) + 101)
     for _ in range(6):
@@ -135,6 +154,26 @@ def test_random_starts_agree():
             assert allclose(min_update(m, omegas, prof), pairwise_min_update(m, omegas, prof), 1e-12)
             pair = prof.pair(omegas.values[0])
             assert allclose(update_bound(m, pair), pairwise_update(m, pair), 1e-12)
+
+
+def lattice_start(rng, pieces):
+    """A normalized bound with slopes and breakpoints on 0.25 * Z, so all its values there are exact."""
+    bps = (0.25 * np.cumsum(rng.integers(1, 8, size=pieces - 1))).tolist()
+    return PiecewiseLogAffineBound.from_slopes((0.25 * rng.integers(-8, 9, size=pieces)).tolist(), bps)
+
+
+def test_lattice_starts_agree():
+    # tails on the same lattice, each on or above m at its start: equal slopes,
+    # equal starts and three tails through one point all occur
+    rng = np.random.default_rng(157)
+    for _ in range(12):
+        m = lattice_start(rng, int(rng.integers(1, 31)))
+        tails = []
+        for _ in range(int(rng.integers(50, 201))):
+            start = 0.25 * float(rng.integers(0, 4 * m.breakpoints[-1] + 12))
+            slope = 0.25 * float(rng.integers(-16, 9))
+            tails.append((start, slope, m.log_at(start) - slope * start + 0.25 * float(rng.integers(0, 3))))
+        assert allclose(min_with_tails(m, tails), pairwise_min_with_tails(m, tails), 1e-12)
 
 
 def valid_start(rng, m, slope, intercept, before):
@@ -208,3 +247,67 @@ def test_tails_above_m_leave_it_unchanged():
     m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [2.0])
     assert min_with_tails(m, []) is m
     assert min_with_tails(m, [(5.0, 0.0, 100.0), (1.0, 2.0, 0.5)]) == m
+
+
+# -- the tails' lower envelope -------------------------------------------------
+
+
+def lowest_somewhere(lines, t):
+    """The distinct lines strictly lowest on some sub-interval of [t, inf), by
+    slope, in exact arithmetic: between two successive crossings at or after t
+    the order of the lines is fixed, so one probe inside each gap decides."""
+    lines = sorted({(Fraction(a), Fraction(b)) for a, b in lines})
+    cuts = {Fraction(t)}
+    cuts.update((b2 - b1) / (a1 - a2) for (a1, b1), (a2, b2) in combinations(lines, 2) if a1 != a2)
+    cuts = sorted(c for c in cuts if c >= t)
+    kept = set()
+    for p in [(x + y) / 2 for x, y in zip(cuts, cuts[1:])] + [cuts[-1] + 1]:
+        values = sorted((a * p + b, (a, b)) for a, b in lines)
+        if len(values) == 1 or values[0][0] < values[1][0]:
+            kept.add(values[0][1])
+    return [(float(a), float(b)) for a, b in sorted(kept)]
+
+
+# slopes and intercepts on a small dyadic lattice, some lines through a few
+# shared points: crossings are exact quotients, far apart unless equal, so
+# float comparisons decide them exactly, and three lines meet in one point often
+lattice_slopes = st.integers(-8, 8).map(lambda k: k / 4)
+shared_points = st.sampled_from([(2.0, 0.5), (4.0, 0.0), (6.0, -1.0)])
+lattice_lines = st.tuples(lattice_slopes, st.integers(-12, 12).map(lambda k: k / 4)) | st.builds(
+    lambda a, point: (a, point[1] - a * point[0]), lattice_slopes, shared_points
+)
+envelope_steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), st.lists(lattice_lines, max_size=5)), max_size=10
+)
+
+
+def check_envelope(steps):
+    """Advance t by each step's dt, insert its lines, expire at t, and compare
+    the envelope with the brute-force one of every line so far."""
+    live, seen, t = [], [], 0.0
+    for dt, lines in steps:
+        t += dt
+        for line in lines:
+            _insert(live, line)
+        _expire(live, t)
+        seen += lines
+        assert live == (lowest_somewhere(seen, t) if seen else [])
+        if live:
+            assert live[-1][0] * t + live[-1][1] == min(a * t + b for a, b in seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(envelope_steps)
+def test_envelope_keeps_the_lines_lowest_somewhere(steps):
+    check_envelope(steps)
+
+
+@pytest.mark.parametrize("lines", list(permutations([(0.0, 0.0), (0.5, -2.0), (1.0, -4.0)])))
+def test_envelope_drops_the_middle_of_three_lines_through_one_point(lines):
+    # the three lines meet at (4, 0); the middle one is lowest only there
+    check_envelope([(0.0, list(lines)), (2.0, []), (2.0, []), (2.0, [])])
+
+
+def test_envelope_keeps_the_lower_of_equal_slopes():
+    lines = [(0.5, 1.0), (-1.0, 2.0), (0.5, 0.0), (0.5, 1.0)]
+    check_envelope([(0.0, lines), (1.0, [(0.5, -1.0), (-1.0, 3.0)])])
