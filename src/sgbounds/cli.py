@@ -15,17 +15,20 @@ digits, so files diff cleanly and round-trip losslessly.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import models
-from .bounds import PiecewiseLogAffineBound, min_with_tails
-from .iteration import OmegaSet, ResolventProfile, iterate, update_chain
+from .bounds import PiecewiseLogAffineBound
+from .iteration import OmegaSet, ResolventProfile, iterate, min_update, update_chain
 from .models import ConvergenceError, JordanBlockModel
-from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound, update_tail
+from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound
 
 __all__ = ["ConfigError", "main"]
 
@@ -70,7 +73,8 @@ def _emit_report(
     h, n = grid
 
     def csv() -> str:
-        return _rows_csv([(k * h, b.log_at(k * h), label) for b, label in labelled for k in range(n + 1)])
+        ts = _grid_times(h, n)
+        return _rows_csv([(t, b.log_at(t), label) for b, label in labelled for t in ts])
 
     if args.out is None:
         _write(csv() if fmt == "csv" else json.dumps(report) + "\n", None)
@@ -89,12 +93,17 @@ def _step_count(span: float, step: float) -> int:
     return int(round(ratio))
 
 
+def _grid_times(step: float, n: int) -> list[float]:
+    """k * step for k = 0..n; numpy refuses a count too large to allocate at once."""
+    return (np.arange(n + 1) * step).tolist()
+
+
 def _time_grid(t_max: float, step: float) -> list[float]:
     if not step > 0.0:
         raise ConfigError(f"step must be positive, got {step!r}")
     if t_max < 0.0:
         raise ConfigError(f"sweep span must not be negative, got {t_max!r}")
-    return [k * step for k in range(_step_count(t_max, step) + 1)]
+    return _grid_times(step, _step_count(t_max, step))
 
 
 def _linspace(a: float, b: float, count: int) -> list[float]:
@@ -228,12 +237,6 @@ def _build_grid(spec) -> tuple[float, int]:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _tails(m: PiecewiseLogAffineBound, pair: OmegaRPair, crossing: float) -> list[tuple[float, float, float]]:
-    """The update's tail as a list, empty when the update leaves m unchanged."""
-    tail = update_tail(m, pair, crossing)
-    return [] if tail is None else [tail]
-
-
 def _update_row(w: float, pair: OmegaRPair, crossing: float, bound: PiecewiseLogAffineBound) -> dict:
     return {"omega": w, "rate": pair.rate, "first_crossing": crossing, "bound": bound.to_json_dict()}
 
@@ -264,18 +267,18 @@ def _cmd_update(args) -> int:
         # one rate per distinct abscissa, one crossing walk per bound and abscissa
         distinct = OmegaSet.of(omegas)
         pairs = {w: profile.pair(w) for w in dict.fromkeys([*distinct, *order])}
-        singles, tails = [], []
-        for w in distinct:
-            crossing = first_crossing_time(m0, pairs[w])
-            tail = _tails(m0, pairs[w], crossing)
-            tails += tail
-            singles.append(_update_row(w, pairs[w], crossing, min_with_tails(m0, tail)))
+        set_pairs = [pairs[w] for w in distinct]
+        crossings = [first_crossing_time(m0, pair) for pair in set_pairs]
+        singles = [
+            _update_row(w, pair, c, min_update(m0, [pair], [c]))
+            for w, pair, c in zip(distinct, set_pairs, crossings)
+        ]
         chain = []
         for w in order:
             crossing = first_crossing_time(cur, pairs[w])
-            cur = min_with_tails(cur, _tails(cur, pairs[w], crossing))
+            cur = min_update(cur, [pairs[w]], [crossing])
             chain.append(_update_row(w, pairs[w], crossing, cur))
-        combined = min_with_tails(m0, tails)
+        combined = min_update(m0, set_pairs, crossings)
         report = {"singles": singles, "chain": chain, "min_update": combined.to_json_dict()}
     elif config.get("gp") is None:
         raise ConfigError("updates need a normalized initial_bound (log value 0 at t = 0)")
@@ -400,6 +403,7 @@ def _cmd_profile(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sgbounds",
@@ -458,6 +462,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConvergenceError, PoleError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"config error: out of memory ({exc})", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

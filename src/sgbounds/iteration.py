@@ -7,11 +7,12 @@ sound).  Tabulated profiles are validated against monotonicity and the
 conservative lower envelope these inequalities imply.
 
 The set update :func:`min_update` takes the pointwise minimum of the
-single-abscissa updates.  Each keeps m up to its splice point and then takes
-the minimum with its tail line, so the minimum over the set is one sweep over
-m and all the tails, each counted from its own splice point on.  The sweep
-scans only the tails' lower envelope from the current point on, which holds
-few of a large set's tails.
+single-abscissa updates of m, given the pairs (omega, r) and m's crossing time
+for each, which :func:`argmin_abscissas` shares.  Each update keeps m up to its
+splice point and then takes the minimum with its tail line, so the minimum
+over the set is one sweep over m and all the tails, each counted from its own
+splice point on.  The sweep scans only the tails' lower envelope from the
+current point on, which holds few of a large set's tails.
 
 The iteration :func:`iterate` alternates the best update over the whole
 abscissa set with the grid subadditive envelope.  The envelope runs only where
@@ -178,49 +179,30 @@ class IterationTrace:
         return self.steps[-1].bound
 
 
-def _pairs(omegas: OmegaSet, profile: ResolventProfile) -> list[OmegaRPair]:
-    return [profile.pair(w) for w in omegas]
-
-
 def _crossings(m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair]) -> list[float]:
     return [first_crossing_time(m, pair) for pair in pairs]
 
 
-def _argmin(omegas: OmegaSet, crossings: Sequence[float]) -> tuple[float, ...]:
+def argmin_abscissas(pairs: Sequence[OmegaRPair], crossings: Sequence[float]) -> tuple[float, ...]:
+    """The abscissas of the pairs whose crossing time, ``crossings[i]`` for
+    ``pairs[i]``, is within 1e-9 of the earliest; all of them when none crosses."""
     best = min(crossings)
     if math.isinf(best):
-        return tuple(omegas)
-    return tuple(w for w, c in zip(omegas, crossings) if c <= best + _ARGMIN_TOL)
-
-
-def _min_update(
-    m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair], crossings: Sequence[float]
-) -> PiecewiseLogAffineBound:
-    tails = [update_tail(m, pair, c) for pair, c in zip(pairs, crossings)]
-    return min_with_tails(m, [tail for tail in tails if tail is not None])
-
-
-def argmin_abscissas(
-    m: PiecewiseLogAffineBound,
-    omegas: OmegaSet,
-    profile: ResolventProfile,
-) -> tuple[float, ...]:
-    """The abscissas whose crossing time attains the minimum over the set, to within 1e-9."""
-    return _argmin(omegas, _crossings(m, _pairs(omegas, profile)))
+        return tuple(pair.omega for pair in pairs)
+    return tuple(pair.omega for pair, c in zip(pairs, crossings) if c <= best + _ARGMIN_TOL)
 
 
 def min_update(
-    m: PiecewiseLogAffineBound, omegas: OmegaSet, profile: ResolventProfile
+    m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair], crossings: Sequence[float]
 ) -> PiecewiseLogAffineBound:
-    """Pointwise minimum of the Riccati updates over all abscissas in the set.
+    """Pointwise minimum of the Riccati updates of m over the pairs: one sweep
+    over m and the tails (:func:`~sgbounds.bounds.min_with_tails`).
 
-    Each update keeps m up to its splice point and then takes the minimum with
-    its tail line, so the minimum over the set is that of m with every tail,
-    each counted from its own splice point on: one sweep over m and the tails
-    (:func:`~sgbounds.bounds.min_with_tails`).
+    Requires ``crossings[i] == first_crossing_time(m, pairs[i])``.  With one
+    pair this is :func:`~sgbounds.riccati.update_bound`.
     """
-    pairs = _pairs(omegas, profile)
-    return _min_update(m, pairs, _crossings(m, pairs))
+    tails = [update_tail(m, pair, c) for pair, c in zip(pairs, crossings)]
+    return min_with_tails(m, [tail for tail in tails if tail is not None])
 
 
 def update_chain(
@@ -262,15 +244,15 @@ def iterate(
     if max_steps < 1:
         raise ValueError("need at least one step")
     omegas = omegas if isinstance(omegas, OmegaSet) else OmegaSet.of(omegas)
-    pairs = _pairs(omegas, profile)
+    pairs = [profile.pair(w) for w in omegas]
     h, n_steps = grid
     cur = m
     cur_grid = GridBound.sample(m, h, n_steps)
     crossings = _crossings(m, pairs)
-    steps = [IterationStep(0, m, cur_grid, _argmin(omegas, crossings))]
+    steps = [IterationStep(0, m, cur_grid, argmin_abscissas(pairs, crossings))]
     stationary_at = None
     for k in range(1, max_steps + 1):
-        updated = _min_update(cur, pairs, crossings)
+        updated = min_update(cur, pairs, crossings)
         sampled = GridBound.sample(updated, h, n_steps)
         if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
             cur, enveloped = updated, sampled
@@ -279,7 +261,7 @@ def iterate(
             drift = float(np.max(np.abs(np.subtract(enveloped.values, sampled.values))))
             cur = updated if drift <= _STATIONARY_TOL else piecewise_interpolant(enveloped)
         crossings = _crossings(cur, pairs)
-        steps.append(IterationStep(k, cur, enveloped, _argmin(omegas, crossings)))
+        steps.append(IterationStep(k, cur, enveloped, argmin_abscissas(pairs, crossings)))
         gap = float(np.max(np.abs(np.subtract(enveloped.values, cur_grid.values))))
         cur_grid = enveloped
         if gap <= _STATIONARY_TOL:

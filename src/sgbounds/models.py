@@ -130,7 +130,8 @@ def diffop_rate(omega: float) -> float:
 
     For omega < -1 the two squares cancel almost exactly, so the value is
     assembled from omega + eta = -2 eta / expm1(2 eta), which the secular
-    equation provides without subtraction.
+    equation provides without subtraction.  expm1(2 eta) overflows for omega
+    below about -354.9, which raises an ``OverflowError`` naming omega.
     """
     if omega == -1.0:
         return 1.0
@@ -138,7 +139,10 @@ def diffop_rate(omega: float) -> float:
     if omega > -1.0:
         return math.sqrt(omega * omega + root.nu_sq)
     eta = math.sqrt(-root.nu_sq)
-    minus_omega_plus_eta = 2.0 * eta / math.expm1(2.0 * eta)
+    try:
+        minus_omega_plus_eta = 2.0 * eta / math.expm1(2.0 * eta)
+    except OverflowError:
+        raise OverflowError(f"diffop rate overflows at omega = {omega!r}") from None
     return math.sqrt(minus_omega_plus_eta * (eta - omega))
 
 
@@ -249,6 +253,8 @@ def jordan_resolvent_rate(model: JordanBlockModel, omega: float) -> float:
 
     The resolvent norm on Re z >= omega peaks at z = omega (module docstring).
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"Jordan rate needs a finite omega, got {omega!r}")
     if omega <= 0.0:
         raise ValueError("the block's spectrum {0} leaves no positive rate for omega <= 0")
     shifted = omega * np.eye(model.n) - model.matrix()

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from sgbounds import GridBound, PiecewiseLogAffineBound, ResolventProfile
+from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time
+
+
+def pairs_and_crossings(m, omegas, profile):
+    """The (pairs, crossings) that ``min_update`` and ``argmin_abscissas`` take for m
+    over the sorted distinct abscissas, one rate and one crossing walk each."""
+    pairs = [profile.pair(w) for w in OmegaSet.of(omegas)]
+    return pairs, [first_crossing_time(m, pair) for pair in pairs]
 
 
 def random_log_concave_bound(rng: np.random.Generator, max_pieces: int = 4) -> PiecewiseLogAffineBound:

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import chain_profile, random_bound, random_log_concave_bound
-from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, first_crossing_time, min_update, update_bound
+from conftest import chain_profile, pairs_and_crossings, random_bound, random_log_concave_bound
+from sgbounds import GridBound, PiecewiseLogAffineBound, first_crossing_time, iterate, min_update, update_bound
+from sgbounds import cli, iteration
 from sgbounds.cli import main
 
 
@@ -170,7 +174,7 @@ class TestUpdate:
                 assert step["first_crossing"] == first_crossing_time(cur, pair)
                 cur = update_bound(cur, pair)
                 assert step["bound"] == cur.to_json_dict()
-            assert report["min_update"] == min_update(m0, OmegaSet.of(omegas), profile).to_json_dict()
+            assert report["min_update"] == min_update(m0, *pairs_and_crossings(m0, omegas, profile)).to_json_dict()
 
     def test_writes_both_formats(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -435,14 +439,14 @@ class TestProfileCommand:
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, omega",
     [
-        (["profile", "--omega-min", "-800", "--omega-max", "-700", "--count", "2"], None),
-        (["iterate", "--config"], {**CONFIG_53, "model": "diffop", "omega_set": [-400.0, 0.0]}),
+        (["profile", "--omega-min", "-800", "--omega-max", "-700", "--count", "2"], None, "-800.0"),
+        (["iterate", "--config"], {**CONFIG_53, "model": "diffop", "omega_set": [-400.0, 0.0]}, "-400.0"),
     ],
     ids=["profile", "iterate"],
 )
-def test_rate_overflow_exits_3(capsys, tmp_path, argv, config):
+def test_rate_overflow_exits_3(capsys, tmp_path, argv, config, omega):
     # the shift model's rate evaluates expm1(2 eta), which overflows below omega = -354.9
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -451,4 +455,92 @@ def test_rate_overflow_exits_3(capsys, tmp_path, argv, config):
     code, _, err = run(capsys, argv)
     assert code == 3
     assert "numeric failure" in err
+    assert "diffop" in err and f"omega = {omega}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, omega",
+    [
+        (["profile", "--model", "jordan", "--omega-min", "nan", "--count", "2"], None, "nan"),
+        (["profile", "--model", "jordan", "--omega-min", "inf", "--omega-max", "inf", "--count", "1"], None, "inf"),
+        (["iterate", "--config"], {**CONFIG_53, "model": {"jordan": {"n": 3}}, "omega_set": [math.nan, 1.0]}, "nan"),
+    ],
+    ids=["profile_nan", "profile_inf", "iterate_nan"],
+)
+def test_non_finite_jordan_omega_exits_2(capsys, tmp_path, argv, config, omega):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, str(cfg)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "config error" in err and omega in err
+    assert "SVD" not in err
+
+
+# The child caps its address space before it runs the command, so a grid
+# that would fill memory fails there, and a hang ends at the timeout.
+_CAPPED_MAIN = """
+import resource, sys
+from sgbounds.cli import main
+cap = 1 << 31
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["iterate"], {**CONFIG_53, "grid": {"h": 1e-12, "T": 100.0}}),
+        (["update", "--format", "csv"], {**CONFIG_53, "grid": {"h": 1e-12, "T": 100.0}}),
+        (["figure", "jordan3", "--step", "1e-300"], None),
+    ],
+    ids=["iterate_grid", "update_csv_grid", "jordan3_step"],
+)
+def test_grid_too_large_to_allocate_exits_2(tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_set_update_goes_through_min_update(capsys, tmp_path, monkeypatch):
+    # the traced benchmark wraps the module attribute sgbounds.iteration.min_update
+    # in every sgbounds namespace that holds it; the sweep behind a set update
+    # must run only inside that wrapper
+    calls = {"min_update": 0, "sweep": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    wrapped = counting("min_update", iteration.min_update)
+    monkeypatch.setattr(iteration, "min_update", wrapped)
+    monkeypatch.setattr(cli, "min_update", wrapped)
+    monkeypatch.setattr(iteration, "min_with_tails", counting("sweep", iteration.min_with_tails))
+    assert not hasattr(cli, "min_with_tails")
+
+    profile = iteration.ResolventProfile.tabulated([(-1.0, 0.05), (0.0, 1.0)])
+    trace = iterate(PiecewiseLogAffineBound.constant(), [0.0, -1.0], profile, 4, (0.25, 80))
+    assert calls == {"min_update": len(trace.steps) - 1, "sweep": len(trace.steps) - 1}
+
+    calls.update(min_update=0, sweep=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_53, "omega_set": [0.0, -1.0, -0.5], "update": {"order": [0.0, -1.0, 0.0]}}))
+    code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["singles"]) == 3 and len(report["chain"]) == 3
+    assert calls == {"min_update": 3 + 3 + 1, "sweep": 3 + 3 + 1}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_profile, random_log_concave_bound
+from conftest import chain_profile, pairs_and_crossings, random_log_concave_bound
 from sgbounds import (
     GridBound,
     OmegaRPair,
@@ -148,11 +148,11 @@ class TestOmegaSet:
 
 class TestMinUpdate:
     def test_single_frequency_gives_wei(self):
-        got = min_update(ONE, OmegaSet.of([0.0]), PROFILE_53)
+        got = min_update(ONE, *pairs_and_crossings(ONE, [0.0], PROFILE_53))
         assert allclose(got, WEI, 1e-12)
 
     def test_two_frequencies_give_min_of_singles(self):
-        got = min_update(ONE, OmegaSet.of([0.0, -1.0]), PROFILE_53)
+        got = min_update(ONE, *pairs_and_crossings(ONE, [0.0, -1.0], PROFILE_53))
         expected = pointwise_min(
             update_bound(ONE, OmegaRPair(0.0, 1.0)), update_bound(ONE, OmegaRPair(-1.0, 0.05))
         )
@@ -161,14 +161,14 @@ class TestMinUpdate:
 
     def test_useless_frequencies_leave_bound_alone(self):
         profile = ResolventProfile.tabulated([(1.0, 0.5), (2.0, 1.0)])
-        got = min_update(ONE, OmegaSet.of([1.0, 2.0]), profile)
+        got = min_update(ONE, *pairs_and_crossings(ONE, [1.0, 2.0], profile))
         assert got == ONE
 
 
 class TestUpdateChain:
     def test_slow_then_reference_is_plain_min(self):
         got = update_chain(ONE, [-1.0, 0.0], PROFILE_53)
-        expected = min_update(ONE, OmegaSet.of([0.0, -1.0]), PROFILE_53)
+        expected = min_update(ONE, *pairs_and_crossings(ONE, [0.0, -1.0], PROFILE_53))
         assert allclose(got, expected, 1e-12)
 
     def test_reference_then_slow_improves_tail(self):
@@ -177,18 +177,18 @@ class TestUpdateChain:
         assert got.intercepts[-1] == pytest.approx(3.8490, abs=5e-4)
         assert got.breakpoints[-1] == pytest.approx(45.5641, abs=5e-3)
         # strictly below the plain min for large t
-        plain = min_update(ONE, OmegaSet.of([0.0, -1.0]), PROFILE_53)
+        plain = min_update(ONE, *pairs_and_crossings(ONE, [0.0, -1.0], PROFILE_53))
         assert got.log_at(60.0) < plain.log_at(60.0)
 
 
 class TestArgmin:
     def test_reference_pair_wins(self):
         # crossing pi/4 at omega = 0 beats 1.8464 at omega = -1
-        assert argmin_abscissas(ONE, OmegaSet.of([0.0, -1.0]), PROFILE_53) == (0.0,)
+        assert argmin_abscissas(*pairs_and_crossings(ONE, [0.0, -1.0], PROFILE_53)) == (0.0,)
 
     def test_all_infinite_ties(self):
         profile = ResolventProfile.tabulated([(1.0, 0.5), (2.0, 1.0)])
-        assert argmin_abscissas(ONE, OmegaSet.of([1.0, 2.0]), profile) == (1.0, 2.0)
+        assert argmin_abscissas(*pairs_and_crossings(ONE, [1.0, 2.0], profile)) == (1.0, 2.0)
 
 
 class TestIterate:
@@ -226,8 +226,8 @@ class TestIterate:
         best = min(
             first_crossing_time(ONE, PROFILE_53.pair(w)) for w in omegas
         )
-        step = min_update(ONE, omegas, PROFILE_53)
-        for w in argmin_abscissas(ONE, omegas, PROFILE_53):
+        step = min_update(ONE, *pairs_and_crossings(ONE, omegas, PROFILE_53))
+        for w in argmin_abscissas(*pairs_and_crossings(ONE, omegas, PROFILE_53)):
             assert first_crossing_time(step, PROFILE_53.pair(w)) == pytest.approx(best, abs=1e-9)
 
     def test_requires_normalized(self):
@@ -282,7 +282,7 @@ class TestEnvelopeSkip:
     def test_rise_start_runs_the_envelope(self, envelope_calls):
         m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
         omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), diffop_profile(), 0.05, 200
-        updated = min_update(m, omegas, profile)
+        updated = min_update(m, *pairs_and_crossings(m, omegas, profile))
         assert not log_concavity(updated).is_concave
         trace = iterate(m, omegas, profile, 3, (h, n))
         assert envelope_calls
@@ -320,7 +320,7 @@ class TestIterateUpdatesOnly:
         assert envelope_calls == []
         assert len(trace.steps) > 1
         for prev, step in zip(trace.steps, trace.steps[1:]):
-            assert step.bound == min_update(prev.bound, omegas, profile)
+            assert step.bound == min_update(prev.bound, *pairs_and_crossings(prev.bound, omegas, profile))
             assert step.grid == GridBound.sample(step.bound, h, n)
 
 
@@ -329,7 +329,7 @@ def emitted_bounds(m, omegas, profile, h=0.15):
     without the envelope, on a grid of step h up to T = 6, emit from m over
     the abscissas."""
     bounds = [update_bound(m, profile.pair(w)) for w in omegas]
-    bounds += [update_chain(m, omegas, profile), min_update(m, OmegaSet.of(omegas), profile)]
+    bounds += [update_chain(m, omegas, profile), min_update(m, *pairs_and_crossings(m, omegas, profile))]
     bounds += [step.bound for step in iterate(m, omegas, profile, 3, (h, round(6.0 / h)), envelope=False).steps]
     return bounds
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_profile, random_bound, random_log_concave_bound
+from conftest import chain_profile, pairs_and_crossings, random_bound, random_log_concave_bound
 from sgbounds import (
     OmegaSet,
     PiecewiseLogAffineBound,
@@ -100,7 +100,7 @@ def test_workload_size_matches_bit_for_bit(family):
     omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=200).tolist())
     for _ in range(2):
         expected = pairwise_min_update(m, omegas, DIFFOP)
-        assert min_update(m, omegas, DIFFOP) == expected
+        assert min_update(m, *pairs_and_crossings(m, omegas, DIFFOP)) == expected
         m = expected
 
 
@@ -110,7 +110,7 @@ def test_shift_shapes_match_bit_for_bit(family):
     for _ in range(6):
         m = shift_start(rng, family)
         omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=40).tolist())
-        assert min_update(m, omegas, DIFFOP) == pairwise_min_update(m, omegas, DIFFOP)
+        assert min_update(m, *pairs_and_crossings(m, omegas, DIFFOP)) == pairwise_min_update(m, omegas, DIFFOP)
         for w in list(omegas)[::5]:
             assert update_bound(m, DIFFOP.pair(w)) == pairwise_update(m, DIFFOP.pair(w))
 
@@ -123,7 +123,8 @@ def test_grid_interpolant_matches_bit_for_bit():
     omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=60).tolist())
     interpolant = iterate(m0, omegas, DIFFOP, 1, (0.05, 1000)).steps[1].bound
     assert len(interpolant.breakpoints) >= 500
-    assert min_update(interpolant, omegas, DIFFOP) == pairwise_min_update(interpolant, omegas, DIFFOP)
+    expected = pairwise_min_update(interpolant, omegas, DIFFOP)
+    assert min_update(interpolant, *pairs_and_crossings(interpolant, omegas, DIFFOP)) == expected
 
 
 def test_chain_shapes_match_bit_for_bit():
@@ -132,7 +133,7 @@ def test_chain_shapes_match_bit_for_bit():
         profile, lo, hi = chain_profile(rng, 60)
         m = chain_start(rng)
         omegas = rng.uniform(lo, hi, size=30).tolist()
-        assert min_update(m, OmegaSet.of(omegas), profile) == pairwise_min_update(m, omegas, profile)
+        assert min_update(m, *pairs_and_crossings(m, omegas, profile)) == pairwise_min_update(m, omegas, profile)
         cur = m
         for w in omegas:
             expected = pairwise_update(cur, profile.pair(w))
@@ -151,7 +152,8 @@ def test_random_starts_agree():
         m = random_bound(rng, 8) if k % 2 else random_log_concave_bound(rng, 8)
         for prof, (a, b) in ((DIFFOP, (-3.0, 3.0)), (profile, (lo, hi))):
             omegas = OmegaSet.of(rng.uniform(a, b, size=int(rng.integers(1, 30))).tolist())
-            assert allclose(min_update(m, omegas, prof), pairwise_min_update(m, omegas, prof), 1e-12)
+            got = min_update(m, *pairs_and_crossings(m, omegas, prof))
+            assert allclose(got, pairwise_min_update(m, omegas, prof), 1e-12)
             pair = prof.pair(omegas.values[0])
             assert allclose(update_bound(m, pair), pairwise_update(m, pair), 1e-12)
 
