@@ -21,10 +21,8 @@ from .bounds import (
 )
 from .envelope import (
     GridBound,
-    is_subadditive,
     piecewise_interpolant,
     subadditive_envelope,
-    subadditive_envelope_capped,
 )
 from .iteration import (
     IterationStep,
@@ -69,7 +67,6 @@ __all__ = [
     "crossing_candidate",
     "first_crossing_time",
     "gp_log_bound",
-    "is_subadditive",
     "iterate",
     "log_concavity",
     "log_weighted_inv_norm_sq",
@@ -81,7 +78,6 @@ __all__ = [
     "splice",
     "state_at",
     "subadditive_envelope",
-    "subadditive_envelope_capped",
     "update_bound",
     "update_chain",
 ]

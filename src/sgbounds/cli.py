@@ -9,7 +9,8 @@ Subcommands
 
 CSV output uses the columns t,value,label with floats at 17 significant
 digits, so files diff cleanly and round-trip losslessly.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure.
+0 success, 2 configuration error (an --out path that cannot be written is
+one), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -54,8 +55,11 @@ def _rows_json(rows: list[tuple[float, float, str]]) -> str:
 def _write(text: str, out: str | None, suffix: str = "") -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out + suffix).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out + suffix}: {exc}") from exc
 
 
 def _emit_rows(rows: list[tuple[float, float, str]], args) -> None:
@@ -68,7 +72,9 @@ def _emit_report(
 ) -> None:
     """The JSON report or the CSV rows to stdout (JSON unless --format csv); with
     --out, the .json and .csv files, or only the one --format names.  The rows
-    (each bound's log value at t = k h, k = 0..n) are built only for a CSV."""
+    (each bound's log value at t = k h, k = 0..n) are built only for a CSV.
+    Every text is built before the first file is written, so a failure while
+    building leaves no file behind."""
     fmt = args.format
     h, n = grid
 
@@ -79,10 +85,13 @@ def _emit_report(
     if args.out is None:
         _write(csv() if fmt == "csv" else json.dumps(report) + "\n", None)
         return
+    texts = {}
     if fmt in (None, "json"):
-        _write(json.dumps(report) + "\n", args.out, ".json")
+        texts[".json"] = json.dumps(report) + "\n"
     if fmt in (None, "csv"):
-        _write(csv(), args.out, ".csv")
+        texts[".csv"] = csv()
+    for suffix, text in texts.items():
+        _write(text, args.out, suffix)
 
 
 def _step_count(span: float, step: float) -> int:

@@ -9,7 +9,9 @@ j <= k/2 and an already-enveloped remainder, so
 
     out[k] = min(g[k], min_{1 <= j <= k/2} out[j] + out[k-j]).
 
-Only grid semantics are claimed: nothing is asserted off-grid.
+The result is the largest grid function below g that is subadditive,
+out[i + j] <= out[i] + out[j] for i, j >= 1.  Only grid semantics are
+claimed: nothing is asserted off-grid.
 
 The envelope can only act on a bound that is not subadditive.  If f = log m
 is concave with f(0) >= 0, then f(a) + f(b) >= f(a + b) + f(0) >= f(a + b),
@@ -28,13 +30,9 @@ from .bounds import PiecewiseLogAffineBound
 
 __all__ = [
     "GridBound",
-    "is_subadditive",
     "piecewise_interpolant",
     "subadditive_envelope",
-    "subadditive_envelope_capped",
 ]
-
-_SUBADDITIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,50 +76,20 @@ class GridBound:
         return tuple(k * self.h for k in range(len(self.values)))
 
 
-def _capped_envelope(g: GridBound, cap: int) -> GridBound:
-    """The split-at-smallest-part DP over decompositions with parts of at most cap steps."""
+def subadditive_envelope(g: GridBound) -> GridBound:
+    """The grid subadditive envelope: out[k] is the smallest sum of g over the
+    decompositions of k steps, by the split-at-smallest-part DP of the module
+    docstring, one numpy minimum per grid index."""
     v = np.asarray(g.values, dtype=float)
     out = np.empty_like(v)
     out[0] = v[0]
     for k in range(1, len(out)):
-        best = v[k] if k <= cap else math.inf
-        half = min(k // 2, cap)
+        best = v[k]
+        half = k // 2
         if half >= 1:
             best = min(best, np.min(out[1 : half + 1] + out[k - half : k][::-1]))
-        if math.isinf(best):
-            raise ValueError(f"no capped decomposition reaches grid index {k}")
         out[k] = best
     return GridBound(g.h, tuple(out.tolist()))
-
-
-def subadditive_envelope(g: GridBound) -> GridBound:
-    """The grid subadditive envelope: the capped envelope with no binding cap."""
-    return _capped_envelope(g, len(g.values) - 1)
-
-
-def subadditive_envelope_capped(g: GridBound, s: float) -> GridBound:
-    """Envelope over decompositions whose parts are all at most s.
-
-    The cap binds every part, including the single-part decomposition, so
-    values beyond s are reconstructed purely from capped splits.  s must lie
-    on the grid and be at least h.
-    """
-    s_idx = int(round(s / g.h))
-    if abs(s - s_idx * g.h) > 1e-9 * max(1.0, g.h) or s_idx < 1:
-        raise ValueError(f"cap {s!r} must be a grid time >= h")
-    return _capped_envelope(g, s_idx)
-
-
-def is_subadditive(g: GridBound) -> bool:
-    """Whether g[i+j] <= g[i] + g[j] + 1e-10 for all positive i, j on the grid.
-
-    One vectorised comparison per i checks every j >= i at once.
-    """
-    v = np.asarray(g.values, dtype=float)
-    n = len(v)
-    return not any(
-        np.any(v[2 * i :] > v[i] + v[i : n - i] + _SUBADDITIVE_TOL) for i in range(1, (n + 1) // 2)
-    )
 
 
 def piecewise_interpolant(g: GridBound) -> PiecewiseLogAffineBound:

@@ -25,20 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PiecewiseLogAffineBound
 from .iteration import ResolventProfile
-from .riccati import OmegaRPair, first_crossing_time
 
 __all__ = [
     "ConvergenceError",
     "DiffopEigenroot",
     "JordanBlockModel",
     "diffop_eigenroot",
-    "diffop_first_crossing",
     "diffop_profile",
     "diffop_rate",
-    "diffop_resolvent_norm",
-    "diffop_scaled_first_crossing",
     "diffop_semigroup_norm",
     "improvement_region_thresholds",
     "jordan_matrix_exponential",
@@ -146,11 +141,6 @@ def diffop_rate(omega: float) -> float:
     return math.sqrt(minus_omega_plus_eta * (eta - omega))
 
 
-def diffop_resolvent_norm(z_re: float) -> float:
-    """sup of the resolvent norm over Re z >= z_re; depends on Re z only."""
-    return 1.0 / diffop_rate(z_re)
-
-
 def diffop_semigroup_norm(t: float) -> float:
     """Exact norm of the shift semigroup: 1 before time 1, 0 from time 1 on."""
     if t < 0.0:
@@ -167,24 +157,6 @@ def rate_for_crossing_time(alpha: float, omega: float) -> float:
     if alpha <= 0.0:
         raise ValueError("crossing time must be positive")
     return diffop_rate(2.0 * alpha * omega) / (2.0 * alpha)
-
-
-def diffop_first_crossing(omega: float) -> float:
-    """Crossing time of the trivial bound under the model's own rate (always 1/2)."""
-    return first_crossing_time(
-        PiecewiseLogAffineBound.constant(), OmegaRPair(omega, diffop_rate(omega))
-    )
-
-
-def diffop_scaled_first_crossing(gamma: float, delta: float, omega: float) -> float:
-    """Crossing time for the scaled model gamma A + delta with bound exp(delta t).
-
-    Equals 1 / (2 gamma) for every omega.
-    """
-    if gamma <= 0.0:
-        raise ValueError("scale must be positive")
-    rate = gamma * diffop_rate((omega - delta) / gamma)
-    return first_crossing_time(PiecewiseLogAffineBound.exponential(delta), OmegaRPair(omega, rate))
 
 
 def diffop_profile() -> ResolventProfile:

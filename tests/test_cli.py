@@ -496,8 +496,9 @@ raise SystemExit(main(sys.argv[1:]))
         (["iterate"], {**CONFIG_53, "grid": {"h": 1e-12, "T": 100.0}}),
         (["update", "--format", "csv"], {**CONFIG_53, "grid": {"h": 1e-12, "T": 100.0}}),
         (["figure", "jordan3", "--step", "1e-300"], None),
+        (["update", "--out", "X"], {**CONFIG_53, "grid": {"h": 1e-12, "T": 100.0}}),
     ],
-    ids=["iterate_grid", "update_csv_grid", "jordan3_step"],
+    ids=["iterate_grid", "update_csv_grid", "jordan3_step", "update_out_grid"],
 )
 def test_grid_too_large_to_allocate_exits_2(tmp_path, argv, config):
     if config is not None:
@@ -506,11 +507,26 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, argv, config):
         argv = [*argv, "--config", str(cfg)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", _CAPPED_MAIN, *argv],
+        capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # a run that fails writes no file, not even the report it could build
+    assert not (tmp_path / "X.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["wei", "1.0"], "missing/x"), (["profile", "--count", "3"], ".")],
+    ids=["missing_directory", "directory"],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
+    out = tmp_path / target
+    code, _, err = run(capsys, [*argv, "--out", str(out)])
+    assert code == 2
+    assert f"config error: cannot write {out}" in err
 
 
 def test_every_set_update_goes_through_min_update(capsys, tmp_path, monkeypatch):

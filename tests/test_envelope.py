@@ -13,17 +13,14 @@ from conftest import random_bound, random_lattice_grid, random_log_concave_bound
 from sgbounds import (
     GridBound,
     PiecewiseLogAffineBound,
-    is_subadditive,
     piecewise_interpolant,
     subadditive_envelope,
-    subadditive_envelope_capped,
 )
-from sgbounds.envelope import _SUBADDITIVE_TOL
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
 
-def brute_force_envelope(values, cap_idx=None):
+def brute_force_envelope(values):
     """Exact minimum over all compositions into positive parts, by full enumeration."""
 
     def compositions(k):
@@ -31,8 +28,6 @@ def brute_force_envelope(values, cap_idx=None):
             yield ()
             return
         for first in range(1, k + 1):
-            if cap_idx is not None and first > cap_idx:
-                continue
             for rest in compositions(k - first):
                 yield (first, *rest)
 
@@ -40,6 +35,16 @@ def brute_force_envelope(values, cap_idx=None):
     for k in range(1, len(values)):
         out.append(min(sum(values[p] for p in parts) for parts in compositions(k)))
     return out
+
+
+def is_subadditive(g):
+    """Whether g[i+j] <= g[i] + g[j] + 1e-10 for all positive i, j on the grid."""
+    v = g.values
+    for i in range(1, len(v)):
+        for j in range(i, len(v) - i):
+            if v[i + j] > v[i] + v[j] + 1e-10:
+                return False
+    return True
 
 
 class TestSampling:
@@ -135,43 +140,6 @@ class TestEnvelope:
             assert is_subadditive(subadditive_envelope(random_lattice_grid(rng)))
 
 
-class TestCappedEnvelope:
-    def test_inactive_cap_reduces_to_plain(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            g = random_lattice_grid(rng)
-            cap = g.h * (len(g.values) - 1)
-            assert subadditive_envelope_capped(g, cap).values == subadditive_envelope(g).values
-
-    def test_unit_cap_forces_single_part_splits(self):
-        g = GridBound(1.0, (0.0, -1.0, 5.0))
-        assert subadditive_envelope_capped(g, 1.0).values == (0.0, -1.0, -2.0)
-
-    def test_matches_brute_force_with_cap(self):
-        rng = np.random.default_rng(59)
-        for _ in range(30):
-            g = random_lattice_grid(rng)
-            cap_idx = int(rng.integers(1, len(g.values)))
-            got = subadditive_envelope_capped(g, cap_idx * g.h)
-            assert list(got.values) == brute_force_envelope(g.values, cap_idx)
-
-    def test_stable_under_plain_envelope(self):
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            g = random_lattice_grid(rng)
-            cap = g.h * max(1, (len(g.values) - 1) // 2)
-            direct = subadditive_envelope_capped(g, cap)
-            through = subadditive_envelope_capped(subadditive_envelope(g), cap)
-            assert through.values == pytest.approx(direct.values, abs=1e-12)
-
-    def test_rejects_caps_off_grid(self):
-        g = GridBound(0.5, (0.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            subadditive_envelope_capped(g, 0.3)
-        with pytest.raises(ValueError):
-            subadditive_envelope_capped(g, 0.4)
-
-
 class TestSubadditivityCheck:
     def test_envelope_is_fixed_point(self):
         g = subadditive_envelope(GridBound(1.0, (0.0, -1.0, 1.0, 4.0)))
@@ -185,24 +153,6 @@ class TestSubadditivityCheck:
         rng = np.random.default_rng(67)
         for _ in range(20):
             assert is_subadditive(GridBound.sample(random_log_concave_bound(rng), 0.25, 30))
-
-    def test_matches_the_double_loop(self):
-        def double_loop(g):
-            v = g.values
-            for i in range(1, len(v)):
-                for j in range(i, len(v) - i):
-                    if v[i + j] > v[i] + v[j] + _SUBADDITIVE_TOL:
-                        return False
-            return True
-
-        rng = np.random.default_rng(71)
-        lattice = [random_lattice_grid(rng, max_len=40) for _ in range(200)]
-        grids = lattice + [subadditive_envelope(g) for g in lattice[:50]]
-        grids += [GridBound.sample(random_log_concave_bound(rng), 0.25, 60) for _ in range(50)]
-        grids += [GridBound.sample(random_bound(rng), 0.25, 60) for _ in range(50)]
-        verdicts = [is_subadditive(g) for g in grids]
-        assert verdicts == [double_loop(g) for g in grids]
-        assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
 
 
 lattice_values = st.lists(

@@ -14,11 +14,8 @@ from sgbounds import OmegaRPair, PiecewiseLogAffineBound, first_crossing_time, u
 from sgbounds.models import (
     JordanBlockModel,
     diffop_eigenroot,
-    diffop_first_crossing,
     diffop_profile,
     diffop_rate,
-    diffop_resolvent_norm,
-    diffop_scaled_first_crossing,
     diffop_semigroup_norm,
     improvement_region_thresholds,
     jordan_matrix_exponential,
@@ -96,8 +93,8 @@ class TestRate:
 
 class TestResolventNorm:
     def test_reference_values(self):
-        assert diffop_resolvent_norm(0.0) == pytest.approx(2.0 / math.pi, abs=1e-12)
-        assert diffop_resolvent_norm(-1.0) == pytest.approx(1.0, abs=1e-12)
+        assert 1 / diffop_rate(0.0) == pytest.approx(2.0 / math.pi, abs=1e-12)
+        assert 1 / diffop_rate(-1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_finite_difference_oracle(self):
         # upwind discretization of the derivative with the boundary row removed;
@@ -109,7 +106,7 @@ class TestResolventNorm:
 
         for z_re in (5.0, 0.0, -0.5):
             oracle = 1.0 / fd_sigma_min(z_re, 2000)
-            assert diffop_resolvent_norm(z_re) == pytest.approx(oracle, rel=1e-3)
+            assert 1 / diffop_rate(z_re) == pytest.approx(oracle, rel=1e-3)
 
 
 class TestTrueNorm:
@@ -138,12 +135,15 @@ class TestCrossingHalf:
         # omega = -1 exercises the parabolic branch, omega < -1 the hyperbolic
         # one, omega > -1 the trigonometric one
         for w in (-10.0, -1.0, -0.5, 0.0, 3.0):
-            assert diffop_first_crossing(w) == pytest.approx(0.5, abs=1e-10)
+            assert first_crossing_time(ONE, OmegaRPair(w, diffop_rate(w))) == pytest.approx(0.5, abs=1e-10)
 
     def test_scaled_model(self):
-        assert diffop_scaled_first_crossing(1.0, 0.0, 0.7) == pytest.approx(0.5, abs=1e-10)
-        assert diffop_scaled_first_crossing(2.0, 0.0, -3.0) == pytest.approx(0.25, abs=1e-10)
-        assert diffop_scaled_first_crossing(0.5, 1.0, 0.0) == pytest.approx(1.0, abs=1e-10)
+        # gamma A + delta has rate gamma r((omega - delta) / gamma) and, from the
+        # bound exp(delta t), crossing time 1 / (2 gamma) at every omega
+        for gamma, delta, w, expected in ((1.0, 0.0, 0.7, 0.5), (2.0, 0.0, -3.0, 0.25), (0.5, 1.0, 0.0, 1.0)):
+            pair = OmegaRPair(w, gamma * diffop_rate((w - delta) / gamma))
+            got = first_crossing_time(PiecewiseLogAffineBound.exponential(delta), pair)
+            assert got == pytest.approx(expected, abs=1e-10)
 
     def test_rate_for_crossing_time_identity(self):
         assert rate_for_crossing_time(0.5, 2.2) == pytest.approx(diffop_rate(2.2), abs=1e-12)
