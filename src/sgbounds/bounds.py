@@ -15,7 +15,6 @@ negative slope.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -159,9 +158,6 @@ class PiecewiseLogAffineBound:
         j = self.piece_index(t)
         return self.slopes[j] * t + self.intercepts[j]
 
-    def __call__(self, t: float) -> float:
-        return math.exp(self.log_at(t))
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -170,9 +166,6 @@ class PiecewiseLogAffineBound:
             "slopes": list(self.slopes),
             "intercepts": list(self.intercepts),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiecewiseLogAffineBound":
@@ -184,10 +177,6 @@ class PiecewiseLogAffineBound:
             tuple(map(float, data["slopes"])),
             tuple(map(float, data["intercepts"])),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewiseLogAffineBound":
-        return cls.from_json_dict(json.loads(text))
 
 
 def canonicalize(

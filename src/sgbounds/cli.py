@@ -95,10 +95,10 @@ def _emit_report(
 
 
 def _step_count(span: float, step: float) -> int:
-    """round(span / step); a ratio that is not finite is a ConfigError."""
+    """round(span / step); a ratio not finite or too large for np.arange is a ConfigError."""
     ratio = span / step
-    if not math.isfinite(ratio):
-        raise ConfigError(f"{span!r} / {step!r} steps is not a finite count")
+    if not (math.isfinite(ratio) and ratio < np.iinfo(np.intp).max):
+        raise ConfigError(f"{span!r} / {step!r} steps is not a count an array can hold")
     return int(round(ratio))
 
 
@@ -116,7 +116,10 @@ def _time_grid(t_max: float, step: float) -> list[float]:
 
 
 def _linspace(a: float, b: float, count: int) -> list[float]:
-    return [a + (b - a) * k / (count - 1) if count > 1 else a for k in range(count)]
+    ks = np.arange(count)  # empty, not an error, for counts near 2^63
+    if len(ks) != count:
+        raise ConfigError(f"count {count!r} is not a count an array can hold")
+    return (a + (b - a) * ks / (count - 1)).tolist() if count > 1 else [a]
 
 
 # -- config parsing -----------------------------------------------------------
@@ -137,10 +140,10 @@ def _required(data: dict, key: str, where: str):
 
 
 def _parse(convert, value, where: str):
-    """convert(value), with a value of the wrong type or form reported as a ConfigError."""
+    """convert(value), with a value of the wrong type, form or size reported as a ConfigError."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {where} {value!r}: {exc}") from exc
 
 
@@ -178,14 +181,14 @@ def _load_config(path: str) -> dict:
 
 def _build_profile(spec) -> ResolventProfile:
     if spec == "diffop":
-        return models.diffop_profile()
+        return ResolventProfile(fn=models.diffop_rate)
     if isinstance(spec, dict):
         _require_keys(spec, {"jordan", "tabulated"}, "model")
         if "jordan" in spec:
             block = spec["jordan"]
             _require_keys(block, {"n"}, "model.jordan")
             n = _integer(_required(block, "n", "model.jordan"), "model.jordan.n")
-            return models.jordan_profile(JordanBlockModel(n))
+            return ResolventProfile(fn=functools.partial(models.jordan_resolvent_rate, JordanBlockModel(n)))
         block = _required(spec, "tabulated", "model")
         _require_keys(block, {"pairs", "path"}, "model.tabulated")
         if "path" in block:
@@ -208,7 +211,7 @@ def _build_bound(spec) -> PiecewiseLogAffineBound:
             return PiecewiseLogAffineBound.exponential(_parse(float, spec["exp"], "initial_bound.exp"))
         try:
             return PiecewiseLogAffineBound.from_json_dict(spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad initial_bound: {exc}") from exc
     raise ConfigError(f"unsupported initial_bound {spec!r}")
 
@@ -357,7 +360,7 @@ def jordan_figure_bounds() -> tuple[
     each stage is everywhere at most its predecessor.
     """
     model = JordanBlockModel(3)
-    profile = models.jordan_profile(model)
+    profile = ResolventProfile(fn=functools.partial(models.jordan_resolvent_rate, model))
     numrange = PiecewiseLogAffineBound.exponential(models.jordan_numerical_range_slope(model))
     omegas_3 = [0.5, 1.0, 2.0]
     omegas_101 = [math.exp(-5.0 + 0.1 * k) for k in range(101)]
@@ -402,8 +405,7 @@ def _cmd_profile(args) -> int:
     if args.model == "diffop":
         rate = models.diffop_rate
     else:
-        model = JordanBlockModel(args.n)
-        rate = lambda w: models.jordan_resolvent_rate(model, w)
+        rate = functools.partial(models.jordan_resolvent_rate, JordanBlockModel(args.n))
     rows = [(w, rate(w), "rate") for w in _linspace(args.omega_min, args.omega_max, args.count)]
     _emit_rows(rows, args)
     return 0

@@ -67,6 +67,8 @@ class GridBound:
         if not m.is_normalized:
             raise ValueError("sampling requires a normalized bound")
         t = np.arange(1, n_steps + 1) * h
+        if len(t) != n_steps:  # np.arange returns an empty array for lengths near 2^63
+            raise ValueError(f"{n_steps!r} grid steps do not fit in an array")
         j = np.searchsorted(m.breakpoints, t, side="right") - 1
         logs = np.asarray(m.slopes)[j] * t + np.asarray(m.intercepts)[j]
         return cls(h, (0.0, *logs.tolist()))

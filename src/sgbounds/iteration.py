@@ -2,9 +2,11 @@
 
 A :class:`ResolventProfile` supplies, for each abscissa omega, a rate r that
 is safe to use in the Riccati update (any r below the true resolvent rate is
-sound).  Tabulated profiles are validated against monotonicity and the
-1-Lipschitz consistency r(w') >= r(w) - (w - w'), and are interpolated by the
-conservative lower envelope these inequalities imply.
+sound).  A profile is either ``ResolventProfile.tabulated(pairs)`` or
+``ResolventProfile(fn=rate, domain=(lo, hi))`` around a model's rate function
+such as ``models.diffop_rate``.  Tabulated profiles are validated against
+monotonicity and the 1-Lipschitz consistency r(w') >= r(w) - (w - w'), and are
+interpolated by the conservative lower envelope these inequalities imply.
 
 The set update :func:`min_update` takes the pointwise minimum of the
 single-abscissa updates of m, given the pairs (omega, r) and m's crossing time
@@ -88,12 +90,6 @@ class ResolventProfile:
                 raise ValueError(f"1-Lipschitz consistency violated between {w0!r} and {w1!r}")
         lo = min(w - r for w, r in table)
         return cls(table=table, domain=(lo, math.inf))
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[float], float], domain: tuple[float, float] = (-math.inf, math.inf)
-    ) -> "ResolventProfile":
-        return cls(fn=fn, domain=domain)
 
     def rate(self, omega: float) -> float:
         """A sound rate at omega: exact for models, conservative between table nodes.

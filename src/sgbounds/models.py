@@ -1,4 +1,8 @@
-"""Two fully computable model operators and their resolvent profiles.
+"""Two fully computable model operators as plain rate and norm functions.
+
+Each function takes an abscissa or a time and returns a float; nothing here
+builds a profile.  A caller wraps a rate in ``ResolventProfile(fn=...)``, for
+the Jordan block with ``functools.partial(jordan_resolvent_rate, model)``.
 
 Differentiation operator: A = d/dx on L2(0, 1) with boundary condition
 u(1) = 0.  Its semigroup is the left shift, which is the identity in norm
@@ -25,20 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import ResolventProfile
-
 __all__ = [
     "ConvergenceError",
-    "DiffopEigenroot",
     "JordanBlockModel",
     "diffop_eigenroot",
-    "diffop_profile",
     "diffop_rate",
     "diffop_semigroup_norm",
     "improvement_region_thresholds",
     "jordan_matrix_exponential",
     "jordan_numerical_range_slope",
-    "jordan_profile",
     "jordan_resolvent_rate",
     "jordan_semigroup_norm",
     "rate_for_crossing_time",
@@ -54,29 +53,6 @@ class ConvergenceError(RuntimeError):
 # -- differentiation operator ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffopEigenroot:
-    """Root of the secular equation at abscissa omega, stored as signed nu^2.
-
-    nu_sq > 0 encodes a real root nu = sqrt(nu_sq) in ]0, pi[ (omega > -1);
-    nu_sq < 0 encodes an imaginary root nu = i eta with eta = sqrt(-nu_sq)
-    (omega < -1); nu_sq = 0 at omega = -1.
-    """
-
-    nu_sq: float
-    omega: float
-
-    def residual(self) -> float:
-        """Defect of the secular equation at the stored root."""
-        if self.nu_sq > 0.0:
-            nu = math.sqrt(self.nu_sq)
-            return -nu / math.tan(nu) - self.omega
-        if self.nu_sq < 0.0:
-            eta = math.sqrt(-self.nu_sq)
-            return -eta / math.tanh(eta) - self.omega
-        return -1.0 - self.omega
-
-
 def _bisect(f, lo: float, hi: float, increasing: bool) -> float:
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -89,12 +65,17 @@ def _bisect(f, lo: float, hi: float, increasing: bool) -> float:
     return 0.5 * (lo + hi)
 
 
-def diffop_eigenroot(omega: float) -> DiffopEigenroot:
-    """Solve -nu cot(nu) = omega for the branch continuous through nu(-1) = 0."""
+def diffop_eigenroot(omega: float) -> float:
+    """Solve -nu cot(nu) = omega for the branch continuous through nu(-1) = 0.
+
+    Returns the signed nu^2: nu^2 > 0 for the real root nu in ]0, pi[
+    (omega > -1), -eta^2 < 0 for the imaginary root nu = i eta (omega < -1),
+    and 0 at omega = -1.
+    """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     if omega == -1.0:
-        return DiffopEigenroot(0.0, omega)
+        return 0.0
     if omega > -1.0:
         # f(nu) = -nu cot(nu) increases from -1 to +inf on ]0, pi[
         f = lambda nu: -nu / math.tan(nu) - omega
@@ -102,22 +83,19 @@ def diffop_eigenroot(omega: float) -> DiffopEigenroot:
         if f(lo) > 0.0 or f(hi) < 0.0:
             raise ConvergenceError(f"secular bracket failed at omega = {omega!r}")
         nu = _bisect(f, lo, hi, increasing=True)
-        return DiffopEigenroot(nu * nu, omega)
-    # omega < -1: g(eta) = -eta coth(eta) decreases from -1 to -inf,
-    # and the root sits within 1 of |omega| once |omega| >= 2
+        return nu * nu
+    # omega < -1: g(eta) = -eta coth(eta) - omega decreases from -1 - omega > 0
+    # to -inf.  As eta < eta coth(eta) < eta + 1, the root lies in
+    # [max(0, -omega - 1), -omega]: g(-omega + 1) < -1 never rounds above 0,
+    # and g(max(1, -omega - 1)) >= 0 unless omega lies in ]-coth(1), -1[
+    # (coth(1) = 1.3130...).  There lo is halved, which stops above 1e-8,
+    # since g(lo) = -1 - omega > 0 once tanh(lo) rounds to lo.
     g = lambda eta: -eta / math.tanh(eta) - omega
     lo = max(1.0, -omega - 1.0)
-    hi = -omega + 1.0
     while g(lo) < 0.0:
         lo *= 0.5
-        if lo < 1e-300:
-            raise ConvergenceError(f"secular bracket failed at omega = {omega!r}")
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ConvergenceError(f"secular bracket failed at omega = {omega!r}")
-    eta = _bisect(g, lo, hi, increasing=False)
-    return DiffopEigenroot(-eta * eta, omega)
+    eta = _bisect(g, lo, -omega + 1.0, increasing=False)
+    return -eta * eta
 
 
 def diffop_rate(omega: float) -> float:
@@ -130,10 +108,10 @@ def diffop_rate(omega: float) -> float:
     """
     if omega == -1.0:
         return 1.0
-    root = diffop_eigenroot(omega)
+    nu_sq = diffop_eigenroot(omega)
     if omega > -1.0:
-        return math.sqrt(omega * omega + root.nu_sq)
-    eta = math.sqrt(-root.nu_sq)
+        return math.sqrt(omega * omega + nu_sq)
+    eta = math.sqrt(-nu_sq)
     try:
         minus_omega_plus_eta = 2.0 * eta / math.expm1(2.0 * eta)
     except OverflowError:
@@ -157,11 +135,6 @@ def rate_for_crossing_time(alpha: float, omega: float) -> float:
     if alpha <= 0.0:
         raise ValueError("crossing time must be positive")
     return diffop_rate(2.0 * alpha * omega) / (2.0 * alpha)
-
-
-def diffop_profile() -> ResolventProfile:
-    """The shift model's rate as a profile valid on the whole line."""
-    return ResolventProfile.from_callable(diffop_rate)
 
 
 def improvement_region_thresholds() -> tuple[float, float]:
@@ -232,9 +205,3 @@ def jordan_resolvent_rate(model: JordanBlockModel, omega: float) -> float:
     shifted = omega * np.eye(model.n) - model.matrix()
     return float(np.linalg.svd(shifted, compute_uv=False)[-1])
 
-
-def jordan_profile(model: JordanBlockModel) -> ResolventProfile:
-    """The block's rate as a profile on ]0, inf[."""
-    return ResolventProfile.from_callable(
-        lambda w: jordan_resolvent_rate(model, w), domain=(0.0, math.inf)
-    )

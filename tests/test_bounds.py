@@ -47,9 +47,6 @@ class TestEval:
         m = PiecewiseLogAffineBound((0.0, 2.0), (1.0, -1.0), (0.0, 4.0))
         assert m.log_at(2.0) == m.slopes[1] * 2.0 + m.intercepts[1]
 
-    def test_call_is_exp_of_log(self):
-        assert WEI(math.pi) == pytest.approx(math.exp(-math.pi / 2))
-
 
 class TestConstruction:
     def test_requires_zero_first_breakpoint(self):
@@ -231,13 +228,15 @@ def test_concave_normalized_is_subadditive():
 class TestSerialization:
     def test_json_round_trip_bit_identical(self):
         m = PiecewiseLogAffineBound((0.0, 2.0), (1.0, -1.05), (0.0, 4.1))
-        again = PiecewiseLogAffineBound.from_json(m.to_json())
+        again = PiecewiseLogAffineBound.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
         assert again == m
 
     def test_json_schema_keys(self):
-        data = json.loads(WEI.to_json())
+        data = json.loads(json.dumps(WEI.to_json_dict()))
         assert set(data) == {"breakpoints", "slopes", "intercepts"}
 
     def test_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
-            PiecewiseLogAffineBound.from_json('{"breakpoints": [0], "slopes": [0], "intercepts": [0], "x": 1}')
+            PiecewiseLogAffineBound.from_json_dict(
+                json.loads('{"breakpoints": [0], "slopes": [0], "intercepts": [0], "x": 1}')
+            )

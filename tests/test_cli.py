@@ -349,6 +349,39 @@ def test_empty_sweep_exits_2(capsys, argv):
     assert "config error" in err
 
 
+BIG = 10**400  # a 401-digit JSON integer, beyond the largest float
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        (command, override)
+        for command in ("update", "iterate")
+        for override in (
+            {"grid": {"h": 1.0, "T": BIG}},
+            {"omega_set": [0.0, BIG]},
+            {"model": {"tabulated": {"pairs": [[-1.0, 0.05], [0.0, BIG]]}}},
+            {"initial_bound": {"exp": BIG}},
+            {"initial_bound": {"breakpoints": [0.0, BIG], "slopes": [0.0, -1.0], "intercepts": [0.0, 0.0]}},
+        )
+    ]
+    + [("update", {"gp": {"omega": 0.0, "times": [BIG]}})],
+    ids=[
+        f"{command}_{key}"
+        for command in ("update", "iterate")
+        for key in ("grid_T", "omega_set", "tabulated_pair", "exp", "breakpoints")
+    ]
+    + ["update_gp_times"],
+)
+def test_number_too_large_for_a_float_exits_2(capsys, tmp_path, command, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_53, **override}))
+    code, _, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -437,6 +470,14 @@ class TestProfileCommand:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_sweep_points_equal_the_scalar_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            a, b = (float(x) for x in rng.uniform(-1e3, 1e3, 2) * 10.0 ** rng.integers(-8, 8, 2))
+            count = int(rng.integers(1, 500))
+            loop = [a + (b - a) * k / (count - 1) if count > 1 else a for k in range(count)]
+            assert cli._linspace(a, b, count) == loop
+
 
 @pytest.mark.parametrize(
     "argv, config, omega",
@@ -490,6 +531,19 @@ raise SystemExit(main(sys.argv[1:]))
 """
 
 
+def run_capped(tmp_path, argv, config):
+    """Run the CLI in a child capped by ``_CAPPED_MAIN``, in tmp_path."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv],
+        capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+    )
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -501,20 +555,37 @@ raise SystemExit(main(sys.argv[1:]))
     ids=["iterate_grid", "update_csv_grid", "jordan3_step", "update_out_grid"],
 )
 def test_grid_too_large_to_allocate_exits_2(tmp_path, argv, config):
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = [*argv, "--config", str(cfg)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, *argv],
-        capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
-    )
+    proc = run_capped(tmp_path, argv, config)
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
     # a run that fails writes no file, not even the report it could build
     assert not (tmp_path / "X.json").exists()
+
+
+GRID_2_63 = {**CONFIG_53, "grid": {"h": 1.0, "T": 9.223372036854775808e18}}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["wei", "1", "--t-max", "9.223372036854775808e18", "--step", "1"], None),
+        (["figure", "diffop_r", "--omega-min", "0", "--omega-max", "9.223372036854775808e18", "--omega-step", "1"], None),
+        (["iterate"], GRID_2_63),
+        (["update", "--format", "csv"], GRID_2_63),
+        (["profile", "--count", str(2**63 - 1)], None),
+        (["profile", "--count", str(10**400)], None),
+    ],
+    ids=["wei_span", "diffop_r_span", "iterate_grid", "update_csv_grid", "profile_count", "profile_count_401_digits"],
+)
+def test_count_numpy_cannot_hold_exits_2(tmp_path, argv, config):
+    # np.arange returns an empty array for counts near 2^63: each must be refused
+    # as a count, not end in an empty output or in filling memory
+    proc = run_capped(tmp_path, argv, config)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "out of memory" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -76,9 +76,14 @@ class TestSampling:
         assert m.is_normalized
         g = GridBound.sample(m, 0.5, 8)
         assert g.values[0] == 0.0
-        assert piecewise_interpolant(g)(0.0) == 1.0
+        assert piecewise_interpolant(g).log_at(0.0) == 0.0
         with pytest.raises(ValueError):
             GridBound(0.5, (1e-13, 0.0))
+
+    def test_step_count_numpy_cannot_hold_is_rejected(self):
+        # np.arange returns an empty array for lengths near 2^63, not a short grid
+        with pytest.raises(ValueError):
+            GridBound.sample(PiecewiseLogAffineBound.constant(), 1.0, 2**63)
 
 
 def log_at_loop(m, h, n):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -28,7 +29,7 @@ from sgbounds import (
     update_bound,
     update_chain,
 )
-from sgbounds.models import JordanBlockModel, diffop_profile, jordan_profile, jordan_semigroup_norm
+from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate, jordan_semigroup_norm
 
 ONE = PiecewiseLogAffineBound.constant()
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
@@ -78,7 +79,7 @@ class TestResolventProfile:
             ResolventProfile.tabulated(pairs)
 
     def test_callable_profile(self):
-        profile = ResolventProfile.from_callable(lambda w: 1.0 + w, domain=(-1.0, math.inf))
+        profile = ResolventProfile(fn=lambda w: 1.0 + w, domain=(-1.0, math.inf))
         assert profile.rate(0.5) == 1.5
         with pytest.raises(ValueError):
             profile.rate(-2.0)
@@ -245,7 +246,7 @@ class TestIterate:
         # the shift on [0, 1] has ||S(t)|| = 1 for t < 1, so every emitted bound
         # needs log m >= 0 there; the start is valid and h = 0.15 does not divide 1
         m0 = PiecewiseLogAffineBound((0.0, 0.3, 0.45), (0.0, 1.0, 0.0), (0.0, -0.3, 0.15))
-        trace = iterate(m0, OmegaSet.of([-40.0, 0.0]), diffop_profile(), 3, (0.15, 40))
+        trace = iterate(m0, OmegaSet.of([-40.0, 0.0]), ResolventProfile(fn=diffop_rate), 3, (0.15, 40))
         for step in trace.steps:
             lowest = min(step.bound.log_at(k * 1e-3) for k in range(1000))
             assert lowest >= 0.0, f"step {step.index}: log m reaches {lowest:.3g} on [0, 1)"
@@ -281,7 +282,7 @@ class TestEnvelopeSkip:
 
     def test_rise_start_runs_the_envelope(self, envelope_calls):
         m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
-        omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), diffop_profile(), 0.05, 200
+        omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), ResolventProfile(fn=diffop_rate), 0.05, 200
         updated = min_update(m, *pairs_and_crossings(m, omegas, profile))
         assert not log_concavity(updated).is_concave
         trace = iterate(m, omegas, profile, 3, (h, n))
@@ -315,7 +316,7 @@ class TestIterateUpdatesOnly:
     def test_non_concave_start_runs_no_envelope(self, envelope_calls):
         m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
         assert not log_concavity(m).is_concave
-        omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), diffop_profile(), 0.05, 200
+        omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), ResolventProfile(fn=diffop_rate), 0.05, 200
         trace = iterate(m, omegas, profile, 3, (h, n), envelope=False)
         assert envelope_calls == []
         assert len(trace.steps) > 1
@@ -369,7 +370,7 @@ class TestDomination:
         # the shift on [0, 1] has ||S(t)|| = 1 for t < 1 and 0 from t = 1 on;
         # an Omega holding -40 and 0 with a grid step not dividing 1 is where
         # the envelope's interpolant passes under it (the strict xfail above)
-        for bound in emitted_bounds(m, omegas, diffop_profile(), h):
+        for bound in emitted_bounds(m, omegas, ResolventProfile(fn=diffop_rate), h):
             assert min(bound.log_at(k * 1e-3) for k in range(1000)) >= -1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -382,7 +383,8 @@ class TestDomination:
         # exp(c t) with c at least the numerical range's abscissa cos(pi/4) is valid
         omegas = np.exp(np.linspace(lowest, 1.5, count)).tolist()
         m = PiecewiseLogAffineBound.exponential(c)
-        for bound in emitted_bounds(m, omegas, jordan_profile(JORDAN3)):
+        profile = ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JORDAN3))
+        for bound in emitted_bounds(m, omegas, profile):
             for t, log_norm in zip(JORDAN_TS, JORDAN_LOG_NORMS):
                 assert bound.log_at(t) >= log_norm - 1e-9
 

@@ -3,6 +3,7 @@ independent discretization / linear-algebra oracles behind them."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -10,17 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgbounds import OmegaRPair, PiecewiseLogAffineBound, first_crossing_time, update_bound
+from sgbounds import OmegaRPair, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time, update_bound
 from sgbounds.models import (
     JordanBlockModel,
     diffop_eigenroot,
-    diffop_profile,
     diffop_rate,
     diffop_semigroup_norm,
     improvement_region_thresholds,
     jordan_matrix_exponential,
     jordan_numerical_range_slope,
-    jordan_profile,
     jordan_resolvent_rate,
     jordan_semigroup_norm,
     rate_for_crossing_time,
@@ -29,22 +28,45 @@ from sgbounds.models import (
 ONE = PiecewiseLogAffineBound.constant()
 
 
+def residual(nu_sq: float, omega: float) -> float:
+    """Defect of the secular equation -nu cot(nu) = omega at the signed nu^2."""
+    if nu_sq > 0.0:
+        nu = math.sqrt(nu_sq)
+        return -nu / math.tan(nu) - omega
+    if nu_sq < 0.0:
+        eta = math.sqrt(-nu_sq)
+        return -eta / math.tanh(eta) - omega
+    return -1.0 - omega
+
+
 class TestEigenroot:
     def test_branch_junction(self):
-        assert diffop_eigenroot(-1.0).nu_sq == 0.0
+        assert diffop_eigenroot(-1.0) == 0.0
 
     def test_reference_root(self):
-        root = diffop_eigenroot(0.0)
-        assert math.sqrt(root.nu_sq) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert math.sqrt(diffop_eigenroot(0.0)) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_deep_hyperbolic_root(self):
-        root = diffop_eigenroot(-20.0)
-        eta = math.sqrt(-root.nu_sq)
+        eta = math.sqrt(-diffop_eigenroot(-20.0))
         assert eta == pytest.approx(20.0 * (1.0 - 2.0 * math.exp(-40.0)), abs=1e-12)
 
     def test_residuals_small(self):
         for w in np.linspace(-30.0, 30.0, 121):
-            assert abs(diffop_eigenroot(float(w)).residual()) <= 1e-12
+            assert abs(residual(diffop_eigenroot(float(w)), float(w))) <= 1e-12
+
+    def test_hyperbolic_root_lies_in_the_proven_bracket(self):
+        # eta < eta coth(eta) < eta + 1 puts the root of eta coth(eta) = -omega
+        # in [max(0, -omega - 1), -omega]: the bisection needs no bracket search;
+        # sqrt(eta^2) may round one ulp out of it
+        near = np.linspace(-1.313, -1.0, 4001)[1:-1]
+        tiny = [-1.0 - 10.0**-k for k in range(1, 16)]
+        deep = np.linspace(-354.0, -2.0, 3521)
+        for w in [*map(float, near), *tiny, *map(float, deep)]:
+            nu_sq = diffop_eigenroot(w)
+            eta = math.sqrt(-nu_sq)
+            lo = max(0.0, -w - 1.0)
+            assert lo - math.ulp(lo) <= eta <= -w + math.ulp(-w), w
+            assert abs(residual(nu_sq, w)) <= 1e-12, w
 
 
 class TestRate:
@@ -63,12 +85,10 @@ class TestRate:
 
     def test_alternative_formulas_agree(self):
         for w in np.linspace(-0.99, 30.0, 60):
-            root = diffop_eigenroot(float(w))
-            nu = math.sqrt(root.nu_sq)
+            nu = math.sqrt(diffop_eigenroot(float(w)))
             assert abs(diffop_rate(float(w)) - nu / math.sin(nu)) <= 1e-10
         for w in np.linspace(-30.0, -1.01, 60):
-            root = diffop_eigenroot(float(w))
-            eta = math.sqrt(-root.nu_sq)
+            eta = math.sqrt(-diffop_eigenroot(float(w)))
             assert abs(diffop_rate(float(w)) - eta / math.sinh(eta)) <= 1e-10
 
     def test_drift_below_zero_and_half_angle_form(self):
@@ -80,12 +100,12 @@ class TestRate:
             assert drift < 0.0
             if abs(w + 1.0) < 1e-9:
                 continue
-            root = diffop_eigenroot(w)
-            if root.nu_sq > 0.0:
-                nu = math.sqrt(root.nu_sq)
+            nu_sq = diffop_eigenroot(w)
+            if nu_sq > 0.0:
+                nu = math.sqrt(nu_sq)
                 expected = -nu / math.tan(nu / 2.0)
             else:
-                eta = math.sqrt(-root.nu_sq)
+                eta = math.sqrt(-nu_sq)
                 expected = -eta / math.tanh(eta / 2.0)
             assert drift == pytest.approx(expected, abs=1e-10)
         assert -1.0 - diffop_rate(-1.0) == pytest.approx(-2.0, abs=1e-12)
@@ -283,7 +303,7 @@ class TestJordanRate:
             jordan_resolvent_rate(JordanBlockModel(2), -1.0)
 
     def test_profile_domain(self):
-        profile = jordan_profile(JordanBlockModel(3))
+        profile = ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JordanBlockModel(3)))
         with pytest.raises(ValueError):
             profile.rate(-1.0)
 
@@ -291,7 +311,7 @@ class TestJordanRate:
 class TestJordanSoundness:
     def test_updates_stay_above_true_norm(self):
         model = JordanBlockModel(3)
-        profile = jordan_profile(model)
+        profile = ResolventProfile(fn=functools.partial(jordan_resolvent_rate, model))
         numrange = PiecewiseLogAffineBound.exponential(jordan_numerical_range_slope(model))
         ts = np.arange(0.0, 20.0 + 1e-9, 0.1)
         for w in (0.5, 1.0, 2.0):
@@ -302,6 +322,6 @@ class TestJordanSoundness:
 
 
 def test_diffop_profile_matches_rate():
-    profile = diffop_profile()
+    profile = ResolventProfile(fn=diffop_rate)
     assert profile.rate(0.3) == diffop_rate(0.3)
     assert profile.pair(-2.0).rate == diffop_rate(-2.0)

@@ -23,6 +23,7 @@ from conftest import chain_profile, pairs_and_crossings, random_bound, random_lo
 from sgbounds import (
     OmegaSet,
     PiecewiseLogAffineBound,
+    ResolventProfile,
     allclose,
     first_crossing_time,
     iterate,
@@ -33,10 +34,10 @@ from sgbounds import (
     update_chain,
 )
 from sgbounds.bounds import _BP_MERGE_TOL, _expire, _insert, min_with_tails
-from sgbounds.models import diffop_profile
+from sgbounds.models import diffop_rate
 from sgbounds.riccati import update_tail
 
-DIFFOP = diffop_profile()
+DIFFOP = ResolventProfile(fn=diffop_rate)
 
 
 def line(slope: float, intercept: float) -> PiecewiseLogAffineBound:
