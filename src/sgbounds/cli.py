@@ -278,7 +278,8 @@ def _cmd_update(args) -> int:
     if m0.is_normalized:
         # one rate per distinct abscissa, one crossing walk per bound and abscissa
         distinct = OmegaSet.of(omegas)
-        pairs = {w: profile.pair(w) for w in dict.fromkeys([*distinct, *order])}
+        keys = list(dict.fromkeys([*distinct, *order]))
+        pairs = dict(zip(keys, profile.pairs(keys)))
         set_pairs = [pairs[w] for w in distinct]
         crossings = [first_crossing_time(m0, pair) for pair in set_pairs]
         singles = [
@@ -384,11 +385,8 @@ def _figure_jordan3(args) -> list[tuple[float, float, str]]:
 
 
 def _figure_diffop_r(args) -> list[tuple[float, float, str]]:
-    rows = []
-    for w in _time_grid(args.omega_max - args.omega_min, args.omega_step):
-        w += args.omega_min
-        rows.append((w, models.diffop_rate(w), "diffop_rate"))
-    return rows
+    omegas = [w + args.omega_min for w in _time_grid(args.omega_max - args.omega_min, args.omega_step)]
+    return [(w, r, "diffop_rate") for w, r in zip(omegas, models.diffop_rate(np.array(omegas)).tolist())]
 
 
 _FIGURES = {"omegar": _figure_omegar, "jordan3": _figure_jordan3, "diffop_r": _figure_diffop_r}
@@ -406,7 +404,8 @@ def _cmd_profile(args) -> int:
         rate = models.diffop_rate
     else:
         rate = functools.partial(models.jordan_resolvent_rate, JordanBlockModel(args.n))
-    rows = [(w, rate(w), "rate") for w in _linspace(args.omega_min, args.omega_max, args.count)]
+    omegas = _linspace(args.omega_min, args.omega_max, args.count)
+    rows = [(w, r, "rate") for w, r in zip(omegas, rate(np.array(omegas)).tolist())]
     _emit_rows(rows, args)
     return 0
 

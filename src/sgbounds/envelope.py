@@ -81,16 +81,19 @@ class GridBound:
 def subadditive_envelope(g: GridBound) -> GridBound:
     """The grid subadditive envelope: out[k] is the smallest sum of g over the
     decompositions of k steps, by the split-at-smallest-part DP of the module
-    docstring, one numpy minimum per grid index."""
-    v = np.asarray(g.values, dtype=float)
-    out = np.empty_like(v)
-    out[0] = v[0]
-    for k in range(1, len(out)):
-        best = v[k]
+    docstring, one sum into a reused buffer and one minimum per grid index.
+
+    ``rev`` is out reversed, so rev[n - k : n - k + half] is out[k - 1], ...,
+    out[k - half], the partners of out[1], ..., out[half]."""
+    out = np.array(g.values, dtype=float)
+    n = len(out)
+    rev = out[::-1]
+    buf = np.empty(n // 2)
+    for k in range(2, n):
         half = k // 2
-        if half >= 1:
-            best = min(best, np.min(out[1 : half + 1] + out[k - half : k][::-1]))
-        out[k] = best
+        best = np.minimum.reduce(np.add(out[1 : half + 1], rev[n - k : n - k + half], out=buf[:half]))
+        if best < out[k]:
+            out[k] = best
     return GridBound(g.h, tuple(out.tolist()))
 
 

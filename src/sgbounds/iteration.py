@@ -4,9 +4,12 @@ A :class:`ResolventProfile` supplies, for each abscissa omega, a rate r that
 is safe to use in the Riccati update (any r below the true resolvent rate is
 sound).  A profile is either ``ResolventProfile.tabulated(pairs)`` or
 ``ResolventProfile(fn=rate, domain=(lo, hi))`` around a model's rate function
-such as ``models.diffop_rate``.  Tabulated profiles are validated against
-monotonicity and the 1-Lipschitz consistency r(w') >= r(w) - (w - w'), and are
-interpolated by the conservative lower envelope these inequalities imply.
+such as ``models.diffop_rate``, which is elementwise on an array of abscissas.
+Tabulated profiles are validated against monotonicity and the 1-Lipschitz
+consistency r(w') >= r(w) - (w - w'), and are interpolated by the conservative
+lower envelope these inequalities imply.  :meth:`ResolventProfile.pairs` gives
+the pairs of a whole abscissa set from one domain check and one ``fn`` call or
+one table lookup.
 
 The set update :func:`min_update` takes the pointwise minimum of the
 single-abscissa updates of m, given the pairs (omega, r) and m's crossing time
@@ -28,18 +31,18 @@ when the envelope moves no grid value by more than 1e-10, and the iteration
 continues from the piecewise interpolant of the grid when it does.  With
 ``envelope=False`` the envelope never runs: every iterate is a
 :func:`min_update` of the one before, in exact form, and its sampled grid is
-the step's grid.  The rates of the set are computed once per call, and the
-crossing times of each iterate once, shared by its argmin report and the next
-update.
-Order-sensitive single passes are available as :func:`update_chain`.
+the step's grid.  The rates of the set come from one ``pairs`` call, and the
+crossing times of each iterate are computed once, shared by its argmin report
+and the next update.
+Order-sensitive single passes are available as :func:`update_chain`, whose
+rates come from one ``pairs`` call too.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,10 +68,15 @@ _LIPSCHITZ_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ResolventProfile:
-    """A map omega -> r(omega), either tabulated or backed by a model callable."""
+    """A map omega -> r(omega), either tabulated or backed by a model callable.
+
+    ``fn`` is elementwise: it maps a float to a float and a 1-D array of
+    abscissas to the array of their rates, as the rate functions of
+    :mod:`~sgbounds.models` do.
+    """
 
     table: tuple[tuple[float, float], ...] = ()
-    fn: Callable[[float], float] | None = None
+    fn: Callable | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     @classmethod
@@ -91,32 +99,52 @@ class ResolventProfile:
         lo = min(w - r for w, r in table)
         return cls(table=table, domain=(lo, math.inf))
 
-    def rate(self, omega: float) -> float:
-        """A sound rate at omega: exact for models, conservative between table nodes.
+    def pairs(self, omegas: Iterable[float]) -> list[OmegaRPair]:
+        """The pairs (omega, r(omega)) in the order given: one domain check, then
+        one ``fn`` call on the array of abscissas, or one table lookup.
 
-        For a table: the lower envelope max(r_i for w_i < omega, r_i - (w_i - omega)
-        for w_i >= omega), which the tabulated inequalities keep below the true
-        rate.  As the r_i are non-decreasing and the r_i - w_i non-increasing, the
-        last node below omega and the first at or above it attain the max; on a
-        table admitted only within ``_LIPSCHITZ_TOL`` these two may fall up to
-        about 1e-12 below it, which only enlarges the bound.
+        For a table each rate is the lower envelope max(r_i for w_i < omega,
+        r_i - (w_i - omega) for w_i >= omega), which the tabulated inequalities
+        keep below the true rate.  As the r_i are non-decreasing and the
+        r_i - w_i non-increasing, the last node below omega and the first at or
+        above it attain the max; on a table admitted only within
+        ``_LIPSCHITZ_TOL`` these two may fall up to about 1e-12 below it, which
+        only enlarges the bound.  Rates come back as floats.
         """
+        ws = np.fromiter(omegas, dtype=float)
+        lo, hi = self.domain
+        outside = ~((lo < ws) & (ws < hi))
+        if outside.any():
+            raise _outside_domain(float(ws[outside][0]), self.domain)
+        if self.fn is not None:
+            rates = np.asarray(self.fn(ws), dtype=float)
+        else:
+            nodes, node_rates = np.array(self.table).T
+            i = np.searchsorted(nodes, ws)
+            j = np.minimum(i, len(nodes) - 1)
+            below = np.where(i > 0, node_rates[i - 1], -math.inf)
+            rates = np.maximum(below, np.where(i < len(nodes), node_rates[j] - (nodes[j] - ws), -math.inf))
+            if (rates <= 0.0).any():
+                raise ValueError(f"no positive rate available at omega = {float(ws[rates <= 0.0][0])!r}")
+        return list(map(OmegaRPair, ws.tolist(), rates.tolist()))
+
+    def rate(self, omega: float) -> float:
+        """A sound rate at omega: the model's own float path, or the table's
+        lower envelope of :meth:`pairs`."""
+        if self.fn is None:
+            return self.pairs([omega])[0].rate
         lo, hi = self.domain
         if not lo < omega < hi:
-            raise ValueError(f"omega = {omega!r} outside profile domain ]{lo:g}, {hi:g}[")
-        if self.fn is not None:
-            return self.fn(omega)
-        i = bisect.bisect_left(self.table, (omega,))
-        best = self.table[i - 1][1] if i > 0 else -math.inf
-        if i < len(self.table):
-            w, r = self.table[i]
-            best = max(best, r - (w - omega))
-        if best <= 0.0:
-            raise ValueError(f"no positive rate available at omega = {omega!r}")
-        return best
+            raise _outside_domain(omega, self.domain)
+        return self.fn(omega)
 
     def pair(self, omega: float) -> OmegaRPair:
         return OmegaRPair(omega, self.rate(omega))
+
+
+def _outside_domain(omega: float, domain: tuple[float, float]) -> ValueError:
+    lo, hi = domain
+    return ValueError(f"omega = {omega!r} outside profile domain ]{lo:g}, {hi:g}[")
 
 
 @dataclass(frozen=True)
@@ -209,8 +237,8 @@ def update_chain(
     The order matters: each update sees the bound produced by the previous
     one.  This is the one-pass counterpart of the set-based iteration.
     """
-    for w in omegas:
-        m = update_bound(m, profile.pair(w))
+    for pair in profile.pairs(omegas):
+        m = update_bound(m, pair)
     return m
 
 
@@ -240,7 +268,7 @@ def iterate(
     if max_steps < 1:
         raise ValueError("need at least one step")
     omegas = omegas if isinstance(omegas, OmegaSet) else OmegaSet.of(omegas)
-    pairs = [profile.pair(w) for w in omegas]
+    pairs = profile.pairs(omegas)
     h, n_steps = grid
     cur = m
     cur_grid = GridBound.sample(m, h, n_steps)

@@ -10,8 +10,9 @@ from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, ResolventProf
 
 def pairs_and_crossings(m, omegas, profile):
     """The (pairs, crossings) that ``min_update`` and ``argmin_abscissas`` take for m
-    over the sorted distinct abscissas, one rate and one crossing walk each."""
-    pairs = [profile.pair(w) for w in OmegaSet.of(omegas)]
+    over the sorted distinct abscissas: the rates of one ``profile.pairs`` call, as
+    ``iterate`` takes them, and one crossing walk each."""
+    pairs = profile.pairs(OmegaSet.of(omegas))
     return pairs, [first_crossing_time(m, pair) for pair in pairs]
 
 

@@ -484,8 +484,9 @@ class TestProfileCommand:
     [
         (["profile", "--omega-min", "-800", "--omega-max", "-700", "--count", "2"], None, "-800.0"),
         (["iterate", "--config"], {**CONFIG_53, "model": "diffop", "omega_set": [-400.0, 0.0]}, "-400.0"),
+        (["iterate", "--config"], {**CONFIG_53, "model": "diffop", "omega_set": [-5.0, -400.0, 0.0]}, "-400.0"),
     ],
-    ids=["profile", "iterate"],
+    ids=["profile", "iterate", "iterate_set"],
 )
 def test_rate_overflow_exits_3(capsys, tmp_path, argv, config, omega):
     # the shift model's rate evaluates expm1(2 eta), which overflows below omega = -354.9

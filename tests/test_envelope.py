@@ -37,6 +37,21 @@ def brute_force_envelope(values):
     return out
 
 
+def loop_envelope(g):
+    """The DP as one numpy minimum per grid index, kept as the reference for
+    :func:`subadditive_envelope`, which must make the same sums and minima."""
+    v = np.asarray(g.values, dtype=float)
+    out = np.empty_like(v)
+    out[0] = v[0]
+    for k in range(1, len(out)):
+        best = v[k]
+        half = k // 2
+        if half >= 1:
+            best = min(best, np.min(out[1 : half + 1] + out[k - half : k][::-1]))
+        out[k] = best
+    return GridBound(g.h, tuple(out.tolist()))
+
+
 def is_subadditive(g):
     """Whether g[i+j] <= g[i] + g[j] + 1e-10 for all positive i, j on the grid."""
     v = g.values
@@ -143,6 +158,23 @@ class TestEnvelope:
         rng = np.random.default_rng(19)
         for _ in range(30):
             assert is_subadditive(subadditive_envelope(random_lattice_grid(rng)))
+
+
+class TestEnvelopeMatchesLoop:
+    def test_random_grids(self):
+        rng = np.random.default_rng(41)
+        for n in (*rng.integers(1, 400, size=25), 2000):
+            values = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.05, 0.04, size=int(n)))])
+            g = GridBound(0.05, tuple(values.tolist()))
+            assert subadditive_envelope(g).values == loop_envelope(g).values
+
+    def test_ties_and_short_grids(self):
+        rng = np.random.default_rng(43)
+        grids = [(0.0,), (0.0, -1.0), (0.0, 1.0), (0.0, -1.0, -2.0), (0.0, 1.0, -3.0), (0.0, -1.0, 1.0)]
+        grids += [(0.0, *(0.25 * rng.integers(-2, 3, size=int(n))).tolist()) for n in rng.integers(1, 40, 200)]
+        for values in grids:
+            g = GridBound(1.0, values)
+            assert subadditive_envelope(g).values == loop_envelope(g).values
 
 
 class TestSubadditivityCheck:

@@ -81,8 +81,33 @@ class TestResolventProfile:
     def test_callable_profile(self):
         profile = ResolventProfile(fn=lambda w: 1.0 + w, domain=(-1.0, math.inf))
         assert profile.rate(0.5) == 1.5
+        assert profile.pairs([0.5, 2.0]) == [OmegaRPair(0.5, 1.5), OmegaRPair(2.0, 3.0)]
         with pytest.raises(ValueError):
             profile.rate(-2.0)
+
+    @pytest.mark.parametrize(
+        "profile, omegas, named",
+        [
+            (PROFILE_53, [0.0, -5.0, -6.0], "-5.0"),
+            (PROFILE_53, [0.0, math.nan], "nan"),
+            (ResolventProfile(fn=diffop_rate), [0.0, math.inf], "inf"),
+        ],
+    )
+    def test_pairs_name_the_first_omega_outside_the_domain(self, profile, omegas, named):
+        with pytest.raises(ValueError, match=f"omega = {named} outside profile domain"):
+            profile.pairs(omegas)
+
+    def test_pairs_equal_the_pair_loop(self):
+        # tables take one lookup either way; a Jordan block one stacked SVD either way
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 60, 300):
+            profile, _, _ = chain_profile(rng, n)
+            ws = rate_queries(rng, profile)
+            assert profile.pairs(ws) == [profile.pair(w) for w in ws]
+        for n in (2, 3, 5, 8):
+            profile = ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JordanBlockModel(n)))
+            ws = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 100)).tolist()
+            assert profile.pairs(ws) == [profile.pair(w) for w in ws]
 
 
 def scan_rate(table, omega):

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from sgbounds import OmegaRPair, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time, update_bound
 from sgbounds.models import (
+    ConvergenceError,
     JordanBlockModel,
     diffop_eigenroot,
     diffop_rate,
@@ -57,16 +60,18 @@ class TestEigenroot:
     def test_hyperbolic_root_lies_in_the_proven_bracket(self):
         # eta < eta coth(eta) < eta + 1 puts the root of eta coth(eta) = -omega
         # in [max(0, -omega - 1), -omega]: the bisection needs no bracket search;
-        # sqrt(eta^2) may round one ulp out of it
+        # sqrt(eta^2) may round one ulp out of it.  The float and the array
+        # path alike.
         near = np.linspace(-1.313, -1.0, 4001)[1:-1]
         tiny = [-1.0 - 10.0**-k for k in range(1, 16)]
         deep = np.linspace(-354.0, -2.0, 3521)
-        for w in [*map(float, near), *tiny, *map(float, deep)]:
-            nu_sq = diffop_eigenroot(w)
-            eta = math.sqrt(-nu_sq)
-            lo = max(0.0, -w - 1.0)
-            assert lo - math.ulp(lo) <= eta <= -w + math.ulp(-w), w
-            assert abs(residual(nu_sq, w)) <= 1e-12, w
+        ws = [*map(float, near), *tiny, *map(float, deep)]
+        for roots in (map(diffop_eigenroot, ws), diffop_eigenroot(np.array(ws)).tolist()):
+            for w, nu_sq in zip(ws, roots):
+                eta = math.sqrt(-nu_sq)
+                lo = max(0.0, -w - 1.0)
+                assert lo - math.ulp(lo) <= eta <= -w + math.ulp(-w), w
+                assert abs(residual(nu_sq, w)) <= 1e-12, w
 
 
 class TestRate:
@@ -109,6 +114,111 @@ class TestRate:
                 expected = -eta / math.tanh(eta / 2.0)
             assert drift == pytest.approx(expected, abs=1e-10)
         assert -1.0 - diffop_rate(-1.0) == pytest.approx(-2.0, abs=1e-12)
+
+
+EPS = 2.0**-52
+
+
+def diffop_oracle(omega: float):
+    """r(omega) from a 50-digit root of the secular equation, refined from the
+    float path's root."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(omega)
+        if omega == -1.0:
+            return mpmath.mpf(1)
+        nu_sq = mpmath.mpf(diffop_eigenroot(omega))
+        if omega > -1.0:
+            nu = mpmath.findroot(lambda v: -v * mpmath.cot(v) - x, mpmath.sqrt(nu_sq))
+            return mpmath.sqrt(x * x + nu * nu)
+        eta = mpmath.findroot(lambda e: -e * mpmath.coth(e) - x, mpmath.sqrt(-nu_sq))
+        return mpmath.sqrt(2 * eta / mpmath.expm1(2 * eta) * (eta - x))
+
+
+def jordan_oracle(n: int, omega: float):
+    """sigma_min(omega I - J) from a 60-digit SVD."""
+    with mpmath.workdps(60):
+        a = mpmath.matrix(n, n)
+        for i in range(n):
+            a[i, i] = mpmath.mpf(omega)
+            if i + 1 < n:
+                a[i, i + 1] = -1
+        return min(mpmath.svd_r(a, compute_uv=False))
+
+
+def assert_rounded_down(rate: float, exact) -> None:
+    """rate <= exact and rate >= exact * (1 - 1e-13), with exact a high-precision value."""
+    with mpmath.workdps(50):
+        assert mpmath.mpf(rate) <= exact, (rate, exact)
+        assert mpmath.mpf(rate) >= exact * (1 - mpmath.mpf("1e-13")), (rate, exact)
+
+
+# the hyperbolic branch to the overflow near -354.9, the band around eta = 19
+# where tanh starts to round to 1, the lo halving band, and omega > -1
+DIFFOP_OMEGAS = np.concatenate([
+    np.random.default_rng(89).uniform(-354.8, -1.0, 200),
+    np.random.default_rng(90).uniform(-21.0, -17.0, 80),
+    np.random.default_rng(91).uniform(-1.3131, -1.0, 60),
+    np.random.default_rng(92).uniform(-1.0, 40.0, 160),
+    [-1.0, 0.0],
+])
+
+
+class TestRoundedDown:
+    @pytest.mark.parametrize("path", ["float", "array"])
+    def test_diffop_rates_against_mpmath(self, path):
+        ws = DIFFOP_OMEGAS.tolist()
+        rates = diffop_rate(DIFFOP_OMEGAS).tolist() if path == "array" else map(diffop_rate, ws)
+        for w, rate in zip(ws, rates):
+            assert_rounded_down(rate, diffop_oracle(w))
+
+    def test_jordan_rates_against_mpmath(self):
+        rng = np.random.default_rng(93)
+        for n in (2, 3, 5, 8):
+            ws = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 100))
+            for w, rate in zip(ws.tolist(), jordan_resolvent_rate(JordanBlockModel(n), ws).tolist()):
+                assert_rounded_down(rate, jordan_oracle(n, w))
+
+
+class TestArrayPath:
+    def test_diffop_array_within_ulps_of_the_float_path(self):
+        # the paths differ only in the last bits of tan, tanh and expm1; one bit of
+        # g can move the bisection's end by a float of eta or nu, which moves the
+        # rate by about eps * |omega| relatively (1.6 to 2.3 of those measured)
+        rng = np.random.default_rng(94)
+        ws = np.concatenate([DIFFOP_OMEGAS, rng.uniform(-354.8, 100.0, 2000), rng.uniform(-25.0, -1.0, 1000)])
+        for w, rate in zip(ws.tolist(), diffop_rate(ws).tolist()):
+            reference = diffop_rate(w)
+            assert abs(rate - reference) <= 4.0 * EPS * max(1.0, abs(w)) * reference, w
+
+    def test_jordan_array_equals_the_float_path(self):
+        rng = np.random.default_rng(95)
+        for n in (1, 2, 3, 5, 8):
+            model = JordanBlockModel(n)
+            ws = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 400))
+            assert jordan_resolvent_rate(model, ws).tolist() == [jordan_resolvent_rate(model, w) for w in ws.tolist()]
+
+    def test_empty_array(self):
+        assert diffop_rate(np.array([])).shape == (0,)
+        assert jordan_resolvent_rate(JordanBlockModel(3), np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "rate, omegas, error, named",
+        [
+            (diffop_rate, [0.0, -5.0, -400.0, -800.0], OverflowError, "-400.0"),
+            (diffop_rate, [0.0, math.inf, math.nan], ValueError, "inf"),
+            (diffop_eigenroot, [-2.0, math.nan], ValueError, "nan"),
+            (diffop_rate, [0.0, 1e17, 2e17], ConvergenceError, "1e+17"),
+            (functools.partial(jordan_resolvent_rate, JordanBlockModel(3)), [1.0, math.nan], ValueError, "nan"),
+            (functools.partial(jordan_resolvent_rate, JordanBlockModel(3)), [1.0, -2.0, 0.0], ValueError, "-2.0"),
+        ],
+        ids=["overflow", "non_finite", "eigenroot_non_finite", "bracket", "jordan_non_finite", "jordan_nonpositive"],
+    )
+    def test_errors_name_the_first_offending_omega(self, rate, omegas, error, named):
+        with pytest.raises(error, match=re.escape(f"omega = {named}")) as array_error:
+            rate(np.array(omegas))
+        with pytest.raises(error) as float_error:
+            rate(float(named))
+        assert str(float_error.value) == str(array_error.value)
 
 
 class TestResolventNorm:

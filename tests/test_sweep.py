@@ -55,7 +55,8 @@ def pairwise_update(m, pair):
 
 
 def pairwise_min_update(m, omegas, profile):
-    return functools.reduce(pointwise_min, [pairwise_update(m, profile.pair(w)) for w in omegas])
+    """The pairwise route on the rates of one ``profile.pairs`` call, as the sweep gets them."""
+    return functools.reduce(pointwise_min, [pairwise_update(m, pair) for pair in profile.pairs(omegas)])
 
 
 # -- the shapes of the benchmark's generators -----------------------------------
