@@ -66,27 +66,34 @@ class PiecewiseLogAffineBound:
     intercepts: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.breakpoints)
-        if n == 0 or len(self.slopes) != n or len(self.intercepts) != n:
+        bps, slopes, intercepts = self.breakpoints, self.slopes, self.intercepts
+        n = len(bps)
+        if n == 0 or len(slopes) != n or len(intercepts) != n:
             raise ValueError("breakpoints, slopes and intercepts must have equal nonzero length")
-        if self.breakpoints[0] != 0.0:
+        if bps[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        for j in range(n - 1):
-            if not self.breakpoints[j] < self.breakpoints[j + 1]:
+        # one walk over adjacent pieces: an order fault anywhere is reported
+        # first, then a value that is not finite, then the first slope or
+        # continuity fault
+        finite = math.isfinite(slopes[-1]) and math.isfinite(intercepts[-1])
+        fault = None
+        pairs = zip(bps, bps[1:], slopes, intercepts, slopes[1:], intercepts[1:])
+        for j, (s, t, a_l, b_l, a_r, b_r) in enumerate(pairs):
+            if not s < t:
                 raise ValueError("breakpoints must increase strictly")
-        for x in (*self.breakpoints, *self.slopes, *self.intercepts):
-            if not math.isfinite(x):
-                raise ValueError("bound data must be finite")
-        for j in range(n - 1):
-            if self.slopes[j] == self.slopes[j + 1]:
-                raise ValueError(f"adjacent pieces {j}, {j+1} share a slope; not canonical")
-            t = self.breakpoints[j + 1]
-            left = self.slopes[j] * t + self.intercepts[j]
-            right = self.slopes[j + 1] * t + self.intercepts[j + 1]
-            if abs(left - right) > _continuity_slack(
-                t, self.slopes[j], self.intercepts[j], self.slopes[j + 1], self.intercepts[j + 1]
-            ):
-                raise ValueError(f"discontinuity {left - right:g} at breakpoint {t:g}")
+            if not (math.isfinite(t) and math.isfinite(a_l) and math.isfinite(b_l)):
+                finite = False
+            elif fault is None:
+                if a_l == a_r:
+                    fault = f"adjacent pieces {j}, {j+1} share a slope; not canonical"
+                else:
+                    left, right = a_l * t + b_l, a_r * t + b_r
+                    if abs(left - right) > _continuity_slack(t, a_l, b_l, a_r, b_r):
+                        fault = f"discontinuity {left - right:g} at breakpoint {t:g}"
+        if not finite:
+            raise ValueError("bound data must be finite")
+        if fault is not None:
+            raise ValueError(fault)
 
     # -- constructors ------------------------------------------------------
 
@@ -325,18 +332,30 @@ def min_with_tails(
     end are dropped and pieces are joined where they meet.  The result is that
     of folding ``splice(m, pointwise_min(m, tail), start)`` over the tails with
     :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
+
+    m's pieces before the first tail start are copied as they are: where m's
+    breakpoints lie more than ``_BP_MERGE_TOL`` apart, the constructor's
+    continuity check is the one :func:`_append_joined` makes, so they would
+    pass it unchanged.  A raw m with closer breakpoints there is swept whole.
+    When the sweep takes no tail line and joins no piece, the result is m, and
+    m itself is returned.
     """
     if not tails:
         return m
     order = sorted(tails)
-    base = sorted({*m.breakpoints, *(tail[0] for tail in order)})
-    pieces: list[tuple[float, float, float]] = []
+    bps = m.breakpoints
+    i = bisect.bisect_left(bps, order[0][0])  # m's pieces before the first start
+    if any(t1 - t0 <= _BP_MERGE_TOL for t0, t1 in zip(bps[:i], bps[1:i])):
+        i = 0
+    pieces: list[tuple[float, float, float]] = list(zip(bps[:i], m.slopes[:i], m.intercepts[:i]))
+    base = sorted({*bps[i:], *(tail[0] for tail in order)})
     live: list[tuple[float, float]] = []  # the tails' lower envelope on [s, inf)
-    n = len(m.breakpoints)
-    j = k = 0
+    n = len(bps)
+    j, k = max(i - 1, 0), 0
+    took_tail = False
     for s, e in zip(base, [*base[1:], math.inf]):
-        # base holds every breakpoint of m, so none lies inside [s, e[
-        while j + 1 < n and m.breakpoints[j + 1] <= s:
+        # base holds the breakpoints of m from its first point on, so none lies inside [s, e[
+        while j + 1 < n and bps[j + 1] <= s:
             j += 1
         while k < len(order) and order[k][0] <= s:
             _insert(live, order[k][1:])
@@ -349,6 +368,7 @@ def min_with_tails(
             vt, vm = at * s + bt, am * s + bm
             if vt < vm or (vt == vm and at < am):
                 a, b = at, bt
+                took_tail = True
         x = s
         while True:
             _append_joined(pieces, x, a, b)
@@ -371,6 +391,11 @@ def min_with_tails(
             if nxt is None:
                 break
             x, (a, b) = best, nxt
+            took_tail = True
+    if not took_tail and len(pieces) == i + len(base):
+        # every piece is m's line from a start of its own, each more than
+        # _BP_MERGE_TOL after the one before: canonicalize would merge them back to m
+        return m
     return canonicalize(*zip(*pieces))
 
 

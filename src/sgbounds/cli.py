@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,13 +68,16 @@ def _emit_rows(rows: list[tuple[float, float, str]], args) -> None:
 
 
 def _emit_report(
-    report: dict, labelled: list[tuple[PiecewiseLogAffineBound, str]], grid: tuple[float, int], args
+    report_json: Callable[[], str],
+    labelled: list[tuple[PiecewiseLogAffineBound, str]],
+    grid: tuple[float, int],
+    args,
 ) -> None:
-    """The JSON report or the CSV rows to stdout (JSON unless --format csv); with
-    --out, the .json and .csv files, or only the one --format names.  The rows
-    (each bound's log value at t = k h, k = 0..n) are built only for a CSV.
-    Every text is built before the first file is written, so a failure while
-    building leaves no file behind."""
+    """The JSON report (``report_json()``, its one-line text) or the CSV rows to
+    stdout (JSON unless --format csv); with --out, the .json and .csv files, or
+    only the one --format names.  The rows (each bound's log value at t = k h,
+    k = 0..n) are built only for a CSV.  Every text is built before the first
+    file is written, so a failure while building leaves no file behind."""
     fmt = args.format
     h, n = grid
 
@@ -83,11 +86,11 @@ def _emit_report(
         return _rows_csv([(t, b.log_at(t), label) for b, label in labelled for t in ts])
 
     if args.out is None:
-        _write(csv() if fmt == "csv" else json.dumps(report) + "\n", None)
+        _write(csv() if fmt == "csv" else report_json() + "\n", None)
         return
     texts = {}
     if fmt in (None, "json"):
-        texts[".json"] = json.dumps(report) + "\n"
+        texts[".json"] = report_json() + "\n"
     if fmt in (None, "csv"):
         texts[".csv"] = csv()
     for suffix, text in texts.items():
@@ -249,8 +252,30 @@ def _build_grid(spec) -> tuple[float, int]:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _update_row(w: float, pair: OmegaRPair, crossing: float, bound: PiecewiseLogAffineBound) -> dict:
-    return {"omega": w, "rate": pair.rate, "first_crossing": crossing, "bound": bound.to_json_dict()}
+def _update_report_json(updates: dict, combined: PiecewiseLogAffineBound, gp: dict | None) -> str:
+    """The text of ``json.dumps(report)`` for the update report: the rows of
+    ``updates["singles"]`` and ``updates["chain"]`` as (omega, pair, crossing,
+    bound), the bound ``combined`` under "min_update" when there are rows, and
+    ``gp``.  Each distinct bound object is dumped once and rows that hold the
+    same object reuse its text: m0 in the singles, the previous bound in the
+    chain.  Items are joined with ", " and ": " as json.dumps joins them."""
+    texts: dict[int, str] = {}  # by id: the rows keep every bound alive
+
+    def bound_json(bound: PiecewiseLogAffineBound) -> str:
+        if id(bound) not in texts:
+            texts[id(bound)] = json.dumps(bound.to_json_dict())
+        return texts[id(bound)]
+
+    def row_json(w: float, pair: OmegaRPair, crossing: float, bound: PiecewiseLogAffineBound) -> str:
+        head = json.dumps({"omega": w, "rate": pair.rate, "first_crossing": crossing})
+        return f'{head[:-1]}, "bound": {bound_json(bound)}}}'
+
+    fields = {key: "[" + ", ".join(row_json(*row) for row in rows) + "]" for key, rows in updates.items()}
+    if updates:
+        fields["min_update"] = bound_json(combined)
+    if gp is not None:
+        fields["gp"] = json.dumps(gp)
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
 
 
 def _cmd_wei(args) -> int:
@@ -273,29 +298,30 @@ def _cmd_update(args) -> int:
     _require_keys(update_spec, {"order"}, "update")
     order = _floats(update_spec.get("order", sorted(omegas)), "update.order")
 
-    report = {}
+    updates = {}
     cur = combined = m0
     if m0.is_normalized:
-        # one rate per distinct abscissa, one crossing walk per bound and abscissa
+        # one rate per distinct abscissa, one crossing walk per bound and abscissa;
+        # rows keep their bound objects, so the report dumps each one once
         distinct = OmegaSet.of(omegas)
         keys = list(dict.fromkeys([*distinct, *order]))
         pairs = dict(zip(keys, profile.pairs(keys)))
         set_pairs = [pairs[w] for w in distinct]
         crossings = [first_crossing_time(m0, pair) for pair in set_pairs]
         singles = [
-            _update_row(w, pair, c, min_update(m0, [pair], [c]))
-            for w, pair, c in zip(distinct, set_pairs, crossings)
+            (w, pair, c, min_update(m0, [pair], [c])) for w, pair, c in zip(distinct, set_pairs, crossings)
         ]
         chain = []
         for w in order:
             crossing = first_crossing_time(cur, pairs[w])
             cur = min_update(cur, [pairs[w]], [crossing])
-            chain.append(_update_row(w, pairs[w], crossing, cur))
+            chain.append((w, pairs[w], crossing, cur))
         combined = min_update(m0, set_pairs, crossings)
-        report = {"singles": singles, "chain": chain, "min_update": combined.to_json_dict()}
+        updates = {"singles": singles, "chain": chain}
     elif config.get("gp") is None:
         raise ConfigError("updates need a normalized initial_bound (log value 0 at t = 0)")
 
+    gp = None
     gp_spec = config.get("gp")
     if gp_spec is not None:
         _require_keys(gp_spec, {"omega", "times", "split"}, "gp")
@@ -308,10 +334,11 @@ def _cmd_update(args) -> int:
         if not all(map(math.isfinite, times)):
             raise ConfigError(f"gp.times must be finite, got {times!r}")
         rows = [{"t": t, "log_bound": gp_log_bound(m0, pair, split * t, t - split * t, t)} for t in times]
-        report["gp"] = {"omega": w, "rate": pair.rate, "rows": rows}
+        gp = {"omega": w, "rate": pair.rate, "rows": rows}
 
     grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
-    _emit_report(report, [(combined, "min_update"), (cur, "chain")], grid, args)
+    labelled = [(combined, "min_update"), (cur, "chain")]
+    _emit_report(lambda: _update_report_json(updates, combined, gp), labelled, grid, args)
     return 0
 
 
@@ -328,7 +355,7 @@ def _cmd_iterate(args) -> int:
 
     trace = iterate(m0, omegas, profile, max_steps, grid, envelope=use_envelope)
     labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
-    _emit_report(trace.to_json_dict(), labelled, grid, args)
+    _emit_report(lambda: json.dumps(trace.to_json_dict()), labelled, grid, args)
     return 0
 
 

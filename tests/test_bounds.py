@@ -61,6 +61,43 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PiecewiseLogAffineBound((0.0, 1.0), (1.0, 1.0), (0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "pieces, message",
+        [
+            (((), (), ()), "breakpoints, slopes and intercepts must have equal nonzero length"),
+            (((0.0, 1.0), (0.0,), (0.0, 0.0)), "breakpoints, slopes and intercepts must have equal nonzero length"),
+            (((1.0,), (0.0,), (0.0,)), "first breakpoint must be 0"),
+            (((0.0, 2.0, 1.0), (0.0, 1.0, -1.0), (0.0, -2.0, 0.0)), "breakpoints must increase strictly"),
+            (((0.0, math.nan), (0.0, 1.0), (0.0, 0.0)), "breakpoints must increase strictly"),
+            (((0.0, math.inf), (0.0, 1.0), (0.0, 0.0)), "bound data must be finite"),
+            (((0.0,), (math.nan,), (0.0,)), "bound data must be finite"),
+            (((0.0, 1.0), (0.0, -1.0), (0.0, -math.inf)), "bound data must be finite"),
+            (((0.0, 1.0), (1.0, 1.0), (0.0, 0.0)), "adjacent pieces 0, 1 share a slope; not canonical"),
+            (((0.0, 1.0), (0.0, 1.0), (0.0, 5.0)), "discontinuity -6 at breakpoint 1"),
+        ],
+    )
+    def test_each_fault_has_its_message(self, pieces, message):
+        with pytest.raises(ValueError) as info:
+            PiecewiseLogAffineBound(*pieces)
+        assert str(info.value) == message
+
+    def test_fault_precedence(self):
+        # the first input has four faults: a jump at t = 1, a slope shared by
+        # pieces 1 and 2, a last breakpoint out of order and a last intercept
+        # not finite; each next input repairs the fault reported before, so the
+        # order fault wins although it comes last, and the jump beats the later
+        # shared slope
+        slopes = (0.0, 1.0, 1.0, -1.0)
+        for bps, intercepts, message in [
+            ((0.0, 1.0, 2.0, 2.0), (0.0, 5.0, 5.0, math.inf), "breakpoints must increase strictly"),
+            ((0.0, 1.0, 2.0, 3.0), (0.0, 5.0, 5.0, math.inf), "bound data must be finite"),
+            ((0.0, 1.0, 2.0, 3.0), (0.0, 5.0, 5.0, 8.0), "discontinuity -6 at breakpoint 1"),
+            ((0.0, 1.0, 2.0, 3.0), (0.0, -1.0, -1.0, 8.0), "adjacent pieces 1, 2 share a slope; not canonical"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                PiecewiseLogAffineBound(bps, slopes, intercepts)
+            assert str(info.value) == message
+
     def test_from_knots_extends_last_slope(self):
         m = PiecewiseLogAffineBound.from_knots([0.0, 1.0, 2.0], [0.0, -1.0, -3.0])
         assert m.log_at(4.0) == pytest.approx(-7.0, abs=1e-12)

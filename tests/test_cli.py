@@ -632,3 +632,53 @@ def test_every_set_update_goes_through_min_update(capsys, tmp_path, monkeypatch)
     report = json.loads(out)
     assert len(report["singles"]) == 3 and len(report["chain"]) == 3
     assert calls == {"min_update": 3 + 3 + 1, "sweep": 3 + 3 + 1}
+
+
+@pytest.mark.parametrize(
+    "config, check",
+    [
+        (
+            {**CONFIG_53, "model": {"tabulated": {"pairs": [[1.0, 0.5]]}}, "omega_set": [1.0], "update": {}},
+            lambda out, report: '"first_crossing": Infinity' in out,
+        ),
+        (
+            {**CONFIG_53, "update": {"order": [0.0, -1.0, 0.0, 0.0]}},
+            lambda out, report: report["chain"][-1]["bound"] == report["chain"][-2]["bound"],
+        ),
+        (
+            {
+                "model": {"tabulated": {"pairs": [[-1.0, 0.25]]}},
+                "initial_bound": {"breakpoints": [0.0], "slopes": [0.5], "intercepts": [0.7]},
+                "omega_set": [-1.0],
+                "gp": {"omega": -1.0, "times": [4.0, 8.0]},
+            },
+            lambda out, report: list(report) == ["gp"],
+        ),
+        (
+            {
+                **CONFIG_53,
+                "model": {"tabulated": {"pairs": [[-1.0, 0.05], [0.0, 1.0], [2.0, 1.5]]}},
+                "initial_bound": {"breakpoints": [0.0, 1.0], "slopes": [-0.0, -1.0], "intercepts": [-0.0, 1.0]},
+                "omega_set": [0.0, -1.0, 2.0],
+                "update": {},
+            },
+            lambda out, report: '"slopes": [-0.0, -1.0], "intercepts": [-0.0, 1.0]' in out,
+        ),
+    ],
+    ids=["never_crosses", "repeated_abscissa", "gp_only", "negative_zero"],
+)
+def test_update_report_text_is_json_dumps(capsys, tmp_path, config, check):
+    # the report is joined from one text per bound object; it must be the text
+    # json.dumps gives for the report it reads back as, on stdout and in --out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report) + "\n"
+    assert check(out, report)
+    code, csv, _ = run(capsys, ["update", "--config", str(cfg), "--format", "csv"])
+    assert code == 0
+    assert main(["update", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run.json").read_text() == out
+    assert (tmp_path / "run.csv").read_text() == csv

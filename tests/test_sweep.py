@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_profile, pairs_and_crossings, random_bound, random_log_concave_bound
+from conftest import (
+    bounds_strategy,
+    chain_profile,
+    lattice_bounds_strategy,
+    pairs_and_crossings,
+    random_bound,
+    random_log_concave_bound,
+)
 from sgbounds import (
     OmegaSet,
     PiecewiseLogAffineBound,
@@ -33,7 +40,7 @@ from sgbounds import (
     update_bound,
     update_chain,
 )
-from sgbounds.bounds import _BP_MERGE_TOL, _expire, _insert, min_with_tails
+from sgbounds.bounds import _BP_MERGE_TOL, _append_joined, _expire, _insert, min_with_tails
 from sgbounds.models import diffop_rate
 from sgbounds.riccati import update_tail
 
@@ -130,7 +137,10 @@ def test_grid_interpolant_matches_bit_for_bit():
 
 
 def test_chain_shapes_match_bit_for_bit():
+    # most chained updates leave their input as it is, and the sweep then
+    # returns that very bound; the others must still match the oracle
     rng = np.random.default_rng(109)
+    kept = 0
     for _ in range(8):
         profile, lo, hi = chain_profile(rng, 60)
         m = chain_start(rng)
@@ -139,9 +149,12 @@ def test_chain_shapes_match_bit_for_bit():
         cur = m
         for w in omegas:
             expected = pairwise_update(cur, profile.pair(w))
-            assert update_bound(cur, profile.pair(w)) == expected
+            got = update_bound(cur, profile.pair(w))
+            assert got == expected
+            kept += got is cur
             cur = expected
         assert update_chain(m, omegas, profile) == cur
+    assert 0 < kept < 8 * 30
 
 
 # -- arbitrary starts and tails aimed at the sweep's rules ---------------------
@@ -250,7 +263,76 @@ def test_tail_starts_within_the_merge_tolerance_of_breakpoints():
 def test_tails_above_m_leave_it_unchanged():
     m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [2.0])
     assert min_with_tails(m, []) is m
-    assert min_with_tails(m, [(5.0, 0.0, 100.0), (1.0, 2.0, 0.5)]) == m
+    assert min_with_tails(m, [(1.0, 2.0, 0.5)]) is m
+    assert min_with_tails(m, [(5.0, 0.0, 100.0), (1.0, 2.0, 0.5)]) is m
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_bounds_strategy(max_pieces=8), st.data())
+def test_tails_never_below_m_return_m(m, data):
+    # on a log-concave m each piece's line lies on or above m from its start
+    # on, so such tails, lifted or not and steeper or not, never go below m;
+    # neither do lines steeper than every slope of m starting on or above it
+    concave = all(a > b for a, b in zip(m.slopes, m.slopes[1:]))
+    tails = []
+    for j in data.draw(st.lists(st.integers(0, len(m.breakpoints) - 1), max_size=4)):
+        start = m.breakpoints[j] + data.draw(st.sampled_from([0.0, 0.125, 2.0]))
+        if concave:
+            j = m.piece_index(start)
+            tails.append((start, m.slopes[j], m.intercepts[j] + data.draw(st.sampled_from([0.0, 0.25]))))
+        slope = max(m.slopes) + data.draw(st.sampled_from([0.0, 0.5]))
+        tails.append((start, slope, m.log_at(start) - slope * start + data.draw(st.sampled_from([0.0, 0.25]))))
+    assert min_with_tails(m, tails) is m
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds_strategy(max_pieces=8) | lattice_bounds_strategy(max_pieces=8))
+def test_canonical_pieces_pass_append_joined_unchanged(m):
+    # the claim behind copying m's pieces before the first tail start: for a
+    # bound the constructor accepts, whose breakpoints lie more than
+    # _BP_MERGE_TOL apart, _append_joined's continuity check is the
+    # constructor's, so no piece is moved, cut or dropped
+    pieces = []
+    for piece in zip(m.breakpoints, m.slopes, m.intercepts):
+        _append_joined(pieces, *piece)
+    assert pieces == list(zip(m.breakpoints, m.slopes, m.intercepts))
+
+
+def test_a_start_just_before_a_breakpoint_takes_it():
+    # no tail goes below m, yet a start within _BP_MERGE_TOL before m's kink
+    # at t = 2 joins the two pieces there and moves the kink to the start; one
+    # as close after the kink joins them at the kink, which gives m again
+    m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [2.0])
+    assert min_with_tails(m, [(2.0 + 5e-13, 3.0, 10.0)]) == m
+    for tails in ([(2.0 - 5e-13, 3.0, 10.0)], [(2.0 - 5e-13, 3.0, 10.0), (1.0, 2.0, 5.0)]):
+        got = min_with_tails(m, tails)
+        assert (got.breakpoints, got.slopes, got.intercepts) == ((0.0, 2.0 - 5e-13), (1.0, -1.0), (0.0, 4.0))
+
+
+RAW = PiecewiseLogAffineBound((0.0, 1.0, 1.0 + 1e-13), (1.0, -1.0, 0.5), (0.0, 2.0, 2.0 - 1.5 * (1.0 + 1e-13)))
+
+
+@pytest.mark.parametrize(
+    "tails, expected",
+    [
+        # tails that never go below RAW, starting after and before its close breakpoints
+        ([(3.0, 1.0, 100.0)], ((0.0, 1.0), (1.0, 0.5), (0.0, 0.4999999999998501))),
+        ([(0.5, 2.0, 0.0)], ((0.0, 1.0), (1.0, 0.5), (0.0, 0.4999999999998501))),
+        ([(3.0, -5.0, 30.0)], ((0.0, 1.0, 5.363636363636391), (1.0, 0.5, -5.0), (0.0, 0.4999999999998501, 30.0))),
+        (
+            [(0.5, 3.0, 0.0), (5.0, 0.0, 50.0)],
+            ((0.0, 1.0, 99.0000000000003), (1.0, 0.5, 0.0), (0.0, 0.4999999999998501, 50.0)),
+        ),
+    ],
+)
+def test_raw_bound_with_close_breakpoints(tails, expected):
+    # the raw constructor admits breakpoints 1e-13 apart, which canonical form
+    # never holds: the sweep joins them, the later piece taking the shared
+    # start, so the result is not m even where no tail goes below it; the
+    # expected pieces are those of the sweep that joined every piece of m
+    got = min_with_tails(RAW, tails)
+    assert got is not RAW
+    assert (got.breakpoints, got.slopes, got.intercepts) == expected
 
 
 # -- the tails' lower envelope -------------------------------------------------
