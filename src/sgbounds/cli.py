@@ -27,7 +27,7 @@ import numpy as np
 
 from . import models
 from .bounds import PiecewiseLogAffineBound
-from .iteration import OmegaSet, ResolventProfile, iterate, min_update, update_chain
+from .iteration import IterationTrace, OmegaSet, ResolventProfile, iterate, min_update, update_chain
 from .models import ConvergenceError, JordanBlockModel
 from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound
 
@@ -252,30 +252,49 @@ def _build_grid(spec) -> tuple[float, int]:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _dumped_once() -> Callable[[object], str]:
+    """``json.dumps(obj.to_json_dict())`` of a bound or grid, dumped once per
+    object (by id: the caller keeps every object it passes alive)."""
+    texts: dict[int, str] = {}
+
+    def dump(obj) -> str:
+        if id(obj) not in texts:
+            texts[id(obj)] = json.dumps(obj.to_json_dict())
+        return texts[id(obj)]
+
+    return dump
+
+
 def _update_report_json(updates: dict, combined: PiecewiseLogAffineBound, gp: dict | None) -> str:
     """The text of ``json.dumps(report)`` for the update report: the rows of
     ``updates["singles"]`` and ``updates["chain"]`` as (omega, pair, crossing,
     bound), the bound ``combined`` under "min_update" when there are rows, and
-    ``gp``.  Each distinct bound object is dumped once and rows that hold the
-    same object reuse its text: m0 in the singles, the previous bound in the
-    chain.  Items are joined with ", " and ": " as json.dumps joins them."""
-    texts: dict[int, str] = {}  # by id: the rows keep every bound alive
-
-    def bound_json(bound: PiecewiseLogAffineBound) -> str:
-        if id(bound) not in texts:
-            texts[id(bound)] = json.dumps(bound.to_json_dict())
-        return texts[id(bound)]
+    ``gp``.  Rows that hold the same bound object share its text: m0 in the
+    singles, the previous bound in the chain.  Items are joined with ", " and
+    ": " as json.dumps joins them."""
+    dump = _dumped_once()
 
     def row_json(w: float, pair: OmegaRPair, crossing: float, bound: PiecewiseLogAffineBound) -> str:
         head = json.dumps({"omega": w, "rate": pair.rate, "first_crossing": crossing})
-        return f'{head[:-1]}, "bound": {bound_json(bound)}}}'
+        return f'{head[:-1]}, "bound": {dump(bound)}}}'
 
     fields = {key: "[" + ", ".join(row_json(*row) for row in rows) + "]" for key, rows in updates.items()}
     if updates:
-        fields["min_update"] = bound_json(combined)
+        fields["min_update"] = dump(combined)
     if gp is not None:
         fields["gp"] = json.dumps(gp)
     return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
+
+
+def _iterate_report_json(trace: IterationTrace) -> str:
+    """The text of ``json.dumps(trace.to_json_dict())``, each bound and grid object dumped once."""
+    dump = _dumped_once()
+    steps = ", ".join(
+        f'{{"index": {step.index}, "bound": {dump(step.bound)}, "grid": {dump(step.grid)}, '
+        f'"argmin_omegas": {json.dumps(list(step.argmin_omegas))}}}'
+        for step in trace.steps
+    )
+    return f'{{"steps": [{steps}], "stationary_at": {json.dumps(trace.stationary_at)}}}'
 
 
 def _cmd_wei(args) -> int:
@@ -355,7 +374,7 @@ def _cmd_iterate(args) -> int:
 
     trace = iterate(m0, omegas, profile, max_steps, grid, envelope=use_envelope)
     labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
-    _emit_report(lambda: json.dumps(trace.to_json_dict()), labelled, grid, args)
+    _emit_report(lambda: _iterate_report_json(trace), labelled, grid, args)
     return 0
 
 

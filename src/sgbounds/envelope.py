@@ -73,6 +73,9 @@ class GridBound:
         logs = np.asarray(m.slopes)[j] * t + np.asarray(m.intercepts)[j]
         return cls(h, (0.0, *logs.tolist()))
 
+    def to_json_dict(self) -> dict:
+        return {"h": self.h, "values": list(self.values)}
+
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(k * self.h for k in range(len(self.values)))

@@ -33,7 +33,8 @@ continues from the piecewise interpolant of the grid when it does.  With
 :func:`min_update` of the one before, in exact form, and its sampled grid is
 the step's grid.  The rates of the set come from one ``pairs`` call, and the
 crossing times of each iterate are computed once, shared by its argmin report
-and the next update.
+and the next update.  A step is a function of its update alone, so an update
+equal to the previous one repeats its step, objects and all, as stationary.
 Order-sensitive single passes are available as :func:`update_chain`, whose
 rates come from one ``pairs`` call too.
 """
@@ -182,7 +183,7 @@ class IterationStep:
         return {
             "index": self.index,
             "bound": self.bound.to_json_dict(),
-            "grid": {"h": self.grid.h, "values": list(self.grid.values)},
+            "grid": self.grid.to_json_dict(),
             "argmin_omegas": list(self.argmin_omegas),
         }
 
@@ -261,7 +262,8 @@ def iterate(
     moves no grid value by more than 1e-10 the exact form is carried on,
     otherwise the iteration continues from the interpolant of the envelope
     grid.  Stops early once two successive grid snapshots agree to 1e-10 in
-    sup norm, recording the earlier index in ``stationary_at``.
+    sup norm, recording the earlier index in ``stationary_at``.  An update
+    ``==`` to the previous one repeats its step (the same objects) and stops.
     """
     if not m.is_normalized:
         raise ValueError("iteration requires a normalized bound")
@@ -274,9 +276,14 @@ def iterate(
     cur_grid = GridBound.sample(m, h, n_steps)
     crossings = _crossings(m, pairs)
     steps = [IterationStep(0, m, cur_grid, argmin_abscissas(pairs, crossings))]
-    stationary_at = None
+    stationary_at = last_updated = None
     for k in range(1, max_steps + 1):
         updated = min_update(cur, pairs, crossings)
+        if updated == last_updated:
+            steps.append(IterationStep(k, cur, cur_grid, steps[-1].argmin_omegas))
+            stationary_at = k - 1
+            break
+        last_updated = updated
         sampled = GridBound.sample(updated, h, n_steps)
         if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
             cur, enveloped = updated, sampled

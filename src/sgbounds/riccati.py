@@ -376,6 +376,7 @@ def gp_log_bound(
     value = pair.omega * t - math.log(pair.rate)
     if with_decay:
         value -= pair.rate * (t - a - b)
-    value -= 0.5 * log_weighted_inv_norm_sq(m, pair.omega, a)
-    value -= 0.5 * log_weighted_inv_norm_sq(m, pair.omega, b)
+    log_a = log_weighted_inv_norm_sq(m, pair.omega, a)
+    value -= 0.5 * log_a
+    value -= 0.5 * (log_a if b == a else log_weighted_inv_norm_sq(m, pair.omega, b))
     return value

@@ -682,3 +682,46 @@ def test_update_report_text_is_json_dumps(capsys, tmp_path, config, check):
     assert main(["update", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert (tmp_path / "run.json").read_text() == out
     assert (tmp_path / "run.csv").read_text() == csv
+
+
+RISE = {"breakpoints": [0.0, 0.3, 0.45], "slopes": [0.0, 1.0, 0.0], "intercepts": [0.0, -0.3, 0.15]}
+
+
+@pytest.mark.parametrize(
+    "config, check",
+    [
+        (
+            {"model": "diffop", "initial_bound": RISE, "omega_set": [-5.0, 0.0], "grid": {"h": 0.05, "T": 10.0}},
+            lambda trace: trace.steps[-1].bound is trace.steps[-2].bound and trace.stationary_at is not None,
+        ),
+        (
+            {
+                "model": "diffop",
+                "initial_bound": RISE,
+                "omega_set": [-5.0, 0.0],
+                "grid": {"h": 0.05, "T": 10.0},
+                "iteration": {"max_steps": 2},
+            },
+            lambda trace: len(trace.steps) == 3 and trace.stationary_at is None,
+        ),
+        (
+            {**CONFIG_53, "model": {"tabulated": {"pairs": [[1.0, 0.5], [2.0, 1.0]]}}, "omega_set": [2.0, 1.0]},
+            lambda trace: all(step.argmin_omegas == (1.0, 2.0) for step in trace.steps),
+        ),
+    ],
+    ids=["repeated_step", "max_steps", "every_abscissa"],
+)
+def test_iterate_report_text_is_json_dumps(capsys, tmp_path, config, check):
+    # the report is joined from one text per bound and grid object; it must be
+    # the text json.dumps gives for the trace, on stdout and in --out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run(capsys, ["iterate", "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    m0, profile = cli._build_bound(config["initial_bound"]), cli._build_profile(config["model"])
+    max_steps = config.get("iteration", {}).get("max_steps", 8)
+    trace = iterate(m0, config["omega_set"], profile, max_steps, cli._build_grid(config["grid"]))
+    assert check(trace)
+    assert out == json.dumps(trace.to_json_dict()) + "\n"
+    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--format", "json"]) == 0
+    assert (tmp_path / "run.json").read_text() == out

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import chain_profile, pairs_and_crossings, random_log_concave_bound
 from sgbounds import (
     GridBound,
+    IterationStep,
     OmegaRPair,
     OmegaSet,
     PiecewiseLogAffineBound,
@@ -24,6 +25,7 @@ from sgbounds import (
     iterate,
     log_concavity,
     min_update,
+    piecewise_interpolant,
     pointwise_min,
     subadditive_envelope,
     update_bound,
@@ -275,6 +277,49 @@ class TestIterate:
         for step in trace.steps:
             lowest = min(step.bound.log_at(k * 1e-3) for k in range(1000))
             assert lowest >= 0.0, f"step {step.index}: log m reaches {lowest:.3g} on [0, 1)"
+
+
+def step_after(prev, pairs, h, n, envelope):
+    """The update of ``prev.bound`` and the step iterate builds from it, recomputed
+    without the repeat rule: sample the update, apply the envelope rule, walk
+    every crossing of the new bound and take the argmin."""
+    updated = min_update(prev.bound, pairs, [first_crossing_time(prev.bound, pair) for pair in pairs])
+    sampled = GridBound.sample(updated, h, n)
+    if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
+        bound, grid = updated, sampled
+    else:
+        grid = subadditive_envelope(sampled)
+        drift = np.max(np.abs(np.subtract(grid.values, sampled.values)))
+        bound = updated if drift <= 1e-10 else piecewise_interpolant(grid)
+    crossings = [first_crossing_time(bound, pair) for pair in pairs]
+    return updated, IterationStep(prev.index + 1, bound, grid, argmin_abscissas(pairs, crossings))
+
+
+class TestRepeatedUpdate:
+    """An update equal to the previous one repeats its step and ends the run as stationary."""
+
+    @pytest.mark.parametrize("envelope", [True, False], ids=["envelope", "updates_only"])
+    @pytest.mark.parametrize(
+        "m",
+        [
+            PiecewiseLogAffineBound.from_slopes([1.2, 0.5, -0.4], [0.8, 2.0]),
+            PiecewiseLogAffineBound.from_slopes([0.0, 1.0, 0.0], [0.3, 0.45]),
+            PiecewiseLogAffineBound.from_slopes([0.2, 1.1, 0.3, 1.0], [1.5, 2.5, 3.5]),
+        ],
+        ids=["concave", "rise", "bumpy"],
+    )
+    def test_last_step_equals_the_recomputed_step(self, m, envelope):
+        omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), ResolventProfile(fn=diffop_rate), 0.05, 200
+        pairs = profile.pairs(omegas)
+        trace = iterate(m, omegas, profile, 8, (h, n), envelope=envelope)
+        *_, before, prev, last = trace.steps
+        prev_update, prev_again = step_after(before, pairs, h, n, envelope)
+        update, recomputed = step_after(prev, pairs, h, n, envelope)
+        assert update == prev_update
+        assert prev_again == prev and recomputed == last
+        gap = np.max(np.abs(np.subtract(recomputed.grid.values, prev.grid.values)))
+        assert gap <= 1e-10 and trace.stationary_at == prev.index
+        assert last.bound is prev.bound and last.grid is prev.grid
 
 
 @pytest.fixture
