@@ -315,6 +315,26 @@ def _expire(live: list[tuple[float, float]], s: float) -> None:
         live.pop()
 
 
+def _line_never_taken(m: PiecewiseLogAffineBound, s: float, at: float, bt: float) -> bool:
+    """Whether the sweep of m and the one tail ``(s, at, bt)`` takes no tail line and
+    joins no piece (see :func:`min_with_tails`); each comparison is the sweep's own."""
+    bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
+    n = len(bps)
+    j = m.piece_index(s)
+    for k in range(j, n):
+        x = bps[k] if k > j else s
+        e = bps[k + 1] if k + 1 < n else math.inf
+        am, bm = slopes[k], intercepts[k]
+        vt, vm = at * x + bt, am * x + bm
+        if vt < vm or (vt == vm and at < am):
+            return False
+        if at < am and max((bt - bm) / (am - at), x) < e - _BP_MERGE_TOL:
+            return False
+    if s != bps[j] and (s - bps[j] <= _BP_MERGE_TOL or j + 1 < n and bps[j + 1] - s <= _BP_MERGE_TOL):
+        return False
+    return all(t1 - t0 > _BP_MERGE_TOL for t0, t1 in zip(bps, bps[1:]))
+
+
 def min_with_tails(
     m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float]]
 ) -> PiecewiseLogAffineBound:
@@ -339,8 +359,17 @@ def min_with_tails(
     pass it unchanged.  A raw m with closer breakpoints there is swept whole.
     When the sweep takes no tail line and joins no piece, the result is m, and
     m itself is returned.
+
+    One tail ``(s, at, bt)`` returns m without a sweep when, on each interval
+    [x, e[ from s across m's later breakpoints, the line is not below m's piece
+    at x, nor tied there at a smaller slope, and its crossing max((bt - bm) /
+    (am - at), x) is not before e - ``_BP_MERGE_TOL``; and when s is a breakpoint
+    of m or more than ``_BP_MERGE_TOL`` from its neighbours, as m's breakpoints
+    are from each other, so no piece is joined.  Any other call is swept.
     """
     if not tails:
+        return m
+    if len(tails) == 1 and _line_never_taken(m, *tails[0]):
         return m
     order = sorted(tails)
     bps = m.breakpoints

@@ -252,31 +252,49 @@ def _build_grid(spec) -> tuple[float, int]:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _dumped_once() -> Callable[[object], str]:
-    """``json.dumps(obj.to_json_dict())`` of a bound or grid, dumped once per
-    object (by id: the caller keeps every object it passes alive)."""
+def _dumped_once(dump: Callable[[object], str]) -> Callable[[object], str]:
+    """``dump(obj)`` of a bound or grid, made once per object (by id: the caller
+    keeps every object it passes alive)."""
     texts: dict[int, str] = {}
 
-    def dump(obj) -> str:
+    def once(obj) -> str:
         if id(obj) not in texts:
-            texts[id(obj)] = json.dumps(obj.to_json_dict())
+            texts[id(obj)] = dump(obj)
         return texts[id(obj)]
 
-    return dump
+    return once
+
+
+class _FloatTexts(dict):
+    """``json.dumps(x)`` of each float x, made once.  Zero is never stored, since
+    0.0 and -0.0 are one key with two texts."""
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+        if x:
+            self[x] = text
+        return text
 
 
 def _update_report_json(updates: dict, combined: PiecewiseLogAffineBound, gp: dict | None) -> str:
     """The text of ``json.dumps(report)`` for the update report: the rows of
     ``updates["singles"]`` and ``updates["chain"]`` as (omega, pair, crossing,
     bound), the bound ``combined`` under "min_update" when there are rows, and
-    ``gp``.  Rows that hold the same bound object share its text: m0 in the
-    singles, the previous bound in the chain.  Items are joined with ", " and
-    ": " as json.dumps joins them."""
-    dump = _dumped_once()
+    ``gp``.  Every float of the rows and bounds is formatted once per value
+    (zeros each time, to keep the sign of -0.0), and rows that hold the same
+    bound object share its text: m0 in the singles, the previous bound in the
+    chain.  Items are joined with ", " and ": " as json.dumps joins them."""
+    floats = _FloatTexts()
+
+    def bound_json(b: PiecewiseLogAffineBound) -> str:
+        lists = [", ".join(map(floats.__getitem__, xs)) for xs in (b.breakpoints, b.slopes, b.intercepts)]
+        return '{"breakpoints": [%s], "slopes": [%s], "intercepts": [%s]}' % tuple(lists)
+
+    dump = _dumped_once(bound_json)
 
     def row_json(w: float, pair: OmegaRPair, crossing: float, bound: PiecewiseLogAffineBound) -> str:
-        head = json.dumps({"omega": w, "rate": pair.rate, "first_crossing": crossing})
-        return f'{head[:-1]}, "bound": {dump(bound)}}}'
+        head = f'"omega": {floats[w]}, "rate": {floats[pair.rate]}, "first_crossing": {floats[crossing]}'
+        return f'{{{head}, "bound": {dump(bound)}}}'
 
     fields = {key: "[" + ", ".join(row_json(*row) for row in rows) + "]" for key, rows in updates.items()}
     if updates:
@@ -288,7 +306,7 @@ def _update_report_json(updates: dict, combined: PiecewiseLogAffineBound, gp: di
 
 def _iterate_report_json(trace: IterationTrace) -> str:
     """The text of ``json.dumps(trace.to_json_dict())``, each bound and grid object dumped once."""
-    dump = _dumped_once()
+    dump = _dumped_once(lambda obj: json.dumps(obj.to_json_dict()))
     steps = ", ".join(
         f'{{"index": {step.index}, "bound": {dump(step.bound)}, "grid": {dump(step.grid)}, '
         f'"argmin_omegas": {json.dumps(list(step.argmin_omegas))}}}'
@@ -345,7 +363,7 @@ def _cmd_update(args) -> int:
     if gp_spec is not None:
         _require_keys(gp_spec, {"omega", "times", "split"}, "gp")
         w = _parse(float, _required(gp_spec, "omega", "gp"), "gp.omega")
-        pair = profile.pair(w)
+        pair = profile.pairs([w])[0]
         split = _parse(float, gp_spec.get("split", 0.5), "gp.split")
         if not 0.0 < split < 1.0:
             raise ConfigError(f"gp.split must lie in ]0, 1[, got {split!r}")

@@ -131,6 +131,18 @@ class TestUpdate:
             )
             assert row["log_bound"] == pytest.approx(expected, abs=1e-10)
 
+    def test_gp_rate_is_the_set_rate(self, capsys, tmp_path):
+        # the diffop model's float path gives this abscissa a rate 1 ulp off
+        # its array path; one report must give one abscissa one rate
+        omega = -4.664144246945357
+        cfg = tmp_path / "cfg.json"
+        config = {**CONFIG_53, "model": "diffop", "omega_set": [omega], "update": {}}
+        cfg.write_text(json.dumps({**config, "gp": {"omega": omega, "times": [4.0]}}))
+        code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["gp"]["rate"] == report["singles"][0]["rate"] == 0.08800590541983289
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**CONFIG_53, "typo": 1}))
@@ -664,8 +676,17 @@ def test_every_set_update_goes_through_min_update(capsys, tmp_path, monkeypatch)
             },
             lambda out, report: '"slopes": [-0.0, -1.0], "intercepts": [-0.0, 1.0]' in out,
         ),
+        (
+            # the float texts are made once per value, but 0.0 and -0.0 are one
+            # value with two texts; the read-back comparison alone cannot see a
+            # lost sign, so the first chain row's omega is checked for it
+            {**CONFIG_53, "omega_set": [0.0, -1.0], "update": {"order": [-0.0, 0.0, -1.0]}},
+            lambda out, report: '"omega": -0.0' in out
+            and '"omega": 0.0' in out
+            and math.copysign(1.0, report["chain"][0]["omega"]) == -1.0,
+        ),
     ],
-    ids=["never_crosses", "repeated_abscissa", "gp_only", "negative_zero"],
+    ids=["never_crosses", "repeated_abscissa", "gp_only", "negative_zero", "signed_zero_omegas"],
 )
 def test_update_report_text_is_json_dumps(capsys, tmp_path, config, check):
     # the report is joined from one text per bound object; it must be the text

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -333,6 +333,53 @@ def test_raw_bound_with_close_breakpoints(tails, expected):
     got = min_with_tails(RAW, tails)
     assert got is not RAW
     assert (got.breakpoints, got.slopes, got.intercepts) == expected
+
+
+# -- the one-tail exit ----------------------------------------------------------
+
+
+@st.composite
+def bound_and_tail(draw):
+    """A bound and one tail starting on, near or away from its breakpoints, on,
+    just above or anywhere around it, parallel to one of its pieces or not."""
+    m = draw(bounds_strategy(max_pieces=6) | lattice_bounds_strategy(max_pieces=6))
+    offsets = st.sampled_from([0.0, -5e-13, 5e-13, -2e-12, 2e-12])
+    near = st.builds(lambda t, d: max(t + d, 0.0), st.sampled_from(m.breakpoints), offsets)
+    start = draw(near | st.floats(0.0, m.breakpoints[-1] + 4.0))
+    slope = draw(st.sampled_from(m.slopes) | st.floats(-4.0, 4.0))
+    lift = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(-0.5, 2.0))
+    return m, (start, slope, m.log_at(start) + lift - slope * start)
+
+
+KINK = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [2.0])
+# a downward jump of 8e-13 at t = 2, within the continuity tolerance
+JUMP = PiecewiseLogAffineBound((0.0, 2.0), (1.0, -1.0), (0.0, 4.0 - 8e-13))
+# a line through (1000, 1000) that rounds to m's value there at a smaller slope,
+# while its crossing rounds to 1.2e-11 later, past the end of m's piece
+TIE = PiecewiseLogAffineBound.from_slopes([1.0, 0.0], [1000.000000000003])
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_and_tail())
+# each comment names the guard of the exit whose loss fails the case, or says that the exit returns m
+@example((KINK, (2.0, 3.0, 10.0)))  # s at a breakpoint: the exit returns m
+@example((KINK, (2.0 - 5e-13, 3.0, 10.0)))  # s within 1e-12 before a breakpoint: the next-breakpoint gap
+@example((KINK, (2.0 + 5e-13, 3.0, 10.0)))  # s within 1e-12 after one: the previous-breakpoint gap
+@example((KINK, (1.0, 3.0, -2.5)))  # below m at s and steeper, above it from t = 1.25: the value at x
+@example((KINK, (1.0, 0.5, 0.5)))  # a tie at s at a smaller slope: the tie and the crossing each
+@example((TIE, (1000.0, 0.999, 1.000000000000013)))  # a tie whose crossing rounds late: the tie
+@example((JUMP, (1.0, 0.5, 1.0 - 2.5e-13)))  # a crossing 5e-13 before an interval end: the exit returns m
+@example((JUMP, (1.0, 0.5, 1.0 - 6e-13)))  # a crossing 1.2e-12 before it: the crossing's tolerance
+@example((KINK, (3.0, -2.0, 10.0)))  # less steep than m's last piece, crossing at t = 6: the crossing
+@example((KINK, (3.0, -1.0, 4.5)))  # parallel to m's last piece: the exit returns m; `at <= am` divides by 0
+@example((RAW, (3.0, 1.0, 100.0)))  # a raw m with breakpoints 1e-13 apart: the gap between m's breakpoints
+def test_one_tail_exit_agrees_with_the_sweep(case):
+    # a duplicate tail sends the call through the sweep, whose envelope drops
+    # the copy; the exit must give the sweep's bound, and m itself exactly when
+    # the sweep does
+    m, tail = case
+    got, swept = min_with_tails(m, [tail]), min_with_tails(m, [tail, tail])
+    assert got == swept and (got is m) == (swept is m)
 
 
 # -- the tails' lower envelope -------------------------------------------------
