@@ -236,13 +236,17 @@ def _probe(s: float, e: float) -> float:
 
 def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float, b: float) -> None:
     """Append (lo, a, b); where a breakpoint or crossing merged within _BP_MERGE_TOL
-    left a jump at lo, start it where its line meets the last piece's.  A last piece
-    at most _BP_MERGE_TOL wide gives up its start to it, as in canonicalize."""
+    left a jump at lo, start it where its line meets the last piece's.  A parallel
+    line beyond the continuity slack never meets it, so the last piece goes on and
+    nothing is appended.  A last piece at most _BP_MERGE_TOL wide gives up its start
+    to it, as in canonicalize."""
     while pieces:
         t0, a0, b0 = pieces[-1]
         if lo - t0 > _BP_MERGE_TOL:
-            if a0 == a or abs((a0 * lo + b0) - (a * lo + b)) <= _continuity_slack(lo, a0, b0, a, b):
+            if a0 == a and b0 == b or abs((a0 * lo + b0) - (a * lo + b)) <= _continuity_slack(lo, a0, b0, a, b):
                 break
+            if a0 == a:
+                return
             lo = (b - b0) / (a0 - a)
             if lo - t0 > _BP_MERGE_TOL:
                 break
@@ -339,7 +343,11 @@ def min_with_tails(
     m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float]]
 ) -> PiecewiseLogAffineBound:
     """Pointwise minimum of m and the lines ``(start, slope, intercept)``, each
-    counted only on [start, inf), in canonical form.
+    counted only on [start, inf), in canonical form.  A tail that starts below m
+    is taken only from where its line meets the result, and a parallel one, which
+    never meets it, is never taken; the result then lies above the minimum.  So
+    only tails that start on or above m, as ``riccati.update_tail``'s do, give
+    the exact minimum.
 
     One sweep over the breakpoints of m and the tail starts, keeping the tails'
     lower envelope on [s, inf) for each interval start s, the last line lowest

@@ -396,21 +396,22 @@ def _cmd_iterate(args) -> int:
     return 0
 
 
+def _omega_grid(args) -> list[float]:
+    return [w + args.omega_min for w in _time_grid(args.omega_max - args.omega_min, args.omega_step)]
+
+
 def _figure_omegar(args) -> list[tuple[float, float, str]]:
+    omegas = _omega_grid(args)
+    matched = [
+        (models.rate_for_crossing_time(math.pi / k, np.array(omegas)).tolist(), f"matched_rate_pi_{k}")
+        for k in (4, 2, 8)
+    ]
     rows = []
-    for w in _time_grid(args.omega_max - args.omega_min, args.omega_step):
-        w += args.omega_min
-        rows.append((w, w, "r_eq_omega"))
-        rows.append((w, w + 1.0, "r_eq_omega_plus_1"))
-        for alpha, label in (
-            (math.pi / 4.0, "matched_rate_pi_4"),
-            (math.pi / 2.0, "matched_rate_pi_2"),
-            (math.pi / 8.0, "matched_rate_pi_8"),
-        ):
-            rows.append((w, models.rate_for_crossing_time(alpha, w), label))
+    for i, w in enumerate(omegas):
+        rows += [(w, w, "r_eq_omega"), (w, w + 1.0, "r_eq_omega_plus_1")]
+        rows += [(w, rates[i], label) for rates, label in matched]
     lower, upper = models.improvement_region_thresholds()
-    rows.append((lower, lower + 1.0, "threshold_lower"))
-    rows.append((upper, upper + 1.0, "threshold_upper"))
+    rows += [(lower, lower + 1.0, "threshold_lower"), (upper, upper + 1.0, "threshold_upper")]
     return rows
 
 
@@ -449,7 +450,7 @@ def _figure_jordan3(args) -> list[tuple[float, float, str]]:
 
 
 def _figure_diffop_r(args) -> list[tuple[float, float, str]]:
-    omegas = [w + args.omega_min for w in _time_grid(args.omega_max - args.omega_min, args.omega_step)]
+    omegas = _omega_grid(args)
     return [(w, r, "diffop_rate") for w, r in zip(omegas, models.diffop_rate(np.array(omegas)).tolist())]
 
 

@@ -9,7 +9,8 @@ Tabulated profiles are validated against monotonicity and the 1-Lipschitz
 consistency r(w') >= r(w) - (w - w'), and are interpolated by the conservative
 lower envelope these inequalities imply.  :meth:`ResolventProfile.pairs` gives
 the pairs of a whole abscissa set from one domain check and one ``fn`` call or
-one table lookup.
+one table lookup; :meth:`ResolventProfile.rate` is the rate of a one-element
+set, so one abscissa never gets two rates.
 
 The set update :func:`min_update` takes the pointwise minimum of the
 single-abscissa updates of m, given the pairs (omega, r) and m's crossing time
@@ -116,7 +117,7 @@ class ResolventProfile:
         lo, hi = self.domain
         outside = ~((lo < ws) & (ws < hi))
         if outside.any():
-            raise _outside_domain(float(ws[outside][0]), self.domain)
+            raise ValueError(f"omega = {float(ws[outside][0])!r} outside profile domain ]{lo:g}, {hi:g}[")
         if self.fn is not None:
             rates = np.asarray(self.fn(ws), dtype=float)
         else:
@@ -130,22 +131,9 @@ class ResolventProfile:
         return list(map(OmegaRPair, ws.tolist(), rates.tolist()))
 
     def rate(self, omega: float) -> float:
-        """A sound rate at omega: the model's own float path, or the table's
-        lower envelope of :meth:`pairs`."""
-        if self.fn is None:
-            return self.pairs([omega])[0].rate
-        lo, hi = self.domain
-        if not lo < omega < hi:
-            raise _outside_domain(omega, self.domain)
-        return self.fn(omega)
-
-    def pair(self, omega: float) -> OmegaRPair:
-        return OmegaRPair(omega, self.rate(omega))
-
-
-def _outside_domain(omega: float, domain: tuple[float, float]) -> ValueError:
-    lo, hi = domain
-    return ValueError(f"omega = {omega!r} outside profile domain ]{lo:g}, {hi:g}[")
+        """A sound rate at omega, the rate of :meth:`pairs` on ``[omega]``; a set's
+        rates should come from one :meth:`pairs` call."""
+        return self.pairs([omega])[0].rate
 
 
 @dataclass(frozen=True)

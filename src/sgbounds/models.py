@@ -1,10 +1,12 @@
 """Two fully computable model operators as plain rate and norm functions.
 
 Each function takes an abscissa or a time and returns a float; nothing here
-builds a profile.  The two rate functions are elementwise: a 1-D array of
-abscissas gets the array of rates, from one masked numpy bisection or one
-stacked SVD.  A caller wraps a rate in ``ResolventProfile(fn=...)``, for the
-Jordan block with ``functools.partial(jordan_resolvent_rate, model)``.
+builds a profile.  The rate functions are elementwise, with one path each: an
+array of abscissas gets the array of rates, from one masked numpy bisection
+(:func:`_bisect_array`) or one stacked SVD, and a float goes through the same
+path as a one-element array and gets a float.  A caller wraps a rate in
+``ResolventProfile(fn=...)``, for the Jordan block with
+``functools.partial(jordan_resolvent_rate, model)``.
 
 Differentiation operator: A = d/dx on L2(0, 1) with boundary condition
 u(1) = 0.  Its semigroup is the left shift, which is the identity in norm
@@ -82,21 +84,10 @@ class ConvergenceError(RuntimeError):
 # -- differentiation operator ------------------------------------------------
 
 
-def _bisect(f, lo: float, hi: float, increasing: bool) -> float:
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if (f(mid) < 0.0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _bisect_array(f, lo: np.ndarray, hi: np.ndarray, increasing: bool) -> np.ndarray:
-    """:func:`_bisect` on arrays of brackets: the same midpoint rule, and each
-    element stops once its own midpoint no longer falls inside its bracket."""
+    """Bisection on arrays of brackets: each element moves lo or hi to its
+    midpoint by the sign of f there, and stops once its own midpoint no longer
+    falls inside its bracket."""
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         inside = (lo < mid) & (mid < hi)
@@ -118,45 +109,17 @@ def diffop_eigenroot(omega):
 
     Returns the signed nu^2: nu^2 > 0 for the real root nu in ]0, pi[
     (omega > -1), -eta^2 < 0 for the imaginary root nu = i eta (omega < -1),
-    and 0 at omega = -1.  An array of abscissas gets the array of roots from
-    :func:`_bisect_array` over the same brackets.
+    and 0 at omega = -1.  Elementwise: an array of abscissas gets the array of
+    roots from one :func:`_bisect_array` per branch, and a float is solved as
+    a one-element array and gets a float.
     """
-    if np.ndim(omega):
-        return _eigenroots(np.asarray(omega, dtype=float))
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got omega = {omega!r}")
-    if omega == -1.0:
-        return 0.0
-    if omega > -1.0:
-        # f(nu) = -nu cot(nu) increases from -1 to +inf on ]0, pi[
-        f = lambda nu: -nu / math.tan(nu) - omega
-        lo, hi = 1e-12, math.nextafter(math.pi, 0.0)
-        if f(lo) > 0.0 or f(hi) < 0.0:
-            raise ConvergenceError(f"secular bracket failed at omega = {omega!r}")
-        nu = _bisect(f, lo, hi, increasing=True)
-        return nu * nu
-    # omega < -1: g(eta) = -eta coth(eta) - omega decreases from -1 - omega > 0
-    # to -inf.  As eta < eta coth(eta) < eta + 1, the root lies in
-    # [max(0, -omega - 1), -omega]: g(-omega + 1) < -1 never rounds above 0,
-    # and g(max(1, -omega - 1)) >= 0 unless omega lies in ]-coth(1), -1[
-    # (coth(1) = 1.3130...).  There lo is halved, which stops above 1e-8,
-    # since g(lo) = -1 - omega > 0 once tanh(lo) rounds to lo.
-    g = lambda eta: -eta / math.tanh(eta) - omega
-    lo = max(1.0, -omega - 1.0)
-    while g(lo) < 0.0:
-        lo *= 0.5
-    eta = _bisect(g, lo, -omega + 1.0, increasing=False)
-    return -eta * eta
-
-
-def _eigenroots(omegas: np.ndarray) -> np.ndarray:
-    """:func:`diffop_eigenroot` on an array: the same brackets, a masked lo
-    halving, and one :func:`_bisect_array` per branch."""
+    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
     bad = ~np.isfinite(omegas)
     if bad.any():
         raise ValueError(f"omega must be finite, got omega = {_first(omegas, bad)!r}")
     nu_sq = np.zeros_like(omegas)
     trig, hyp = omegas > -1.0, omegas < -1.0
+    # omega > -1: f(nu) = -nu cot(nu) increases from -1 to +inf on ]0, pi[
     w = omegas[trig]
     f = lambda nu: -nu / np.tan(nu) - w
     lo, hi = np.full_like(w, 1e-12), np.full_like(w, math.nextafter(math.pi, 0.0))
@@ -165,6 +128,12 @@ def _eigenroots(omegas: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"secular bracket failed at omega = {_first(w, failed)!r}")
     nu = _bisect_array(f, lo, hi, increasing=True)
     nu_sq[trig] = nu * nu
+    # omega < -1: g(eta) = -eta coth(eta) - omega decreases from -1 - omega > 0
+    # to -inf.  As eta < eta coth(eta) < eta + 1, the root lies in
+    # [max(0, -omega - 1), -omega]: g(-omega + 1) < -1 never rounds above 0,
+    # and g(max(1, -omega - 1)) >= 0 unless omega lies in ]-coth(1), -1[
+    # (coth(1) = 1.3130...).  There lo is halved, which stops above 1e-8,
+    # since g(lo) = -1 - omega > 0 once tanh(lo) rounds to lo.
     w = omegas[hyp]
     g = lambda eta: -eta / np.tanh(eta) - w
     lo = np.maximum(1.0, -w - 1.0)
@@ -172,7 +141,7 @@ def _eigenroots(omegas: np.ndarray) -> np.ndarray:
         lo = np.where(short, 0.5 * lo, lo)
     eta = _bisect_array(g, lo, -w + 1.0, increasing=False)
     nu_sq[hyp] = -eta * eta
-    return nu_sq
+    return nu_sq if np.ndim(omega) else float(nu_sq[0])
 
 
 def diffop_rate(omega):
@@ -184,29 +153,13 @@ def diffop_rate(omega):
     equation provides without subtraction.  expm1(2 eta) overflows for omega
     below about -354.9, which raises an ``OverflowError`` naming omega.
 
-    A float gets a float from the scalar bisection; an array of abscissas gets
-    the array of rates from one masked numpy bisection over the same brackets
-    (:func:`diffop_eigenroot`), whose ``tan``, ``tanh`` and ``expm1`` may differ
-    from the float path's in the last bits.
+    Elementwise, as :func:`diffop_eigenroot`: an array of abscissas gets the
+    array of rates from one masked numpy bisection, and a float goes through
+    the same path as a one-element array and gets a float.  A float call costs
+    about as much as a short array (the bisection's numpy steps), so a loop
+    over abscissas should pass them as one array.
     """
-    if np.ndim(omega):
-        return _diffop_rates(np.asarray(omega, dtype=float)) * (1.0 - _RATE_MARGIN)
-    if omega == -1.0:
-        rate = 1.0
-    elif omega > -1.0:
-        rate = math.sqrt(omega * omega + diffop_eigenroot(omega))
-    else:
-        eta = math.sqrt(-diffop_eigenroot(omega))
-        try:
-            minus_omega_plus_eta = 2.0 * eta / math.expm1(2.0 * eta)
-        except OverflowError:
-            raise OverflowError(f"diffop rate overflows at omega = {omega!r}") from None
-        rate = math.sqrt(minus_omega_plus_eta * (eta - omega))
-    return rate * (1.0 - _RATE_MARGIN)
-
-
-def _diffop_rates(omegas: np.ndarray) -> np.ndarray:
-    """The unrounded :func:`diffop_rate` of an array, in the float path's arithmetic."""
+    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
     nu_sq = diffop_eigenroot(omegas)
     rates = np.ones_like(omegas)
     trig, hyp = omegas > -1.0, omegas < -1.0
@@ -219,7 +172,8 @@ def _diffop_rates(omegas: np.ndarray) -> np.ndarray:
     if overflow.any():
         raise OverflowError(f"diffop rate overflows at omega = {_first(w, overflow)!r}")
     rates[hyp] = np.sqrt(2.0 * eta / grown * (eta - w))
-    return rates
+    rates *= 1.0 - _RATE_MARGIN
+    return rates if np.ndim(omega) else float(rates[0])
 
 
 def diffop_semigroup_norm(t: float) -> float:
@@ -229,13 +183,14 @@ def diffop_semigroup_norm(t: float) -> float:
     return 1.0 if t < 1.0 else 0.0
 
 
-def rate_for_crossing_time(alpha: float, omega: float) -> float:
+def rate_for_crossing_time(alpha, omega):
     """The rate that makes the trivial bound's crossing time equal alpha.
 
     For the shift model this is r(2 alpha omega) / (2 alpha), by the scaling
-    of the model under gamma A + delta.
+    of the model under gamma A + delta.  Elementwise in alpha and omega, as
+    :func:`diffop_rate`.
     """
-    if alpha <= 0.0:
+    if np.min(alpha) <= 0.0:
         raise ValueError("crossing time must be positive")
     return diffop_rate(2.0 * alpha * omega) / (2.0 * alpha)
 
@@ -243,15 +198,15 @@ def rate_for_crossing_time(alpha: float, omega: float) -> float:
 def improvement_region_thresholds() -> tuple[float, float]:
     """Abscissas where the matched-rate curves for crossing times pi/2 and pi/8
     meet the line r = omega + 1; they delimit where combining a second pair
-    with the reference pair (0, 1) can pay off."""
-    f = lambda w: rate_for_crossing_time(0.5 * math.pi, w) - (w + 1.0)
-    g = lambda w: rate_for_crossing_time(0.125 * math.pi, w) - (w + 1.0)
-    if not (f(-1.0 + 1e-9) > 0.0 > f(0.0)):
-        raise ConvergenceError("lower threshold bracket failed")
-    if not (g(1.0) > 0.0 > g(10.0)):
-        raise ConvergenceError("upper threshold bracket failed")
-    lower = _bisect(f, -1.0 + 1e-9, 0.0, increasing=False)
-    upper = _bisect(g, 1.0, 10.0, increasing=False)
+    with the reference pair (0, 1) can pay off.  Both are solved in one
+    :func:`_bisect_array` call."""
+    alphas = np.array([0.5 * math.pi, 0.125 * math.pi])
+    f = lambda w: rate_for_crossing_time(alphas, w) - (w + 1.0)
+    lo, hi = np.array([-1.0 + 1e-9, 1.0]), np.array([0.0, 10.0])
+    failed = ~((f(lo) > 0.0) & (f(hi) < 0.0))
+    if failed.any():
+        raise ConvergenceError(f"{'lower' if failed[0] else 'upper'} threshold bracket failed")
+    lower, upper = _bisect_array(f, lo, hi, increasing=False).tolist()
     return lower, upper
 
 

@@ -132,8 +132,8 @@ class TestUpdate:
             assert row["log_bound"] == pytest.approx(expected, abs=1e-10)
 
     def test_gp_rate_is_the_set_rate(self, capsys, tmp_path):
-        # the diffop model's float path gives this abscissa a rate 1 ulp off
-        # its array path; one report must give one abscissa one rate
+        # an abscissa where two rate paths of the diffop model would differ by
+        # 1 ulp; one report must give one abscissa one rate
         omega = -4.664144246945357
         cfg = tmp_path / "cfg.json"
         config = {**CONFIG_53, "model": "diffop", "omega_set": [omega], "update": {}}
@@ -174,14 +174,14 @@ class TestUpdate:
             report = json.loads(out)
             assert [s["omega"] for s in report["singles"]] == sorted(distinct)
             for single in report["singles"]:
-                pair = profile.pair(single["omega"])
+                pair = profile.pairs([single["omega"]])[0]
                 assert single["rate"] == profile.rate(single["omega"])
                 assert single["first_crossing"] == first_crossing_time(m0, pair)
                 assert single["bound"] == update_bound(m0, pair).to_json_dict()
             cur = m0
             assert [s["omega"] for s in report["chain"]] == order
             for step in report["chain"]:
-                pair = profile.pair(step["omega"])
+                pair = profile.pairs([step["omega"]])[0]
                 assert step["rate"] == pair.rate
                 assert step["first_crossing"] == first_crossing_time(cur, pair)
                 cur = update_bound(cur, pair)

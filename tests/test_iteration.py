@@ -100,16 +100,17 @@ class TestResolventProfile:
             profile.pairs(omegas)
 
     def test_pairs_equal_the_pair_loop(self):
-        # tables take one lookup either way; a Jordan block one stacked SVD either way
+        # a set's pairs are its one-element sets' pairs: tables take one lookup
+        # either way, a Jordan block one stacked SVD either way
         rng = np.random.default_rng(11)
         for n in (1, 2, 5, 60, 300):
             profile, _, _ = chain_profile(rng, n)
             ws = rate_queries(rng, profile)
-            assert profile.pairs(ws) == [profile.pair(w) for w in ws]
+            assert profile.pairs(ws) == [profile.pairs([w])[0] for w in ws]
         for n in (2, 3, 5, 8):
             profile = ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JordanBlockModel(n)))
             ws = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 100)).tolist()
-            assert profile.pairs(ws) == [profile.pair(w) for w in ws]
+            assert profile.pairs(ws) == [profile.pairs([w])[0] for w in ws]
 
 
 def scan_rate(table, omega):
@@ -252,11 +253,11 @@ class TestIterate:
         # at a minimizing frequency, the updated bound keeps the same crossing time
         omegas = OmegaSet.of([0.0, -1.0])
         best = min(
-            first_crossing_time(ONE, PROFILE_53.pair(w)) for w in omegas
+            first_crossing_time(ONE, PROFILE_53.pairs([w])[0]) for w in omegas
         )
         step = min_update(ONE, *pairs_and_crossings(ONE, omegas, PROFILE_53))
         for w in argmin_abscissas(*pairs_and_crossings(ONE, omegas, PROFILE_53)):
-            assert first_crossing_time(step, PROFILE_53.pair(w)) == pytest.approx(best, abs=1e-9)
+            assert first_crossing_time(step, PROFILE_53.pairs([w])[0]) == pytest.approx(best, abs=1e-9)
 
     def test_requires_normalized(self):
         shifted = PiecewiseLogAffineBound((0.0,), (0.0,), (0.5,))
@@ -399,7 +400,7 @@ def emitted_bounds(m, omegas, profile, h=0.15):
     """Every bound that update_bound, update_chain, min_update and iterate
     without the envelope, on a grid of step h up to T = 6, emit from m over
     the abscissas."""
-    bounds = [update_bound(m, profile.pair(w)) for w in omegas]
+    bounds = [update_bound(m, profile.pairs([w])[0]) for w in omegas]
     bounds += [update_chain(m, omegas, profile), min_update(m, *pairs_and_crossings(m, omegas, profile))]
     bounds += [step.bound for step in iterate(m, omegas, profile, 3, (h, round(6.0 / h)), envelope=False).steps]
     return bounds

@@ -120,8 +120,8 @@ def test_shift_shapes_match_bit_for_bit(family):
         m = shift_start(rng, family)
         omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=40).tolist())
         assert min_update(m, *pairs_and_crossings(m, omegas, DIFFOP)) == pairwise_min_update(m, omegas, DIFFOP)
-        for w in list(omegas)[::5]:
-            assert update_bound(m, DIFFOP.pair(w)) == pairwise_update(m, DIFFOP.pair(w))
+        for pair in DIFFOP.pairs(list(omegas)[::5]):
+            assert update_bound(m, pair) == pairwise_update(m, pair)
 
 
 def test_grid_interpolant_matches_bit_for_bit():
@@ -147,9 +147,9 @@ def test_chain_shapes_match_bit_for_bit():
         omegas = rng.uniform(lo, hi, size=30).tolist()
         assert min_update(m, *pairs_and_crossings(m, omegas, profile)) == pairwise_min_update(m, omegas, profile)
         cur = m
-        for w in omegas:
-            expected = pairwise_update(cur, profile.pair(w))
-            got = update_bound(cur, profile.pair(w))
+        for pair in profile.pairs(omegas):
+            expected = pairwise_update(cur, pair)
+            got = update_bound(cur, pair)
             assert got == expected
             kept += got is cur
             cur = expected
@@ -169,7 +169,7 @@ def test_random_starts_agree():
             omegas = OmegaSet.of(rng.uniform(a, b, size=int(rng.integers(1, 30))).tolist())
             got = min_update(m, *pairs_and_crossings(m, omegas, prof))
             assert allclose(got, pairwise_min_update(m, omegas, prof), 1e-12)
-            pair = prof.pair(omegas.values[0])
+            pair = prof.pairs([omegas.values[0]])[0]
             assert allclose(update_bound(m, pair), pairwise_update(m, pair), 1e-12)
 
 
@@ -309,6 +309,20 @@ def test_a_start_just_before_a_breakpoint_takes_it():
         assert (got.breakpoints, got.slopes, got.intercepts) == ((0.0, 2.0 - 5e-13), (1.0, -1.0), (0.0, 4.0))
 
 
+KINK = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [2.0])
+STEP = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [1.0])
+
+
+def test_tails_that_start_below_m():
+    # a line below m at its start is taken only from where it meets the result:
+    # the steeper one meets m at t = 1.25 and lies above it from there on, and
+    # the parallel one never meets it, so m's piece goes on without a jump;
+    # either way the result is m, above the exact minimum
+    assert min_with_tails(KINK, [(1.0, 3.0, -2.5)]) == KINK
+    assert min_with_tails(STEP, [(1.0, 0.0, -0.5)]) == STEP
+    assert min_with_tails(STEP, [(1.0, 0.0, -0.5), (0.5, 0.0, -0.25)]) == STEP
+
+
 RAW = PiecewiseLogAffineBound((0.0, 1.0, 1.0 + 1e-13), (1.0, -1.0, 0.5), (0.0, 2.0, 2.0 - 1.5 * (1.0 + 1e-13)))
 
 
@@ -351,7 +365,6 @@ def bound_and_tail(draw):
     return m, (start, slope, m.log_at(start) + lift - slope * start)
 
 
-KINK = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [2.0])
 # a downward jump of 8e-13 at t = 2, within the continuity tolerance
 JUMP = PiecewiseLogAffineBound((0.0, 2.0), (1.0, -1.0), (0.0, 4.0 - 8e-13))
 # a line through (1000, 1000) that rounds to m's value there at a smaller slope,
@@ -373,6 +386,7 @@ TIE = PiecewiseLogAffineBound.from_slopes([1.0, 0.0], [1000.000000000003])
 @example((KINK, (3.0, -2.0, 10.0)))  # less steep than m's last piece, crossing at t = 6: the crossing
 @example((KINK, (3.0, -1.0, 4.5)))  # parallel to m's last piece: the exit returns m; `at <= am` divides by 0
 @example((RAW, (3.0, 1.0, 100.0)))  # a raw m with breakpoints 1e-13 apart: the gap between m's breakpoints
+@example((STEP, (1.0, 0.0, -0.5)))  # parallel to m's piece and below it at s: the sweep never takes it
 def test_one_tail_exit_agrees_with_the_sweep(case):
     # a duplicate tail sends the call through the sweep, whose envelope drops
     # the copy; the exit must give the sweep's bound, and m itself exactly when
