@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -319,24 +320,83 @@ def _expire(live: list[tuple[float, float]], s: float) -> None:
         live.pop()
 
 
-def _line_never_taken(m: PiecewiseLogAffineBound, s: float, at: float, bt: float) -> bool:
-    """Whether the sweep of m and the one tail ``(s, at, bt)`` takes no tail line and
-    joins no piece (see :func:`min_with_tails`); each comparison is the sweep's own."""
+def _with_own_pieces(
+    pieces: list[tuple[float, float, float]] | None, m: PiecewiseLogAffineBound, s: float, start: int, stop: int
+) -> list[tuple[float, float, float]]:
+    """``pieces``, the sweep's pieces of m and a line from s on, with m's own
+    pieces ``start`` to ``stop - 1`` added as the sweep adds them.  Before the
+    line is first taken ``pieces`` is None, ``start`` is the piece that holds s,
+    and the sweep's pieces of m up to s come first."""
+    bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
+    if pieces is None:
+        j, start = start, start + (s != bps[start])
+        pieces = list(zip(bps[:start], slopes[:start], intercepts[:start]))
+        if start > j and stop > j:
+            pieces.append((s, slopes[j], intercepts[j]))  # m's piece at s
+    # a piece of m more than _BP_MERGE_TOL after m's piece before it passes
+    # _append_joined unchanged, as its check is the constructor's
+    while start < stop and not (
+        pieces
+        and pieces[-1][1:] == (slopes[start - 1], intercepts[start - 1])
+        and bps[start] - pieces[-1][0] > _BP_MERGE_TOL
+    ):
+        _append_joined(pieces, bps[start], slopes[start], intercepts[start])
+        start += 1
+    pieces.extend(zip(bps[start:stop], slopes[start:stop], intercepts[start:stop]))
+    return pieces
+
+
+def _min_with_line(
+    m: PiecewiseLogAffineBound, s: float, at: float, bt: float
+) -> PiecewiseLogAffineBound | None:
+    """The sweep of m and the one tail ``(s, at, bt)`` as one walk over m's pieces
+    from s (see :func:`min_with_tails`), or None for the inputs it leaves to the
+    sweep.  Each comparison, and each join where the minimum switches, is the
+    sweep's own; m's own pieces in between are copied."""
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     n = len(bps)
     j = m.piece_index(s)
+    am, bm = slopes[j], intercepts[j]
+    below = (am * s + bm) - (at * s + bt)
+    if (
+        s != bps[j] and (s - bps[j] <= _BP_MERGE_TOL or j + 1 < n and bps[j + 1] - s <= _BP_MERGE_TOL)
+        or below > CONTINUITY_TOL and below > _continuity_slack(s, am, bm, at, bt)
+        or n > 1 and min(map(operator.sub, bps[1:], bps)) <= _BP_MERGE_TOL
+    ):
+        return None
+    pieces = None  # the sweep's pieces, once it takes the line
+    run: int | None = j  # m's own pieces from run on are still to come; None on the line
     for k in range(j, n):
         x = bps[k] if k > j else s
         e = bps[k + 1] if k + 1 < n else math.inf
         am, bm = slopes[k], intercepts[k]
         vt, vm = at * x + bt, am * x + bm
         if vt < vm or (vt == vm and at < am):
-            return False
-        if at < am and max((bt - bm) / (am - at), x) < e - _BP_MERGE_TOL:
-            return False
-    if s != bps[j] and (s - bps[j] <= _BP_MERGE_TOL or j + 1 < n and bps[j + 1] - s <= _BP_MERGE_TOL):
-        return False
-    return all(t1 - t0 > _BP_MERGE_TOL for t0, t1 in zip(bps, bps[1:]))
+            if run is not None:
+                pieces = _with_own_pieces(pieces, m, s, run, k)
+            _append_joined(pieces, x, at, bt)
+            run = None
+        elif run is None:
+            _append_joined(pieces, x, am, bm)
+            run = k + 1
+        # at most one crossing, to the line of smaller slope
+        if run is None:
+            if am < at:
+                tc = max((bm - bt) / (at - am), x)
+                if tc < e - _BP_MERGE_TOL:
+                    _append_joined(pieces, tc, am, bm)
+                    run = k + 1
+        elif at < am:
+            tc = max((bt - bm) / (am - at), x)
+            if tc < e - _BP_MERGE_TOL:
+                pieces = _with_own_pieces(pieces, m, s, run, k + 1)
+                _append_joined(pieces, tc, at, bt)
+                run = None
+    if pieces is None:
+        return m
+    if run is not None:
+        pieces = _with_own_pieces(pieces, m, s, run, n)
+    return canonicalize(*zip(*pieces))
 
 
 def min_with_tails(
@@ -368,17 +428,29 @@ def min_with_tails(
     When the sweep takes no tail line and joins no piece, the result is m, and
     m itself is returned.
 
-    One tail ``(s, at, bt)`` returns m without a sweep when, on each interval
-    [x, e[ from s across m's later breakpoints, the line is not below m's piece
-    at x, nor tied there at a smaller slope, and its crossing max((bt - bm) /
-    (am - at), x) is not before e - ``_BP_MERGE_TOL``; and when s is a breakpoint
-    of m or more than ``_BP_MERGE_TOL`` from its neighbours, as m's breakpoints
-    are from each other, so no piece is joined.  Any other call is swept.
+    One tail ``(s, at, bt)`` is not swept but walked, with the sweep's own
+    comparisons: from the piece of m that holds s, each interval [x, e[ across
+    m's later breakpoints starts from the line if it is below m's piece at x,
+    or tied there at a smaller slope, and switches to the other one at most
+    once, where the two meet (or at x if that rounds before it), unless that is
+    not before e - ``_BP_MERGE_TOL``.  :func:`_append_joined` runs only where
+    the minimum switches and for the line at each interval start where it is
+    taken again.  m's own pieces in between are copied, as before the first
+    start: each one that follows m's piece before it by more than
+    ``_BP_MERGE_TOL`` would pass :func:`_append_joined` unchanged.  So the
+    pieces are the sweep's.  A line never taken returns m itself; otherwise
+    the pieces go through :func:`canonicalize` as the sweep's do.
+    Three inputs go to the sweep instead: a raw m; a start that is not a
+    breakpoint of m but lies within ``_BP_MERGE_TOL`` of one; and a line that
+    starts below m by more than the continuity slack, which
+    ``riccati.update_tail`` moves its start to avoid.
     """
     if not tails:
         return m
-    if len(tails) == 1 and _line_never_taken(m, *tails[0]):
-        return m
+    if len(tails) == 1:
+        walked = _min_with_line(m, *tails[0])
+        if walked is not None:
+            return walked
     order = sorted(tails)
     bps = m.breakpoints
     i = bisect.bisect_left(bps, order[0][0])  # m's pieces before the first start

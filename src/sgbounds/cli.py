@@ -29,7 +29,7 @@ from . import models
 from .bounds import PiecewiseLogAffineBound
 from .iteration import IterationTrace, OmegaSet, ResolventProfile, iterate, min_update, update_chain
 from .models import ConvergenceError, JordanBlockModel
-from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound
+from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound, update_tail
 
 __all__ = ["ConfigError", "main"]
 
@@ -345,15 +345,17 @@ def _cmd_update(args) -> int:
         pairs = dict(zip(keys, profile.pairs(keys)))
         set_pairs = [pairs[w] for w in distinct]
         crossings = [first_crossing_time(m0, pair) for pair in set_pairs]
+        tails = [update_tail(m0, pair, c) for pair, c in zip(set_pairs, crossings)]
         singles = [
-            (w, pair, c, min_update(m0, [pair], [c])) for w, pair, c in zip(distinct, set_pairs, crossings)
+            (w, pair, c, min_update(m0, [tail]))
+            for w, pair, c, tail in zip(distinct, set_pairs, crossings, tails)
         ]
         chain = []
         for w in order:
             crossing = first_crossing_time(cur, pairs[w])
-            cur = min_update(cur, [pairs[w]], [crossing])
+            cur = min_update(cur, [update_tail(cur, pairs[w], crossing)])
             chain.append((w, pairs[w], crossing, cur))
-        combined = min_update(m0, set_pairs, crossings)
+        combined = min_update(m0, tails)
         updates = {"singles": singles, "chain": chain}
     elif config.get("gp") is None:
         raise ConfigError("updates need a normalized initial_bound (log value 0 at t = 0)")

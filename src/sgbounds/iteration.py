@@ -13,12 +13,13 @@ one table lookup; :meth:`ResolventProfile.rate` is the rate of a one-element
 set, so one abscissa never gets two rates.
 
 The set update :func:`min_update` takes the pointwise minimum of the
-single-abscissa updates of m, given the pairs (omega, r) and m's crossing time
-for each, which :func:`argmin_abscissas` shares.  Each update keeps m up to its
-splice point and then takes the minimum with its tail line, so the minimum
-over the set is one sweep over m and all the tails, each counted from its own
-splice point on.  The sweep scans only the tails' lower envelope from the
-current point on, which holds few of a large set's tails.
+single-abscissa updates of m, given the tail of each, which the caller builds
+once per pair from m's crossing time (shared with :func:`argmin_abscissas`).
+Each update keeps m up to its splice point and then takes the minimum with
+its tail line, so the minimum over the set is one sweep over m and all the
+tails, each counted from its own splice point on.  The sweep scans only the
+tails' lower envelope from the current point on, which holds few of a large
+set's tails.
 
 The iteration :func:`iterate` alternates the best update over the whole
 abscissa set with the grid subadditive envelope.  The envelope runs only where
@@ -206,15 +207,15 @@ def argmin_abscissas(pairs: Sequence[OmegaRPair], crossings: Sequence[float]) ->
 
 
 def min_update(
-    m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair], crossings: Sequence[float]
+    m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float] | None]
 ) -> PiecewiseLogAffineBound:
-    """Pointwise minimum of the Riccati updates of m over the pairs: one sweep
-    over m and the tails (:func:`~sgbounds.bounds.min_with_tails`).
+    """Pointwise minimum of the Riccati updates of m whose tails are given: one
+    sweep over m and the tails (:func:`~sgbounds.bounds.min_with_tails`).
 
-    Requires ``crossings[i] == first_crossing_time(m, pairs[i])``.  With one
+    Each tail is ``update_tail(m, pair, first_crossing_time(m, pair))`` for a
+    pair, built once by the caller; a None tail leaves m unchanged.  With one
     pair this is :func:`~sgbounds.riccati.update_bound`.
     """
-    tails = [update_tail(m, pair, c) for pair, c in zip(pairs, crossings)]
     return min_with_tails(m, [tail for tail in tails if tail is not None])
 
 
@@ -266,7 +267,7 @@ def iterate(
     steps = [IterationStep(0, m, cur_grid, argmin_abscissas(pairs, crossings))]
     stationary_at = last_updated = None
     for k in range(1, max_steps + 1):
-        updated = min_update(cur, pairs, crossings)
+        updated = min_update(cur, [update_tail(cur, pair, c) for pair, c in zip(pairs, crossings)])
         if updated == last_updated:
             steps.append(IterationStep(k, cur, cur_grid, steps[-1].argmin_omegas))
             stationary_at = k - 1

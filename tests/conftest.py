@@ -6,14 +6,21 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time
+from sgbounds.riccati import update_tail
 
 
 def pairs_and_crossings(m, omegas, profile):
-    """The (pairs, crossings) that ``min_update`` and ``argmin_abscissas`` take for m
-    over the sorted distinct abscissas: the rates of one ``profile.pairs`` call, as
+    """The (pairs, crossings) that ``argmin_abscissas`` takes for m over the sorted
+    distinct abscissas: the rates of one ``profile.pairs`` call, as
     ``iterate`` takes them, and one crossing walk each."""
     pairs = profile.pairs(OmegaSet.of(omegas))
     return pairs, [first_crossing_time(m, pair) for pair in pairs]
+
+
+def update_tails(m, omegas, profile):
+    """The tails that ``min_update`` takes for m over the sorted distinct abscissas,
+    one ``update_tail`` per pair of :func:`pairs_and_crossings`."""
+    return [update_tail(m, pair, c) for pair, c in zip(*pairs_and_crossings(m, omegas, profile))]
 
 
 def random_log_concave_bound(rng: np.random.Generator, max_pieces: int = 4) -> PiecewiseLogAffineBound:

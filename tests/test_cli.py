@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import chain_profile, pairs_and_crossings, random_bound, random_log_concave_bound
+from conftest import chain_profile, random_bound, random_log_concave_bound, update_tails
 from sgbounds import GridBound, PiecewiseLogAffineBound, first_crossing_time, iterate, min_update, update_bound
 from sgbounds import cli, iteration
 from sgbounds.cli import main
@@ -186,7 +186,7 @@ class TestUpdate:
                 assert step["first_crossing"] == first_crossing_time(cur, pair)
                 cur = update_bound(cur, pair)
                 assert step["bound"] == cur.to_json_dict()
-            assert report["min_update"] == min_update(m0, *pairs_and_crossings(m0, omegas, profile)).to_json_dict()
+            assert report["min_update"] == min_update(m0, update_tails(m0, omegas, profile)).to_json_dict()
 
     def test_writes_both_formats(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_profile, pairs_and_crossings, random_log_concave_bound
+from conftest import chain_profile, pairs_and_crossings, random_log_concave_bound, update_tails
 from sgbounds import (
     GridBound,
     IterationStep,
@@ -32,6 +32,7 @@ from sgbounds import (
     update_chain,
 )
 from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate, jordan_semigroup_norm
+from sgbounds.riccati import update_tail
 
 ONE = PiecewiseLogAffineBound.constant()
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
@@ -177,11 +178,11 @@ class TestOmegaSet:
 
 class TestMinUpdate:
     def test_single_frequency_gives_wei(self):
-        got = min_update(ONE, *pairs_and_crossings(ONE, [0.0], PROFILE_53))
+        got = min_update(ONE, update_tails(ONE, [0.0], PROFILE_53))
         assert allclose(got, WEI, 1e-12)
 
     def test_two_frequencies_give_min_of_singles(self):
-        got = min_update(ONE, *pairs_and_crossings(ONE, [0.0, -1.0], PROFILE_53))
+        got = min_update(ONE, update_tails(ONE, [0.0, -1.0], PROFILE_53))
         expected = pointwise_min(
             update_bound(ONE, OmegaRPair(0.0, 1.0)), update_bound(ONE, OmegaRPair(-1.0, 0.05))
         )
@@ -190,14 +191,14 @@ class TestMinUpdate:
 
     def test_useless_frequencies_leave_bound_alone(self):
         profile = ResolventProfile.tabulated([(1.0, 0.5), (2.0, 1.0)])
-        got = min_update(ONE, *pairs_and_crossings(ONE, [1.0, 2.0], profile))
+        got = min_update(ONE, update_tails(ONE, [1.0, 2.0], profile))
         assert got == ONE
 
 
 class TestUpdateChain:
     def test_slow_then_reference_is_plain_min(self):
         got = update_chain(ONE, [-1.0, 0.0], PROFILE_53)
-        expected = min_update(ONE, *pairs_and_crossings(ONE, [0.0, -1.0], PROFILE_53))
+        expected = min_update(ONE, update_tails(ONE, [0.0, -1.0], PROFILE_53))
         assert allclose(got, expected, 1e-12)
 
     def test_reference_then_slow_improves_tail(self):
@@ -206,7 +207,7 @@ class TestUpdateChain:
         assert got.intercepts[-1] == pytest.approx(3.8490, abs=5e-4)
         assert got.breakpoints[-1] == pytest.approx(45.5641, abs=5e-3)
         # strictly below the plain min for large t
-        plain = min_update(ONE, *pairs_and_crossings(ONE, [0.0, -1.0], PROFILE_53))
+        plain = min_update(ONE, update_tails(ONE, [0.0, -1.0], PROFILE_53))
         assert got.log_at(60.0) < plain.log_at(60.0)
 
 
@@ -255,7 +256,7 @@ class TestIterate:
         best = min(
             first_crossing_time(ONE, PROFILE_53.pairs([w])[0]) for w in omegas
         )
-        step = min_update(ONE, *pairs_and_crossings(ONE, omegas, PROFILE_53))
+        step = min_update(ONE, update_tails(ONE, omegas, PROFILE_53))
         for w in argmin_abscissas(*pairs_and_crossings(ONE, omegas, PROFILE_53)):
             assert first_crossing_time(step, PROFILE_53.pairs([w])[0]) == pytest.approx(best, abs=1e-9)
 
@@ -284,7 +285,8 @@ def step_after(prev, pairs, h, n, envelope):
     """The update of ``prev.bound`` and the step iterate builds from it, recomputed
     without the repeat rule: sample the update, apply the envelope rule, walk
     every crossing of the new bound and take the argmin."""
-    updated = min_update(prev.bound, pairs, [first_crossing_time(prev.bound, pair) for pair in pairs])
+    tails = [update_tail(prev.bound, pair, first_crossing_time(prev.bound, pair)) for pair in pairs]
+    updated = min_update(prev.bound, tails)
     sampled = GridBound.sample(updated, h, n)
     if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
         bound, grid = updated, sampled
@@ -354,7 +356,7 @@ class TestEnvelopeSkip:
     def test_rise_start_runs_the_envelope(self, envelope_calls):
         m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
         omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), ResolventProfile(fn=diffop_rate), 0.05, 200
-        updated = min_update(m, *pairs_and_crossings(m, omegas, profile))
+        updated = min_update(m, update_tails(m, omegas, profile))
         assert not log_concavity(updated).is_concave
         trace = iterate(m, omegas, profile, 3, (h, n))
         assert envelope_calls
@@ -392,7 +394,7 @@ class TestIterateUpdatesOnly:
         assert envelope_calls == []
         assert len(trace.steps) > 1
         for prev, step in zip(trace.steps, trace.steps[1:]):
-            assert step.bound == min_update(prev.bound, *pairs_and_crossings(prev.bound, omegas, profile))
+            assert step.bound == min_update(prev.bound, update_tails(prev.bound, omegas, profile))
             assert step.grid == GridBound.sample(step.bound, h, n)
 
 
@@ -401,7 +403,7 @@ def emitted_bounds(m, omegas, profile, h=0.15):
     without the envelope, on a grid of step h up to T = 6, emit from m over
     the abscissas."""
     bounds = [update_bound(m, profile.pairs([w])[0]) for w in omegas]
-    bounds += [update_chain(m, omegas, profile), min_update(m, *pairs_and_crossings(m, omegas, profile))]
+    bounds += [update_chain(m, omegas, profile), min_update(m, update_tails(m, omegas, profile))]
     bounds += [step.bound for step in iterate(m, omegas, profile, 3, (h, round(6.0 / h)), envelope=False).steps]
     return bounds
 

@@ -23,9 +23,9 @@ from conftest import (
     bounds_strategy,
     chain_profile,
     lattice_bounds_strategy,
-    pairs_and_crossings,
     random_bound,
     random_log_concave_bound,
+    update_tails,
 )
 from sgbounds import (
     OmegaSet,
@@ -40,6 +40,7 @@ from sgbounds import (
     update_bound,
     update_chain,
 )
+from sgbounds import bounds
 from sgbounds.bounds import _BP_MERGE_TOL, _append_joined, _expire, _insert, min_with_tails
 from sgbounds.models import diffop_rate
 from sgbounds.riccati import update_tail
@@ -109,7 +110,7 @@ def test_workload_size_matches_bit_for_bit(family):
     omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=200).tolist())
     for _ in range(2):
         expected = pairwise_min_update(m, omegas, DIFFOP)
-        assert min_update(m, *pairs_and_crossings(m, omegas, DIFFOP)) == expected
+        assert min_update(m, update_tails(m, omegas, DIFFOP)) == expected
         m = expected
 
 
@@ -119,7 +120,7 @@ def test_shift_shapes_match_bit_for_bit(family):
     for _ in range(6):
         m = shift_start(rng, family)
         omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=40).tolist())
-        assert min_update(m, *pairs_and_crossings(m, omegas, DIFFOP)) == pairwise_min_update(m, omegas, DIFFOP)
+        assert min_update(m, update_tails(m, omegas, DIFFOP)) == pairwise_min_update(m, omegas, DIFFOP)
         for pair in DIFFOP.pairs(list(omegas)[::5]):
             assert update_bound(m, pair) == pairwise_update(m, pair)
 
@@ -133,7 +134,7 @@ def test_grid_interpolant_matches_bit_for_bit():
     interpolant = iterate(m0, omegas, DIFFOP, 1, (0.05, 1000)).steps[1].bound
     assert len(interpolant.breakpoints) >= 500
     expected = pairwise_min_update(interpolant, omegas, DIFFOP)
-    assert min_update(interpolant, *pairs_and_crossings(interpolant, omegas, DIFFOP)) == expected
+    assert min_update(interpolant, update_tails(interpolant, omegas, DIFFOP)) == expected
 
 
 def test_chain_shapes_match_bit_for_bit():
@@ -145,7 +146,7 @@ def test_chain_shapes_match_bit_for_bit():
         profile, lo, hi = chain_profile(rng, 60)
         m = chain_start(rng)
         omegas = rng.uniform(lo, hi, size=30).tolist()
-        assert min_update(m, *pairs_and_crossings(m, omegas, profile)) == pairwise_min_update(m, omegas, profile)
+        assert min_update(m, update_tails(m, omegas, profile)) == pairwise_min_update(m, omegas, profile)
         cur = m
         for pair in profile.pairs(omegas):
             expected = pairwise_update(cur, pair)
@@ -167,7 +168,7 @@ def test_random_starts_agree():
         m = random_bound(rng, 8) if k % 2 else random_log_concave_bound(rng, 8)
         for prof, (a, b) in ((DIFFOP, (-3.0, 3.0)), (profile, (lo, hi))):
             omegas = OmegaSet.of(rng.uniform(a, b, size=int(rng.integers(1, 30))).tolist())
-            got = min_update(m, *pairs_and_crossings(m, omegas, prof))
+            got = min_update(m, update_tails(m, omegas, prof))
             assert allclose(got, pairwise_min_update(m, omegas, prof), 1e-12)
             pair = prof.pairs([omegas.values[0]])[0]
             assert allclose(update_bound(m, pair), pairwise_update(m, pair), 1e-12)
@@ -349,19 +350,19 @@ def test_raw_bound_with_close_breakpoints(tails, expected):
     assert (got.breakpoints, got.slopes, got.intercepts) == expected
 
 
-# -- the one-tail exit ----------------------------------------------------------
+# -- the one-tail walk ----------------------------------------------------------
 
 
 @st.composite
 def bound_and_tail(draw):
     """A bound and one tail starting on, near or away from its breakpoints, on,
-    just above or anywhere around it, parallel to one of its pieces or not."""
+    just above or below or anywhere around it, parallel to one of its pieces or not."""
     m = draw(bounds_strategy(max_pieces=6) | lattice_bounds_strategy(max_pieces=6))
-    offsets = st.sampled_from([0.0, -5e-13, 5e-13, -2e-12, 2e-12])
+    offsets = st.sampled_from([0.0, *(d * sign for d in (1e-13, 5e-13, 1.5e-12, 2e-12, 3e-12) for sign in (-1, 1))])
     near = st.builds(lambda t, d: max(t + d, 0.0), st.sampled_from(m.breakpoints), offsets)
     start = draw(near | st.floats(0.0, m.breakpoints[-1] + 4.0))
     slope = draw(st.sampled_from(m.slopes) | st.floats(-4.0, 4.0))
-    lift = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(-0.5, 2.0))
+    lift = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-12]) | st.floats(-0.5, 2.0))
     return m, (start, slope, m.log_at(start) + lift - slope * start)
 
 
@@ -374,26 +375,57 @@ TIE = PiecewiseLogAffineBound.from_slopes([1.0, 0.0], [1000.000000000003])
 
 @settings(max_examples=400, deadline=None)
 @given(bound_and_tail())
-# each comment names the guard of the exit whose loss fails the case, or says that the exit returns m
-@example((KINK, (2.0, 3.0, 10.0)))  # s at a breakpoint: the exit returns m
+# each comment names the rule of the walk whose loss fails the case, or says that the walk returns m
+@example((KINK, (2.0, 3.0, 10.0)))  # s at a breakpoint: the walk returns m
 @example((KINK, (2.0 - 5e-13, 3.0, 10.0)))  # s within 1e-12 before a breakpoint: the next-breakpoint gap
 @example((KINK, (2.0 + 5e-13, 3.0, 10.0)))  # s within 1e-12 after one: the previous-breakpoint gap
 @example((KINK, (1.0, 3.0, -2.5)))  # below m at s and steeper, above it from t = 1.25: the value at x
 @example((KINK, (1.0, 0.5, 0.5)))  # a tie at s at a smaller slope: the tie and the crossing each
 @example((TIE, (1000.0, 0.999, 1.000000000000013)))  # a tie whose crossing rounds late: the tie
-@example((JUMP, (1.0, 0.5, 1.0 - 2.5e-13)))  # a crossing 5e-13 before an interval end: the exit returns m
+@example((JUMP, (1.0, 0.5, 1.0 - 2.5e-13)))  # a crossing 5e-13 before an interval end: the walk returns m
 @example((JUMP, (1.0, 0.5, 1.0 - 6e-13)))  # a crossing 1.2e-12 before it: the crossing's tolerance
 @example((KINK, (3.0, -2.0, 10.0)))  # less steep than m's last piece, crossing at t = 6: the crossing
-@example((KINK, (3.0, -1.0, 4.5)))  # parallel to m's last piece: the exit returns m; `at <= am` divides by 0
+@example((KINK, (3.0, -1.0, 4.5)))  # parallel to m's last piece: the walk returns m; `at <= am` divides by 0
 @example((RAW, (3.0, 1.0, 100.0)))  # a raw m with breakpoints 1e-13 apart: the gap between m's breakpoints
-@example((STEP, (1.0, 0.0, -0.5)))  # parallel to m's piece and below it at s: the sweep never takes it
-def test_one_tail_exit_agrees_with_the_sweep(case):
+@example((STEP, (1.0, 0.0, -0.5)))  # parallel to m's piece, 0.5 below it at s: left to the sweep, which never takes it
+# a parallel line 1e-13 below m from s on, taken at 2.5 only: the line appended again at 2.5
+@example((PiecewiseLogAffineBound.from_slopes([-1.5, 0.25, -0.5], [0.75, 2.5]), (2.0, 0.25, -1.3125000000001)))
+# a start 1.5e-12 before m's kink, kept as a breakpoint: m's own piece at s before the crossing
+@example((PiecewiseLogAffineBound.from_slopes([-1.75, 0.5], [2.75]), (2.7499999999985, -1.0, -2.0624999999987743)))
+# parallel to m's next piece, 1.5e-12 above it: the join back to m at 4 appends nothing, so m's piece at 8 is joined
+@example((PiecewiseLogAffineBound.from_slopes([0.5, 2.5, 4.0], [4.0, 8.0]), (3.99999999999875, 2.5, -7.9999999999985)))
+def test_one_tail_walk_agrees_with_the_sweep(case):
     # a duplicate tail sends the call through the sweep, whose envelope drops
-    # the copy; the exit must give the sweep's bound, and m itself exactly when
+    # the copy; the walk must give the sweep's bound, and m itself exactly when
     # the sweep does
     m, tail = case
     got, swept = min_with_tails(m, [tail]), min_with_tails(m, [tail, tail])
     assert got == swept and (got is m) == (swept is m)
+
+
+def test_one_tail_walk_joins_only_where_the_line_is_lowest(monkeypatch):
+    # a line below a 1000-piece concave m from s = 100 on, up to where m's
+    # steeper pieces cross it: m's own pieces on either side are copied, so
+    # joins are made only for the line, once per piece of m it runs along,
+    # and for m where it comes back
+    m = PiecewiseLogAffineBound.from_slopes([-k / 1000.0 for k in range(1000)], [float(k) for k in range(1, 1000)])
+    s = 100.0
+    tail = (s, -0.12, m.log_at(s) + 0.12 * s)
+    joins = 0
+
+    def counting(*args):
+        nonlocal joins
+        joins += 1
+        return _append_joined(*args)
+
+    monkeypatch.setattr(bounds, "_append_joined", counting)
+    got = min_with_tails(m, [tail])
+    walked = joins
+    assert got == min_with_tails(m, [tail, tail])
+    (k,) = [k for k, a in enumerate(got.slopes) if a == tail[1]]
+    lowest = m.piece_index(got.breakpoints[k + 1]) - m.piece_index(got.breakpoints[k]) + 1
+    assert lowest < 100
+    assert 0 < walked <= lowest + 2
 
 
 # -- the tails' lower envelope -------------------------------------------------
