@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgbounds import OmegaRPair, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time, update_bound
+from sgbounds import OmegaRPair, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time, models, update_bound
 from sgbounds.models import (
     ConvergenceError,
     JordanBlockModel,
@@ -158,6 +158,16 @@ DIFFOP_OMEGAS = np.concatenate([
 ])
 
 
+# abscissas that share one array: random ones from the overflow to 100, and
+# omega = -1 +- 10^-k, where the computed secular function is flat over many
+# ulps of the root
+SHARED_OMEGAS = np.concatenate([
+    np.random.default_rng(95).uniform(-354.8, 100.0, 1980),
+    [-1.0 + sign * 10.0**-k for k in range(1, 10) for sign in (1.0, -1.0)],
+    [-354.8, 100.0],
+])
+
+
 class TestRoundedDown:
     def test_diffop_rates_against_mpmath(self):
         for w, rate in zip(DIFFOP_OMEGAS.tolist(), diffop_rate(DIFFOP_OMEGAS).tolist()):
@@ -191,6 +201,32 @@ class TestArrayPath:
             model = JordanBlockModel(n)
             ws = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 400))
             assert jordan_resolvent_rate(model, ws).tolist() == [jordan_resolvent_rate(model, w) for w in ws.tolist()]
+
+    def test_a_rate_does_not_depend_on_its_array(self):
+        # each abscissa gets the same rate alone, in the whole set and in a
+        # shuffled copy: no element's narrowing may depend on the others
+        ws = SHARED_OMEGAS
+        rates = diffop_rate(ws)
+        order = np.random.default_rng(96).permutation(len(ws))
+        assert diffop_rate(ws[order]).tolist() == rates[order].tolist()
+        assert [diffop_rate(np.array([w]))[0] for w in ws.tolist()] == rates.tolist()
+
+    def test_the_finishing_bisection_is_short(self, monkeypatch):
+        # the Newton narrowing leaves brackets that the bisection closes to
+        # adjacent floats in a few masked steps, on the whole set at once
+        steps, bisect_array = [], models._bisect_array
+
+        def counting(f, lo, hi, increasing):
+            def counted(x):
+                steps[-1] += 1
+                return f(x)
+
+            steps.append(0)
+            return bisect_array(counted, lo, hi, increasing)
+
+        monkeypatch.setattr(models, "_bisect_array", counting)
+        diffop_rate(SHARED_OMEGAS)
+        assert len(steps) == 2 and max(steps) <= 12, steps
 
     def test_empty_array(self):
         assert diffop_rate(np.array([])).shape == (0,)
@@ -343,6 +379,34 @@ class TestJordanExponential:
     def test_norm_negative_time_rejected(self):
         with pytest.raises(ValueError):
             jordan_semigroup_norm(JordanBlockModel(2), -1.0)
+
+    @pytest.mark.parametrize("ts", [[0.0, 1.0, -1e-300, 2.0], [-1.0], [[0.0, 1.0], [2.0, -3.0]]])
+    def test_a_negative_time_anywhere_in_an_array_is_rejected(self, ts):
+        with pytest.raises(ValueError, match="nonnegative"):
+            jordan_semigroup_norm(JordanBlockModel(3), np.array(ts))
+
+    def test_a_float_is_a_one_element_array(self):
+        for n in (1, 3, 8):
+            model = JordanBlockModel(n)
+            for t in (0.0, 1e-3, 0.7, 5.0, 20.0):
+                got = jordan_semigroup_norm(model, t)
+                assert type(got) is float and got == jordan_semigroup_norm(model, np.array([t]))[0]
+                assert (jordan_matrix_exponential(model, t) == jordan_matrix_exponential(model, np.array([t]))[0]).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_stacked_norms_equal_the_per_time_loop(self, n):
+        # one stacked SVD gives, bit for bit, what one exponential and one
+        # 2-norm per time give, t = 0 included
+        def per_time(t: float) -> float:
+            out, coeff = np.zeros((n, n)), 1.0
+            for d in range(n):
+                if d > 0:
+                    coeff *= t / d
+                out += coeff * np.eye(n, k=d)
+            return float(np.linalg.norm(out, 2))
+
+        ts = np.linspace(0.0, 20.0, 2001)
+        assert jordan_semigroup_norm(JordanBlockModel(n), ts).tolist() == [per_time(t) for t in ts.tolist()]
 
 
 class TestNumericalRange:
