@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +54,8 @@ class PiecewiseLogAffineBound:
     """A continuous function m > 0 on [0, inf) with piecewise-affine log m.
 
     Invariants (enforced on construction):
-      * breakpoints start at 0 and increase strictly;
+      * breakpoints start at 0 and increase by more than ``_BP_MERGE_TOL``
+        (:func:`canonicalize` merges closer ones);
       * adjacent pieces have distinct slopes (canonical form);
       * pieces agree at interior breakpoints to within ``CONTINUITY_TOL``.
 
@@ -73,15 +73,17 @@ class PiecewiseLogAffineBound:
             raise ValueError("breakpoints, slopes and intercepts must have equal nonzero length")
         if bps[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        # one walk over adjacent pieces: an order fault anywhere is reported
-        # first, then a value that is not finite, then the first slope or
-        # continuity fault
+        # one walk over adjacent pieces: an order or gap fault anywhere is
+        # reported first, then a value that is not finite, then the first
+        # slope or continuity fault
         finite = math.isfinite(slopes[-1]) and math.isfinite(intercepts[-1])
         fault = None
         pairs = zip(bps, bps[1:], slopes, intercepts, slopes[1:], intercepts[1:])
         for j, (s, t, a_l, b_l, a_r, b_r) in enumerate(pairs):
-            if not s < t:
-                raise ValueError("breakpoints must increase strictly")
+            if not t - s > _BP_MERGE_TOL:
+                if not s < t:
+                    raise ValueError("breakpoints must increase strictly")
+                raise ValueError(f"breakpoints {s!r} and {t!r} lie within {_BP_MERGE_TOL:g}; not canonical")
             if not (math.isfinite(t) and math.isfinite(a_l) and math.isfinite(b_l)):
                 finite = False
             elif fault is None:
@@ -350,7 +352,7 @@ def _min_with_line(
     m: PiecewiseLogAffineBound, s: float, at: float, bt: float
 ) -> PiecewiseLogAffineBound | None:
     """The sweep of m and the one tail ``(s, at, bt)`` as one walk over m's pieces
-    from s (see :func:`min_with_tails`), or None for the inputs it leaves to the
+    from s (see :func:`min_with_tails`), or None for a start it leaves to the
     sweep.  Each comparison, and each join where the minimum switches, is the
     sweep's own; m's own pieces in between are copied."""
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
@@ -358,11 +360,9 @@ def _min_with_line(
     j = m.piece_index(s)
     am, bm = slopes[j], intercepts[j]
     below = (am * s + bm) - (at * s + bt)
-    if (
-        s != bps[j] and (s - bps[j] <= _BP_MERGE_TOL or j + 1 < n and bps[j + 1] - s <= _BP_MERGE_TOL)
-        or below > CONTINUITY_TOL and below > _continuity_slack(s, am, bm, at, bt)
-        or n > 1 and min(map(operator.sub, bps[1:], bps)) <= _BP_MERGE_TOL
-    ):
+    if below > CONTINUITY_TOL and below > _continuity_slack(s, am, bm, at, bt):
+        raise ValueError(f"tail starts {below:g} below m at t = {s!r}")
+    if s != bps[j] and (s - bps[j] <= _BP_MERGE_TOL or j + 1 < n and bps[j + 1] - s <= _BP_MERGE_TOL):
         return None
     pieces = None  # the sweep's pieces, once it takes the line
     run: int | None = j  # m's own pieces from run on are still to come; None on the line
@@ -403,11 +403,9 @@ def min_with_tails(
     m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float]]
 ) -> PiecewiseLogAffineBound:
     """Pointwise minimum of m and the lines ``(start, slope, intercept)``, each
-    counted only on [start, inf), in canonical form.  A tail that starts below m
-    is taken only from where its line meets the result, and a parallel one, which
-    never meets it, is never taken; the result then lies above the minimum.  So
-    only tails that start on or above m, as ``riccati.update_tail``'s do, give
-    the exact minimum.
+    counted only on [start, inf), in canonical form.  Each tail must start on or
+    above m, up to the continuity slack, as ``riccati.update_tail``'s do; one that
+    starts lower raises ValueError.
 
     One sweep over the breakpoints of m and the tail starts, keeping the tails'
     lower envelope on [s, inf) for each interval start s, the last line lowest
@@ -421,12 +419,11 @@ def min_with_tails(
     of folding ``splice(m, pointwise_min(m, tail), start)`` over the tails with
     :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
 
-    m's pieces before the first tail start are copied as they are: where m's
+    m's pieces before the first tail start are copied as they are: as m's
     breakpoints lie more than ``_BP_MERGE_TOL`` apart, the constructor's
     continuity check is the one :func:`_append_joined` makes, so they would
-    pass it unchanged.  A raw m with closer breakpoints there is swept whole.
-    When the sweep takes no tail line and joins no piece, the result is m, and
-    m itself is returned.
+    pass it unchanged.  When the sweep takes no tail line and joins no piece,
+    the result is m, and m itself is returned.
 
     One tail ``(s, at, bt)`` is not swept but walked, with the sweep's own
     comparisons: from the piece of m that holds s, each interval [x, e[ across
@@ -439,11 +436,9 @@ def min_with_tails(
     start: each one that follows m's piece before it by more than
     ``_BP_MERGE_TOL`` would pass :func:`_append_joined` unchanged.  So the
     pieces are the sweep's.  A line never taken returns m itself; otherwise
-    the pieces go through :func:`canonicalize` as the sweep's do.
-    Three inputs go to the sweep instead: a raw m; a start that is not a
-    breakpoint of m but lies within ``_BP_MERGE_TOL`` of one; and a line that
-    starts below m by more than the continuity slack, which
-    ``riccati.update_tail`` moves its start to avoid.
+    the pieces go through :func:`canonicalize` as the sweep's do.  One input
+    goes to the sweep instead: a start that is not a breakpoint of m but lies
+    within ``_BP_MERGE_TOL`` of one.
     """
     if not tails:
         return m
@@ -454,8 +449,6 @@ def min_with_tails(
     order = sorted(tails)
     bps = m.breakpoints
     i = bisect.bisect_left(bps, order[0][0])  # m's pieces before the first start
-    if any(t1 - t0 <= _BP_MERGE_TOL for t0, t1 in zip(bps[:i], bps[1:i])):
-        i = 0
     pieces: list[tuple[float, float, float]] = list(zip(bps[:i], m.slopes[:i], m.intercepts[:i]))
     base = sorted({*bps[i:], *(tail[0] for tail in order)})
     live: list[tuple[float, float]] = []  # the tails' lower envelope on [s, inf)
@@ -466,11 +459,15 @@ def min_with_tails(
         # base holds the breakpoints of m from its first point on, so none lies inside [s, e[
         while j + 1 < n and bps[j + 1] <= s:
             j += 1
+        am, bm = m.slopes[j], m.intercepts[j]
         while k < len(order) and order[k][0] <= s:
-            _insert(live, order[k][1:])
+            _, at, bt = order[k]  # s is this tail's start
+            below = (am * s + bm) - (at * s + bt)
+            if below > CONTINUITY_TOL and below > _continuity_slack(s, am, bm, at, bt):
+                raise ValueError(f"tail starts {below:g} below m at t = {s!r}")
+            _insert(live, (at, bt))
             k += 1
         _expire(live, s)
-        am, bm = m.slopes[j], m.intercepts[j]
         a, b = am, bm
         if live:
             at, bt = live[-1]

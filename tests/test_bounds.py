@@ -74,6 +74,10 @@ class TestConstruction:
             (((0.0, 1.0), (0.0, -1.0), (0.0, -math.inf)), "bound data must be finite"),
             (((0.0, 1.0), (1.0, 1.0), (0.0, 0.0)), "adjacent pieces 0, 1 share a slope; not canonical"),
             (((0.0, 1.0), (0.0, 1.0), (0.0, 5.0)), "discontinuity -6 at breakpoint 1"),
+            (
+                ((0.0, 1.0, 1.0 + 1e-13), (1.0, -1.0, 0.5), (0.0, 2.0, 0.5)),
+                "breakpoints 1.0 and 1.0000000000001 lie within 1e-12; not canonical",
+            ),
         ],
     )
     def test_each_fault_has_its_message(self, pieces, message):
@@ -101,6 +105,15 @@ class TestConstruction:
     def test_from_knots_extends_last_slope(self):
         m = PiecewiseLogAffineBound.from_knots([0.0, 1.0, 2.0], [0.0, -1.0, -3.0])
         assert m.log_at(4.0) == pytest.approx(-7.0, abs=1e-12)
+
+    def test_close_breakpoints_are_merged_on_read(self):
+        # the later piece takes the shared start, as canonicalize gives it
+        data = {"breakpoints": [0.0, 1.0, 1.0 + 1e-13], "slopes": [1.0, -1.0, 0.5], "intercepts": [0.0, 2.0, 0.5]}
+        merged = PiecewiseLogAffineBound((0.0, 1.0), (1.0, 0.5), (0.0, 0.5))
+        assert PiecewiseLogAffineBound.from_json_dict(data) == merged
+        built = PiecewiseLogAffineBound.from_slopes([1.0, -1.0, 0.5], [1.0, 1.0 + 1e-13])
+        assert (built.breakpoints, built.slopes) == ((0.0, 1.0), (1.0, 0.5))
+        assert allclose(built, merged, 1e-12)
 
     def test_canonicalize_merges_equal_slopes(self):
         m = canonicalize((0.0, 1.0, 2.0), (0.0, 0.0, -1.0), (0.0, 0.0, 2.0))

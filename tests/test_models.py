@@ -116,14 +116,18 @@ class TestRate:
 
 def diffop_oracle(omega: float):
     """r(omega) from a 50-digit root of the secular equation, refined from the
-    bisection's root."""
+    bisection's root; on the trigonometric branch inside a bracket within
+    ]0, pi[, which the secant solver can leave for large omega."""
     with mpmath.workdps(50):
         x = mpmath.mpf(omega)
         if omega == -1.0:
             return mpmath.mpf(1)
         nu_sq = mpmath.mpf(diffop_eigenroot(omega))
         if omega > -1.0:
-            nu = mpmath.findroot(lambda v: -v * mpmath.cot(v) - x, mpmath.sqrt(nu_sq))
+            nu0 = mpmath.sqrt(nu_sq)
+            eps = mpmath.mpf("1e-12")
+            bracket = (nu0 * (1 - eps), min(nu0 * (1 + eps), mpmath.pi * (1 - mpmath.mpf("1e-40"))))
+            nu = mpmath.findroot(lambda v: -v * mpmath.cot(v) - x, bracket, solver="anderson")
             return mpmath.sqrt(x * x + nu * nu)
         eta = mpmath.findroot(lambda e: -e * mpmath.coth(e) - x, mpmath.sqrt(-nu_sq))
         return mpmath.sqrt(2 * eta / mpmath.expm1(2 * eta) * (eta - x))
@@ -171,6 +175,12 @@ SHARED_OMEGAS = np.concatenate([
 class TestRoundedDown:
     def test_diffop_rates_against_mpmath(self):
         for w, rate in zip(DIFFOP_OMEGAS.tolist(), diffop_rate(DIFFOP_OMEGAS).tolist()):
+            assert_rounded_down(rate, diffop_oracle(w))
+
+    def test_diffop_rates_for_large_omega_against_mpmath(self):
+        # log-uniform in [1, 1e15]: nu lies about pi / omega below pi
+        ws = np.exp(np.random.default_rng(96).uniform(0.0, math.log(1e15), 200))
+        for w, rate in zip(ws.tolist(), diffop_rate(ws).tolist()):
             assert_rounded_down(rate, diffop_oracle(w))
 
     def test_jordan_rates_against_mpmath(self):
