@@ -73,28 +73,33 @@ class PiecewiseLogAffineBound:
             raise ValueError("breakpoints, slopes and intercepts must have equal nonzero length")
         if bps[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
+        # a finite sum has finite terms, so only a sum that is not finite
+        # needs the test of each value
+        finite = math.isfinite(sum(bps, sum(slopes, sum(intercepts)))) or all(
+            map(math.isfinite, (*bps, *slopes, *intercepts))
+        )
         # one walk over adjacent pieces: an order or gap fault anywhere is
         # reported first, then a value that is not finite, then the first
-        # slope or continuity fault
-        finite = math.isfinite(slopes[-1]) and math.isfinite(intercepts[-1])
-        fault = None
+        # slope or continuity fault, where a jump that is not finite (a piece
+        # overflows at a breakpoint) counts as data that is not finite
+        fault = None if finite else "bound data must be finite"
         pairs = zip(bps, bps[1:], slopes, intercepts, slopes[1:], intercepts[1:])
         for j, (s, t, a_l, b_l, a_r, b_r) in enumerate(pairs):
             if not t - s > _BP_MERGE_TOL:
                 if not s < t:
                     raise ValueError("breakpoints must increase strictly")
                 raise ValueError(f"breakpoints {s!r} and {t!r} lie within {_BP_MERGE_TOL:g}; not canonical")
-            if not (math.isfinite(t) and math.isfinite(a_l) and math.isfinite(b_l)):
-                finite = False
-            elif fault is None:
+            if fault is None:
                 if a_l == a_r:
                     fault = f"adjacent pieces {j}, {j+1} share a slope; not canonical"
                 else:
-                    left, right = a_l * t + b_l, a_r * t + b_r
-                    if abs(left - right) > _continuity_slack(t, a_l, b_l, a_r, b_r):
-                        fault = f"discontinuity {left - right:g} at breakpoint {t:g}"
-        if not finite:
-            raise ValueError("bound data must be finite")
+                    jump = (a_l * t + b_l) - (a_r * t + b_r)
+                    # the slack is never below CONTINUITY_TOL
+                    if not -CONTINUITY_TOL <= jump <= CONTINUITY_TOL:
+                        if not math.isfinite(jump):
+                            fault = "bound data must be finite"
+                        elif abs(jump) > _continuity_slack(t, a_l, b_l, a_r, b_r):
+                            fault = f"discontinuity {jump:g} at breakpoint {t:g}"
         if fault is not None:
             raise ValueError(fault)
 
@@ -242,11 +247,16 @@ def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float
     left a jump at lo, start it where its line meets the last piece's.  A parallel
     line beyond the continuity slack never meets it, so the last piece goes on and
     nothing is appended.  A last piece at most _BP_MERGE_TOL wide gives up its start
-    to it, as in canonicalize."""
+    to it, as in canonicalize, so the starts stay more than _BP_MERGE_TOL apart and
+    :func:`_canonical` can finish the pieces.  The same line more than
+    _BP_MERGE_TOL later is appended as it is."""
     while pieces:
         t0, a0, b0 = pieces[-1]
         if lo - t0 > _BP_MERGE_TOL:
-            if a0 == a and b0 == b or abs((a0 * lo + b0) - (a * lo + b)) <= _continuity_slack(lo, a0, b0, a, b):
+            if a0 == a and b0 == b:
+                break
+            jump = abs((a0 * lo + b0) - (a * lo + b))
+            if jump <= CONTINUITY_TOL or jump <= _continuity_slack(lo, a0, b0, a, b):
                 break
             if a0 == a:
                 return
@@ -256,6 +266,14 @@ def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float
         lo = t0
         pieces.pop()
     pieces.append((lo, a, b))
+
+
+def _canonical(pieces: list[tuple[float, float, float]]) -> PiecewiseLogAffineBound:
+    """The bound of a merge's pieces, whose starts lie more than _BP_MERGE_TOL
+    apart: of :func:`canonicalize`'s work only the merge of equal slopes is left,
+    each run kept from its first piece."""
+    kept = [pieces[0], *(q for p, q in zip(pieces, pieces[1:]) if q[1] != p[1])]
+    return PiecewiseLogAffineBound(*zip(*kept))
 
 
 def pointwise_min(
@@ -286,7 +304,7 @@ def pointwise_min(
             probe = _probe(lo, hi)
             a, b = (a2, b2) if a2 * probe + b2 < a1 * probe + b1 else (a1, b1)
             _append_joined(pieces, lo, a, b)
-    return canonicalize(*zip(*pieces))
+    return _canonical(pieces)
 
 
 def _cross(hi: tuple[float, float], lo: tuple[float, float]) -> float:
@@ -374,8 +392,12 @@ def _min_with_line(
         if vt < vm or (vt == vm and at < am):
             if run is not None:
                 pieces = _with_own_pieces(pieces, m, s, run, k)
-            _append_joined(pieces, x, at, bt)
-            run = None
+                _append_joined(pieces, x, at, bt)
+                run = None
+            elif pieces[-1][1:] == (at, bt) and x - pieces[-1][0] > _BP_MERGE_TOL:
+                pieces.append((x, at, bt))  # the line taken again, as _append_joined appends it
+            else:
+                _append_joined(pieces, x, at, bt)
         elif run is None:
             _append_joined(pieces, x, am, bm)
             run = k + 1
@@ -396,7 +418,7 @@ def _min_with_line(
         return m
     if run is not None:
         pieces = _with_own_pieces(pieces, m, s, run, n)
-    return canonicalize(*zip(*pieces))
+    return _canonical(pieces)
 
 
 def min_with_tails(
@@ -419,6 +441,12 @@ def min_with_tails(
     of folding ``splice(m, pointwise_min(m, tail), start)`` over the tails with
     :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
 
+    An interval that starts on the line already last, more than
+    ``_BP_MERGE_TOL`` after its start, appends it again as it is, as
+    :func:`_append_joined` would; a later join that takes over the start of a
+    piece at most that wide then stops there.  The starts stay more than
+    ``_BP_MERGE_TOL`` apart, so :func:`_canonical` only merges equal slopes.
+
     m's pieces before the first tail start are copied as they are: as m's
     breakpoints lie more than ``_BP_MERGE_TOL`` apart, the constructor's
     continuity check is the one :func:`_append_joined` makes, so they would
@@ -431,14 +459,14 @@ def min_with_tails(
     or tied there at a smaller slope, and switches to the other one at most
     once, where the two meet (or at x if that rounds before it), unless that is
     not before e - ``_BP_MERGE_TOL``.  :func:`_append_joined` runs only where
-    the minimum switches and for the line at each interval start where it is
-    taken again.  m's own pieces in between are copied, as before the first
-    start: each one that follows m's piece before it by more than
-    ``_BP_MERGE_TOL`` would pass :func:`_append_joined` unchanged.  So the
-    pieces are the sweep's.  A line never taken returns m itself; otherwise
-    the pieces go through :func:`canonicalize` as the sweep's do.  One input
-    goes to the sweep instead: a start that is not a breakpoint of m but lies
-    within ``_BP_MERGE_TOL`` of one.
+    the minimum switches; the line taken again at an interval start is
+    appended again as it is, as in the sweep.  m's own pieces in between are
+    copied, as before the first start: each one that follows m's piece before
+    it by more than ``_BP_MERGE_TOL`` would pass :func:`_append_joined`
+    unchanged.  So the pieces are the sweep's.  A line never taken returns m
+    itself; otherwise the pieces go to :func:`_canonical` as the sweep's do.
+    One input goes to the sweep instead: a start that is not a breakpoint of m
+    but lies within ``_BP_MERGE_TOL`` of one.
     """
     if not tails:
         return m
@@ -475,9 +503,12 @@ def min_with_tails(
             if vt < vm or (vt == vm and at < am):
                 a, b = at, bt
                 took_tail = True
+        if pieces and pieces[-1][1:] == (a, b) and s - pieces[-1][0] > _BP_MERGE_TOL:
+            pieces.append((s, a, b))  # the last line taken again, as _append_joined appends it
+        else:
+            _append_joined(pieces, s, a, b)
         x = s
         while True:
-            _append_joined(pieces, x, a, b)
             # the next line is the one of smaller slope whose crossing comes
             # first; tails are scanned by slope, so the first of tied crossings
             # has the smaller slope
@@ -498,11 +529,12 @@ def min_with_tails(
                 break
             x, (a, b) = best, nxt
             took_tail = True
+            _append_joined(pieces, x, a, b)
     if not took_tail and len(pieces) == i + len(base):
         # every piece is m's line from a start of its own, each more than
-        # _BP_MERGE_TOL after the one before: canonicalize would merge them back to m
+        # _BP_MERGE_TOL after the one before: _canonical would merge them back to m
         return m
-    return canonicalize(*zip(*pieces))
+    return _canonical(pieces)
 
 
 def splice(

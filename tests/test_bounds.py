@@ -78,12 +78,34 @@ class TestConstruction:
                 ((0.0, 1.0, 1.0 + 1e-13), (1.0, -1.0, 0.5), (0.0, 2.0, 0.5)),
                 "breakpoints 1.0 and 1.0000000000001 lie within 1e-12; not canonical",
             ),
+            # finite data whose left piece overflows at the breakpoint
+            (((0.0, 1e300), (1e10, 5.0), (0.0, 0.0)), "bound data must be finite"),
         ],
     )
     def test_each_fault_has_its_message(self, pieces, message):
         with pytest.raises(ValueError) as info:
             PiecewiseLogAffineBound(*pieces)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row, k", [(row, k) for row in (1, 2) for k in range(3)])
+    def test_a_value_not_finite_in_any_slot_is_a_fault(self, row, k, value):
+        # any slope or intercept; breakpoint 0 must be 0, a nan breakpoint is
+        # an order fault and an infinite last one is in the table above
+        pieces = [[0.0, 1.0, 2.0], [1.0, 0.0, -1.0], [0.0, 1.0, 3.0]]
+        PiecewiseLogAffineBound(*map(tuple, pieces))
+        pieces[row][k] = value
+        with pytest.raises(ValueError) as info:
+            PiecewiseLogAffineBound(*map(tuple, pieces))
+        assert str(info.value) == "bound data must be finite"
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [((0.0,), (1e308,), (1e308,)), ((0.0, 1.0), (1e308, 0.0), (0.0, 1e308)), ((0.0,), (-1e308,), (-1e308,))],
+    )
+    def test_finite_data_whose_sum_overflows_builds(self, pieces):
+        # the sum of the values is not finite, so each value is tested on its own
+        assert PiecewiseLogAffineBound(*pieces).slopes == pieces[1]
 
     def test_fault_precedence(self):
         # the first input has four faults: a jump at t = 1, a slope shared by

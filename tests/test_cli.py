@@ -394,6 +394,18 @@ def test_number_too_large_for_a_float_exits_2(capsys, tmp_path, command, overrid
     assert "Traceback" not in err
 
 
+def test_initial_bound_that_overflows_at_a_breakpoint_exits_2(capsys, tmp_path):
+    # each piece is finite on its own, but 1e10 * 1e300 is not
+    bound = {"breakpoints": [0, 1e300], "slopes": [1e10, -1e10], "intercepts": [0, 0]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_53, "initial_bound": bound}))
+    code, out, err = run(capsys, ["update", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "config error: bad initial_bound: bound data must be finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [

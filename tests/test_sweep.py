@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -400,9 +401,9 @@ def test_one_tail_walk_agrees_with_the_sweep(case):
 
 def test_one_tail_walk_joins_only_where_the_line_is_lowest(monkeypatch):
     # a line below a 1000-piece concave m from s = 100 on, up to where m's
-    # steeper pieces cross it: m's own pieces on either side are copied, so
-    # joins are made only for the line, once per piece of m it runs along,
-    # and for m where it comes back
+    # steeper pieces cross it: m's own pieces on either side are copied, and
+    # the line taken again at each piece of m it runs along is appended as it
+    # is, so joins are made only where the line is taken and where m comes back
     m = PiecewiseLogAffineBound.from_slopes([-k / 1000.0 for k in range(1000)], [float(k) for k in range(1, 1000)])
     s = 100.0
     tail = (s, -0.12, m.log_at(s) + 0.12 * s)
@@ -419,8 +420,35 @@ def test_one_tail_walk_joins_only_where_the_line_is_lowest(monkeypatch):
     assert got == min_with_tails(m, [tail, tail])
     (k,) = [k for k, a in enumerate(got.slopes) if a == tail[1]]
     lowest = m.piece_index(got.breakpoints[k + 1]) - m.piece_index(got.breakpoints[k]) + 1
-    assert lowest < 100
-    assert 0 < walked <= lowest + 2
+    assert 2 < lowest < 100
+    assert walked == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_and_tail(), bounds_strategy(max_pieces=6), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
+# the re-append at 2.5 keeps m's kink there, and the start of the fault between grid points
+@example(
+    (PiecewiseLogAffineBound.from_slopes([-1.5, 0.25, -0.5], [0.75, 2.5]), (2.0, 0.25, -1.3125000000001)),
+    REPRO_START,
+    [-40.0, 0.0],
+)
+def test_merges_build_canonical_bounds_without_canonicalize(case, m, omegas):
+    # the walk, the sweep and the set update build their pieces canonical up
+    # to equal slopes, so none of them calls canonicalize, and the walk still
+    # gives the sweep's bound
+    tails = [tail for tail in update_tails(m, OmegaSet.of(omegas), DIFFOP) if tail is not None]
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("a merge called canonicalize")
+
+    with mock.patch.object(bounds, "canonicalize", refuse):
+        for base, tail in [case, *((m, tail) for tail in tails)]:
+            got, swept = min_with_tails(base, [tail]), min_with_tails(base, [tail, tail])
+            assert got == swept and (got is base) == (swept is base)
+        min_update(m, tails)
+    assert calls == []
 
 
 # -- the tails' lower envelope -------------------------------------------------
