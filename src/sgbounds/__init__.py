@@ -13,11 +13,8 @@ Jordan blocks) exercise the whole pipeline.
 from .bounds import (
     LogConcavityReport,
     PiecewiseLogAffineBound,
-    allclose,
     canonicalize,
     log_concavity,
-    pointwise_min,
-    splice,
 )
 from .envelope import (
     GridBound,
@@ -61,7 +58,6 @@ __all__ = [
     "PiecewiseLogAffineBound",
     "PoleError",
     "ResolventProfile",
-    "allclose",
     "argmin_abscissas",
     "canonicalize",
     "crossing_candidate",
@@ -73,9 +69,7 @@ __all__ = [
     "min_update",
     "normalized_crossing_time",
     "piecewise_interpolant",
-    "pointwise_min",
     "propagate",
-    "splice",
     "state_at",
     "subadditive_envelope",
     "update_bound",

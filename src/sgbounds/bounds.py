@@ -23,12 +23,9 @@ __all__ = [
     "CONTINUITY_TOL",
     "LogConcavityReport",
     "PiecewiseLogAffineBound",
-    "allclose",
     "canonicalize",
     "log_concavity",
     "min_with_tails",
-    "pointwise_min",
-    "splice",
 ]
 
 CONTINUITY_TOL = 1e-12
@@ -210,16 +207,9 @@ def canonicalize(
     pieces: list[tuple[float, float, float]] = []
     for t, a, b in zip(breakpoints, slopes, intercepts):
         if pieces and t - pieces[-1][0] <= _BP_MERGE_TOL:
-            # degenerate width: the later piece wins the shared start
-            pieces[-1] = (pieces[-1][0], a, b)
-            continue
+            t = pieces.pop()[0]  # degenerate width: the later piece wins the shared start
         pieces.append((t, a, b))
-    merged: list[tuple[float, float, float]] = []
-    for t, a, b in pieces:
-        if merged and merged[-1][1] == a:
-            continue
-        merged.append((t, a, b))
-    return PiecewiseLogAffineBound(*zip(*merged))
+    return _canonical(pieces)
 
 
 def log_concavity(m: PiecewiseLogAffineBound) -> LogConcavityReport:
@@ -228,14 +218,6 @@ def log_concavity(m: PiecewiseLogAffineBound) -> LogConcavityReport:
         if m.slopes[j + 1] > m.slopes[j]:
             return LogConcavityReport(False, j)
     return LogConcavityReport(True, None)
-
-
-def _merged_breakpoints(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound) -> list[float]:
-    pts: list[float] = []
-    for t in sorted((*m1.breakpoints, *m2.breakpoints)):
-        if not pts or t - pts[-1] > _BP_MERGE_TOL:
-            pts.append(t)
-    return pts
 
 
 def _probe(s: float, e: float) -> float:
@@ -269,9 +251,8 @@ def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float
 
 
 def _canonical(pieces: list[tuple[float, float, float]]) -> PiecewiseLogAffineBound:
-    """The bound of a merge's pieces, whose starts lie more than _BP_MERGE_TOL
-    apart: of :func:`canonicalize`'s work only the merge of equal slopes is left,
-    each run kept from its first piece."""
+    """The bound of pieces whose starts lie more than _BP_MERGE_TOL apart, as the merges and
+    :func:`canonicalize`'s first pass leave them, each run of equal slopes kept from its first piece."""
     kept = [pieces[0], *(q for p, q in zip(pieces, pieces[1:]) if q[1] != p[1])]
     return PiecewiseLogAffineBound(*zip(*kept))
 
@@ -279,7 +260,9 @@ def _canonical(pieces: list[tuple[float, float, float]]) -> PiecewiseLogAffineBo
 def pointwise_min(
     m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound
 ) -> PiecewiseLogAffineBound:
-    """Pointwise minimum of two bounds, again in canonical form.
+    """Pointwise minimum of two bounds, again in canonical form: the tests' pairwise
+    reference for :func:`min_with_tails`, traced by name in ``perfbench/spans.py``,
+    so it moves to the tests once the spans stop naming it.
 
     Breakpoints of the result are the union of the inputs' breakpoints plus
     the crossing points of overlapping affine pieces, computed in closed form.
@@ -287,7 +270,10 @@ def pointwise_min(
     which makes the operation deterministic.  The result takes one sweep over
     the merged breakpoints, with one piece index per input that only moves right.
     """
-    base = _merged_breakpoints(m1, m2)
+    base: list[float] = []
+    for t in sorted((*m1.breakpoints, *m2.breakpoints)):
+        if not base or t - base[-1] > _BP_MERGE_TOL:
+            base.append(t)
     pieces: list[tuple[float, float, float]] = []
     j1 = j2 = 0
     for s, e in zip(base, [*base[1:], math.inf]):
@@ -542,7 +528,9 @@ def splice(
 ) -> PiecewiseLogAffineBound:
     """Bound equal to ``left`` on [0, t[ and to ``right`` on [t, inf).
 
-    The two sides must agree at t up to the continuity tolerance.
+    The two sides must agree at t up to the continuity tolerance.  Like
+    :func:`pointwise_min`, it is the tests' pairwise reference (for one update), is
+    traced by name in ``perfbench/spans.py``, and moves to the tests with it.
     """
     if t <= 0.0:
         return right
@@ -556,21 +544,3 @@ def splice(
     for j in range(jr + 1, len(right.breakpoints)):
         pieces.append((right.breakpoints[j], right.slopes[j], right.intercepts[j]))
     return canonicalize(*zip(*pieces))
-
-
-def allclose(
-    m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound, tol: float = 1e-10
-) -> bool:
-    """Whether two bounds agree within ``tol`` on log values, everywhere.
-
-    Piecewise-affine functions agree everywhere iff they agree at all
-    breakpoints, at midpoints between them, and (to pin the final slope) at
-    two probes beyond the last breakpoint.
-    """
-    pts = _merged_breakpoints(m1, m2)
-    probes = list(pts)
-    for i in range(len(pts) - 1):
-        probes.append(0.5 * (pts[i] + pts[i + 1]))
-    probes.extend((pts[-1] + 1.0, pts[-1] + 10.0))
-    return all(abs(m1.log_at(t) - m2.log_at(t)) <= tol for t in probes)
-

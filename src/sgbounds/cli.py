@@ -10,18 +10,20 @@ Subcommands
 CSV output uses the columns t,value,label with floats at 17 significant
 digits, so files diff cleanly and round-trip losslessly.  Exit codes:
 0 success, 2 configuration error (an --out path that cannot be written is
-one), 3 numeric failure.
+one), 3 numeric failure (on the shift model, "diffop", an emitted bound below
+the exact norm is one).
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from . import models
 from .bounds import PiecewiseLogAffineBound
 from .iteration import IterationTrace, OmegaSet, ResolventProfile, iterate, min_update, update_chain
 from .models import ConvergenceError, JordanBlockModel
-from .riccati import OmegaRPair, PoleError, first_crossing_time, gp_log_bound, update_bound, update_tail
+from .riccati import OmegaRPair, first_crossing_time, gp_log_bound, update_bound, update_tail
 
 __all__ = ["ConfigError", "main"]
 
@@ -249,6 +251,33 @@ def _build_grid(spec) -> tuple[float, int]:
     return h, _step_count(t_max, h)
 
 
+# -- validity of emitted bounds -------------------------------------------------
+
+_MARGIN_TOL = 1e-12
+
+
+def _shift_margin(m: PiecewiseLogAffineBound) -> tuple[float, float]:
+    """(margin, t): the smallest log m(t) - log||S(t)|| on the shift and a time
+    where it is reached.  ||S(t)|| = 1 on [0, 1) and 0 after, and log m is affine
+    on each piece, so the smallest value lies at a breakpoint before t = 1 or at
+    the left limit at t = 1."""
+    bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
+    k = bisect.bisect_left(bps, 1.0)
+    return min(
+        *((slopes[j] * bps[j] + intercepts[j], bps[j]) for j in range(k)),
+        (slopes[k - 1] + intercepts[k - 1], 1.0),
+    )
+
+
+def _check_shift_bounds(named: Iterable[tuple[str, PiecewiseLogAffineBound]]) -> None:
+    """Raise ArithmeticError (a numeric failure) at the first named bound whose
+    log lies more than 1e-12 below the shift's exact norm somewhere."""
+    for name, m in named:
+        margin, t = _shift_margin(m)
+        if margin < -_MARGIN_TOL:
+            raise ArithmeticError(f"{name}: log m = {margin:.3g} is below log||S(t)|| = 0 at t = {t:g}")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -328,7 +357,8 @@ def _cmd_wei(args) -> int:
 
 def _cmd_update(args) -> int:
     config = _load_config(args.config)
-    profile = _build_profile(config.get("model", "diffop"))
+    model = config.get("model", "diffop")
+    profile = _build_profile(model)
     m0 = _build_bound(config.get("initial_bound"))
     omegas = _build_omegas(config.get("omega_set", []))
     update_spec = config.get("update", {})
@@ -377,13 +407,18 @@ def _cmd_update(args) -> int:
 
     grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
     labelled = [(combined, "min_update"), (cur, "chain")]
+    if model == "diffop":
+        for key, rows in updates.items():
+            _check_shift_bounds((f"{key} row {i} (omega = {w!r})", b) for i, (w, _, _, b) in enumerate(rows))
+        _check_shift_bounds((label, b) for b, label in labelled)
     _emit_report(lambda: _update_report_json(updates, combined, gp), labelled, grid, args)
     return 0
 
 
 def _cmd_iterate(args) -> int:
     config = _load_config(args.config)
-    profile = _build_profile(config.get("model", "diffop"))
+    model = config.get("model", "diffop")
+    profile = _build_profile(model)
     m0 = _build_bound(config.get("initial_bound"))
     omegas = OmegaSet.of(_build_omegas(config.get("omega_set", [])))
     iter_spec = config.get("iteration", {})
@@ -394,6 +429,8 @@ def _cmd_iterate(args) -> int:
 
     trace = iterate(m0, omegas, profile, max_steps, grid, envelope=use_envelope)
     labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
+    if model == "diffop":
+        _check_shift_bounds((f"step {step.index}", step.bound) for step in trace.steps)
     _emit_report(lambda: _iterate_report_json(trace), labelled, grid, args)
     return 0
 
@@ -534,7 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConvergenceError, PoleError, OverflowError) as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -6,7 +6,33 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time
+from sgbounds.bounds import _BP_MERGE_TOL
 from sgbounds.riccati import update_tail
+
+
+def _merged_breakpoints(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound) -> list[float]:
+    pts: list[float] = []
+    for t in sorted((*m1.breakpoints, *m2.breakpoints)):
+        if not pts or t - pts[-1] > _BP_MERGE_TOL:
+            pts.append(t)
+    return pts
+
+
+def allclose(
+    m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound, tol: float = 1e-10
+) -> bool:
+    """Whether two bounds agree within ``tol`` on log values, everywhere.
+
+    Piecewise-affine functions agree everywhere iff they agree at all
+    breakpoints, at midpoints between them, and (to pin the final slope) at
+    two probes beyond the last breakpoint.
+    """
+    pts = _merged_breakpoints(m1, m2)
+    probes = list(pts)
+    for i in range(len(pts) - 1):
+        probes.append(0.5 * (pts[i] + pts[i + 1]))
+    probes.extend((pts[-1] + 1.0, pts[-1] + 10.0))
+    return all(abs(m1.log_at(t) - m2.log_at(t)) <= tol for t in probes)
 
 
 def pairs_and_crossings(m, omegas, profile):

@@ -9,16 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import bounds_strategy, lattice_bounds_strategy, random_log_concave_bound
-from sgbounds import (
-    PiecewiseLogAffineBound,
-    allclose,
-    canonicalize,
-    log_concavity,
-    pointwise_min,
-    splice,
-)
-from sgbounds.bounds import _BP_MERGE_TOL
+from conftest import allclose, bounds_strategy, lattice_bounds_strategy, random_log_concave_bound
+from sgbounds import PiecewiseLogAffineBound, canonicalize, log_concavity
+from sgbounds.bounds import _BP_MERGE_TOL, pointwise_min, splice
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
@@ -141,6 +134,10 @@ class TestConstruction:
         m = canonicalize((0.0, 1.0, 2.0), (0.0, 0.0, -1.0), (0.0, 0.0, 2.0))
         assert m.slopes == (0.0, -1.0)
         assert m.breakpoints == (0.0, 2.0)
+        # the zero-width pass gives the start 1.0 to a piece of slope 0, which
+        # then merges into the first piece
+        m = canonicalize((0.0, 1.0, 1.0 + 1e-13, 3.0), (0.0, 2.0, 0.0, -1.0), (0.0, -2.0, 0.0, 3.0))
+        assert m == PiecewiseLogAffineBound((0.0, 3.0), (0.0, -1.0), (0.0, 3.0))
 
 
 class TestPointwiseMin:

@@ -741,8 +741,22 @@ RISE = {"breakpoints": [0.0, 0.3, 0.45], "slopes": [0.0, 1.0, 0.0], "intercepts"
             {**CONFIG_53, "model": {"tabulated": {"pairs": [[1.0, 0.5], [2.0, 1.0]]}}, "omega_set": [2.0, 1.0]},
             lambda trace: all(step.argmin_omegas == (1.0, 2.0) for step in trace.steps),
         ),
+        (
+            # a start of the shift benchmark's "rise" family: flat, an early rise,
+            # then positive slopes; its bounds pass the check against the norm
+            {
+                "model": "diffop",
+                "initial_bound": PiecewiseLogAffineBound.from_slopes(
+                    [0.2, 1.1, 2.4, 0.7, 1.8], [0.3, 1.4, 2.2, 3.5]
+                ).to_json_dict(),
+                "omega_set": np.linspace(-5.0, 5.0, 40).tolist(),
+                "grid": {"h": 0.05, "T": 20.0},
+                "iteration": {"max_steps": 8, "use_semigroupize": True},
+            },
+            lambda trace: len(trace.steps) > 2 and trace.steps[2].bound != trace.steps[1].bound,
+        ),
     ],
-    ids=["repeated_step", "max_steps", "every_abscissa"],
+    ids=["repeated_step", "max_steps", "every_abscissa", "benchmark_shaped_shift"],
 )
 def test_iterate_report_text_is_json_dumps(capsys, tmp_path, config, check):
     # the report is joined from one text per bound and grid object; it must be
@@ -758,3 +772,43 @@ def test_iterate_report_text_is_json_dumps(capsys, tmp_path, config, check):
     assert out == json.dumps(trace.to_json_dict()) + "\n"
     assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--format", "json"]) == 0
     assert (tmp_path / "run.json").read_text() == out
+
+
+
+# on the shift, iterate's step 1 continues from the envelope grid's interpolant,
+# whose line from t = 0.9 to t = 1.05 passes under ||S(t)|| = 1 before t = 1;
+# update's start falls to log m0 = -0.25 at t = 0.5, and every update is at most m0
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (
+            "iterate",
+            {
+                "model": "diffop",
+                "initial_bound": RISE,
+                "omega_set": [-40.0, 0.0],
+                "grid": {"h": 0.15, "T": 6.0},
+                "iteration": {"max_steps": 3, "use_semigroupize": True},
+            },
+            "step 1: log m = -1.33 is below log||S(t)|| = 0 at t = 1",
+        ),
+        (
+            "update",
+            {
+                "model": "diffop",
+                "initial_bound": {"breakpoints": [0.0, 0.5], "slopes": [-0.5, 1.0], "intercepts": [0.0, -0.75]},
+                "omega_set": [-1.0, 0.0],
+            },
+            "singles row 0 (omega = -1.0): log m = ",
+        ),
+    ],
+    ids=["iterate", "update"],
+)
+def test_shift_bound_below_the_norm_exits_3(capsys, tmp_path, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert out == "" and not list(tmp_path.glob("run*"))
+    assert f"numeric failure: {message}" in err
+    assert "Traceback" not in err

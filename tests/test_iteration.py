@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_profile, pairs_and_crossings, random_log_concave_bound, update_tails
+from conftest import allclose, chain_profile, pairs_and_crossings, random_log_concave_bound, update_tails
 from sgbounds import (
     GridBound,
     IterationStep,
@@ -19,18 +19,17 @@ from sgbounds import (
     OmegaSet,
     PiecewiseLogAffineBound,
     ResolventProfile,
-    allclose,
     argmin_abscissas,
     first_crossing_time,
     iterate,
     log_concavity,
     min_update,
     piecewise_interpolant,
-    pointwise_min,
     subadditive_envelope,
     update_bound,
     update_chain,
 )
+from sgbounds.bounds import pointwise_min
 from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate, jordan_semigroup_norm
 from sgbounds.riccati import update_tail
 

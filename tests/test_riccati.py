@@ -21,12 +21,11 @@ from sgbounds import (
     log_concavity,
     log_weighted_inv_norm_sq,
     normalized_crossing_time,
-    pointwise_min,
     propagate,
-    splice,
     state_at,
     update_bound,
 )
+from sgbounds.bounds import pointwise_min, splice
 
 ONE = PiecewiseLogAffineBound.constant()
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    allclose,
     bounds_strategy,
     chain_profile,
     lattice_bounds_strategy,
@@ -32,17 +33,14 @@ from sgbounds import (
     OmegaSet,
     PiecewiseLogAffineBound,
     ResolventProfile,
-    allclose,
     first_crossing_time,
     iterate,
     min_update,
-    pointwise_min,
-    splice,
     update_bound,
     update_chain,
 )
 from sgbounds import bounds
-from sgbounds.bounds import _BP_MERGE_TOL, _append_joined, _expire, _insert, min_with_tails
+from sgbounds.bounds import _BP_MERGE_TOL, _append_joined, _expire, _insert, min_with_tails, pointwise_min, splice
 from sgbounds.models import diffop_rate
 from sgbounds.riccati import update_tail
 
