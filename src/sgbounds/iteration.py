@@ -34,8 +34,19 @@ continues from the piecewise interpolant of the grid when it does.  With
 ``envelope=False`` the envelope never runs: every iterate is a
 :func:`min_update` of the one before, in exact form, and its sampled grid is
 the step's grid.  The rates of the set come from one ``pairs`` call, and the
-crossing times of each iterate are computed once, shared by its argmin report
-and the next update.  A step is a function of its update alone, so an update
+crossing times of each iterate are shared by its argmin report and the next
+update.  A step whose update is carried on redoes only what the update changed.
+The update holds the pieces of the bound it came from up to
+:func:`_agreed_until`, and a crossing before that time is kept: the walk reads
+only the slopes and breakpoints of the pieces up to the one where it lands.
+Only the other pairs are walked.  The next step then skips the merge when every
+tail equals the one already merged for its pair and
+:func:`~sgbounds.bounds._sweep_keeps` shows that the sweep keeps the bound
+against them.  Equality alone would not do: where tails pass through nearly one
+point, merging them back into the bound they built can move a piece by
+rounding.  A step that continues from the envelope's interpolant carries
+nothing.  Either way the steps equal those of walking every crossing and
+merging every tail.  A step is a function of its update alone, so an update
 equal to the previous one repeats its step, objects and all, as stationary.
 Order-sensitive single passes are available as :func:`update_chain`, whose
 rates come from one ``pairs`` call too.
@@ -49,7 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import PiecewiseLogAffineBound, log_concavity, min_with_tails
+from .bounds import PiecewiseLogAffineBound, _sweep_keeps, log_concavity, min_with_tails
 from .envelope import GridBound, piecewise_interpolant, subadditive_envelope
 from .riccati import OmegaRPair, first_crossing_time, update_bound, update_tail
 
@@ -197,6 +208,20 @@ def _crossings(m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair]) -> list[
     return [first_crossing_time(m, pair) for pair in pairs]
 
 
+def _agreed_until(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound) -> float:
+    """The time up to which m1 and m2 hold the same pieces: at the first index
+    where their (breakpoint, slope, intercept) differ, the smaller of the two
+    breakpoints there, +inf for a bound with no piece there (0 when the first
+    piece differs); +inf when the bounds are equal."""
+    pieces1 = zip(m1.breakpoints, m1.slopes, m1.intercepts)
+    pieces2 = zip(m2.breakpoints, m2.slopes, m2.intercepts)
+    for j, (p1, p2) in enumerate(zip(pieces1, pieces2)):
+        if p1 != p2:
+            return min(m1.breakpoints[j], m2.breakpoints[j])
+    j = min(len(m1.breakpoints), len(m2.breakpoints))
+    return min(bps[j] if j < len(bps) else math.inf for bps in (m1.breakpoints, m2.breakpoints))
+
+
 def argmin_abscissas(pairs: Sequence[OmegaRPair], crossings: Sequence[float]) -> tuple[float, ...]:
     """The abscissas of the pairs whose crossing time, ``crossings[i]`` for
     ``pairs[i]``, is within 1e-9 of the earliest; all of them when none crosses."""
@@ -253,6 +278,11 @@ def iterate(
     grid.  Stops early once two successive grid snapshots agree to 1e-10 in
     sup norm, recording the earlier index in ``stationary_at``.  An update
     ``==`` to the previous one repeats its step (the same objects) and stops.
+
+    After a step that carries its update on, the crossings before the first
+    piece the update changed are kept, and the next merge is skipped when all
+    its tails were merged already and the sweep provably keeps the bound; the
+    trace is the one every crossing walk and every merge would give.
     """
     if not m.is_normalized:
         raise ValueError("iteration requires a normalized bound")
@@ -264,23 +294,30 @@ def iterate(
     cur = m
     cur_grid = GridBound.sample(m, h, n_steps)
     crossings = _crossings(m, pairs)
+    held = None  # the tails merged into cur, while cur is an update carried on
     steps = [IterationStep(0, m, cur_grid, argmin_abscissas(pairs, crossings))]
     stationary_at = last_updated = None
     for k in range(1, max_steps + 1):
-        updated = min_update(cur, [update_tail(cur, pair, c) for pair, c in zip(pairs, crossings)])
+        tails = [update_tail(cur, pair, c) for pair, c in zip(pairs, crossings)]
+        holds = tails == held and _sweep_keeps(cur, [tail for tail in tails if tail is not None])
+        updated = min_update(cur, [] if holds else tails)  # cur holds them all: the sweep returns it
         if updated == last_updated:
             steps.append(IterationStep(k, cur, cur_grid, steps[-1].argmin_omegas))
             stationary_at = k - 1
             break
         last_updated = updated
         sampled = GridBound.sample(updated, h, n_steps)
-        if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
-            cur, enveloped = updated, sampled
-        else:
+        enveloped, carried = sampled, True
+        if envelope and not (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
             enveloped = subadditive_envelope(sampled)
-            drift = float(np.max(np.abs(np.subtract(enveloped.values, sampled.values))))
-            cur = updated if drift <= _STATIONARY_TOL else piecewise_interpolant(enveloped)
-        crossings = _crossings(cur, pairs)
+            carried = float(np.max(np.abs(np.subtract(enveloped.values, sampled.values)))) <= _STATIONARY_TOL
+        if carried:
+            agreed = _agreed_until(cur, updated)
+            crossings = [c if c < agreed else first_crossing_time(updated, pair) for pair, c in zip(pairs, crossings)]
+            cur, held = updated, tails
+        else:
+            cur, held = piecewise_interpolant(enveloped), None
+            crossings = _crossings(cur, pairs)
         steps.append(IterationStep(k, cur, enveloped, argmin_abscissas(pairs, crossings)))
         gap = float(np.max(np.abs(np.subtract(enveloped.values, cur_grid.values))))
         cur_grid = enveloped

@@ -199,7 +199,9 @@ def first_crossing_time(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> float:
     Walks m's pieces with mu_j = (slope_j - omega) / r.  A crossing counts
     only on the piece where it lands, and a state that reaches 1 by a piece's
     end crosses at that end; the last piece extends to +inf, so its candidate
-    (finite or +inf) ends the walk.
+    (finite or +inf) ends the walk.  A candidate that is NaN, as when |mu|
+    beyond about 1.34e154 overflows mu * mu, raises OverflowError naming the
+    slope, omega and rate.
     """
     bps = m.breakpoints
     state = 0.0
@@ -210,6 +212,10 @@ def first_crossing_time(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> float:
         crossing = t0 + _time_to_one(mu, state) / pair.rate
         if crossing <= t1:
             return crossing
+        if math.isnan(crossing):
+            raise OverflowError(
+                f"crossing time overflows at slope {a!r}, omega = {pair.omega!r}, rate {pair.rate!r} (mu = {mu:g})"
+            )
         state = max(propagate(pair.rate * (t1 - t0), mu, state), 0.0)
         if state >= 1.0:
             return t1

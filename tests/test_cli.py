@@ -503,6 +503,17 @@ class TestProfileCommand:
             assert cli._linspace(a, b, count) == loop
 
 
+@pytest.mark.parametrize("command", ["update", "iterate"])
+def test_slope_overflow_exits_3(capsys, tmp_path, command):
+    # a slope of 1e155 drives |mu| past the ~1.34e154 where mu * mu overflows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial_bound": {"exp": 1e155}, "omega_set": [0.0]}))
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 3 and out == ""
+    assert "numeric failure: crossing time overflows at slope 1e+155, omega = 0.0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config, omega",
     [

@@ -15,6 +15,7 @@ from conftest import allclose, chain_profile, pairs_and_crossings, random_log_co
 from sgbounds import (
     GridBound,
     IterationStep,
+    IterationTrace,
     OmegaRPair,
     OmegaSet,
     PiecewiseLogAffineBound,
@@ -30,6 +31,7 @@ from sgbounds import (
     update_chain,
 )
 from sgbounds.bounds import pointwise_min
+from sgbounds.iteration import _agreed_until
 from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate, jordan_semigroup_norm
 from sgbounds.riccati import update_tail
 
@@ -459,6 +461,150 @@ class TestDomination:
         for bound in emitted_bounds(m, omegas, profile):
             for t, log_norm in zip(JORDAN_TS, JORDAN_LOG_NORMS):
                 assert bound.log_at(t) >= log_norm - 1e-9
+
+
+def rebuilt_trace(m, pairs, max_steps, h, n, envelope):
+    """The trace of iterate rebuilt from scratch: each step from :func:`step_after`,
+    which takes every tail and walks every crossing, until an update repeats the
+    one before or two grids agree to 1e-10."""
+    crossings = [first_crossing_time(m, pair) for pair in pairs]
+    steps = [IterationStep(0, m, GridBound.sample(m, h, n), argmin_abscissas(pairs, crossings))]
+    last_updated = None
+    for k in range(1, max_steps + 1):
+        prev = steps[-1]
+        updated, step = step_after(prev, pairs, h, n, envelope)
+        if updated == last_updated:
+            steps.append(IterationStep(k, prev.bound, prev.grid, prev.argmin_omegas))
+            return IterationTrace(tuple(steps), k - 1)
+        last_updated = updated
+        steps.append(step)
+        if np.max(np.abs(np.subtract(step.grid.values, prev.grid.values))) <= 1e-10:
+            return IterationTrace(tuple(steps), k - 1)
+    return IterationTrace(tuple(steps), None)
+
+
+@st.composite
+def family_starts(draw):
+    """Normalized starts of 4-8 pieces: ``concave`` (slopes falling from 0.8-1.6),
+    ``rise`` (flat, a rise before t = 0.5, then positive slopes, so the envelope
+    acts) and ``bumpy`` (flat, a rise after t = 1, then a random walk of slopes)."""
+    family = draw(st.sampled_from(["concave", "rise", "bumpy"]))
+    n = draw(st.integers(4, 8))
+    if family == "concave":
+        slopes = [draw(st.floats(0.8, 1.6))]
+        for _ in range(n - 1):
+            slopes.append(slopes[-1] - draw(st.floats(0.1, 1.2)))
+        widths = [draw(st.floats(0.2, 2.5)) for _ in range(n - 1)]
+    else:
+        slopes = [draw(st.floats(0.0, 0.3)), draw(st.floats(0.6, 1.5))]
+        for _ in range(n - 2):
+            if family == "rise":
+                slopes.append(draw(st.floats(0.1, 3.0)))
+            else:
+                slopes.append(slopes[-1] + draw(st.floats(0.2, 1.5)) * draw(st.sampled_from([-1.0, 1.0])))
+        widths = [draw(st.floats(0.1, 0.5) if family == "rise" else st.floats(1.0, 2.0))]
+        widths += [draw(st.floats(0.2, 2.0)) for _ in range(n - 2)]
+    return PiecewiseLogAffineBound.from_slopes(slopes, np.cumsum(widths).tolist())
+
+
+@st.composite
+def profiles_and_abscissas(draw):
+    """The shift model with 20-60 abscissas in [-5, 5], at times with -40 and 0
+    added, or the 3x3 Jordan block with 20-60 abscissas in [exp(-3), exp(1.5)]."""
+    if draw(st.booleans()):
+        omegas = draw(st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=60, unique=True))
+        if draw(st.booleans()):
+            omegas += [-40.0, 0.0]
+        return ResolventProfile(fn=diffop_rate), omegas
+    logs = draw(st.lists(st.floats(-3.0, 1.5), min_size=20, max_size=60, unique=True))
+    return ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JORDAN3)), np.exp(logs).tolist()
+
+
+class TestFromScratchOracle:
+    """iterate carries crossings and merged tails over a step whose update it keeps;
+    its trace must equal the one rebuilt from every tail and every crossing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shift_starts() | family_starts(),
+        profiles_and_abscissas(),
+        st.sampled_from([0.05, 0.15, 0.3]),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    # tails through nearly one point at t = 1, where merging the same tails into
+    # the bound they built moves a piece by rounding: that update is not skipped
+    @example(
+        PiecewiseLogAffineBound((0.0, 0.5), (1e-10, 1.0), (0.0, -0.49999999995)),
+        (
+            ResolventProfile(fn=diffop_rate),
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.5, 1.25, 1.75, 1.875, 2.5, 0.5, 0.75, 0.625, 0.25, 0.125]
+            + [0.1875, 0.0625, 0.03125, 0.015625],
+        ),
+        0.05,
+        3,
+        True,
+    )
+    def test_iterate_equals_the_rebuilt_trace(self, m, profile_and_omegas, h, max_steps, envelope):
+        profile, omegas = profile_and_omegas
+        n = round(8.0 / h)
+        pairs = profile.pairs(OmegaSet.of(omegas))
+        trace = iterate(m, omegas, profile, max_steps, (h, n), envelope=envelope)
+        assert trace == rebuilt_trace(m, pairs, max_steps, h, n, envelope)
+
+
+class TestCarriedSteps:
+    """What a step whose update is kept saves the next one."""
+
+    def test_confirming_step_merges_no_tail_and_walks_few_crossings(self, monkeypatch):
+        merged, walked = [], []
+
+        def counted_update(m, tails):
+            merged.append(list(tails))
+            return min_update(m, tails)
+
+        def counted_walk(m, pair):
+            walked.append(pair)
+            return first_crossing_time(m, pair)
+
+        monkeypatch.setattr("sgbounds.iteration.min_update", counted_update)
+        monkeypatch.setattr("sgbounds.iteration.first_crossing_time", counted_walk)
+        m = PiecewiseLogAffineBound.from_slopes([1.2, 0.5, -0.4, -1.0], [0.8, 2.0, 3.5])
+        omegas, profile, h, n = np.linspace(-5.0, 5.0, 200).tolist(), ResolventProfile(fn=diffop_rate), 0.05, 400
+        trace = iterate(m, omegas, profile, 8, (h, n))
+        assert trace.steps[-1].bound is trace.steps[-2].bound  # ended by the repeat rule
+        assert len(merged) >= 2 and merged[-1] == []
+        assert len(walked) - 200 < 200
+        monkeypatch.undo()
+        assert trace == rebuilt_trace(m, profile.pairs(OmegaSet.of(omegas)), 8, h, n, True)
+
+
+class TestAgreedUntil:
+    """The time up to which two bounds hold the same pieces."""
+
+    A = PiecewiseLogAffineBound.from_slopes([1.0, -0.5, -1.0], [2.0, 3.0])
+
+    def test_equal_bounds(self):
+        assert _agreed_until(self.A, PiecewiseLogAffineBound.from_slopes([1.0, -0.5, -1.0], [2.0, 3.0])) == math.inf
+
+    def test_first_piece_differs(self):
+        assert _agreed_until(self.A, PiecewiseLogAffineBound.from_slopes([1.5, -1.0], [2.0])) == 0.0
+
+    @pytest.mark.parametrize(
+        "other, agreed",
+        [
+            (PiecewiseLogAffineBound.from_slopes([1.0, -0.5, -2.0], [2.0, 2.5]), 2.5),
+            (PiecewiseLogAffineBound.from_slopes([1.0, -0.5, -2.0], [2.0, 3.5]), 3.0),
+            (PiecewiseLogAffineBound.from_slopes([1.0, -0.5, -2.0], [2.0, 3.0]), 3.0),
+        ],
+        ids=["other_earlier", "other_later", "same_breakpoint"],
+    )
+    def test_smaller_breakpoint_where_pieces_first_differ(self, other, agreed):
+        assert _agreed_until(self.A, other) == _agreed_until(other, self.A) == agreed
+
+    def test_one_bound_with_more_pieces(self):
+        more = PiecewiseLogAffineBound.from_slopes([1.0, -0.5, -1.0, -1.5], [2.0, 3.0, 4.0])
+        assert _agreed_until(self.A, more) == _agreed_until(more, self.A) == 4.0
 
 
 def test_trace_json_round_trip():

@@ -176,6 +176,16 @@ class TestCrossingTimes:
             if math.isfinite(crossing):
                 assert state_at(m, pair, crossing) == pytest.approx(1.0, abs=1e-10)
 
+    def test_slope_whose_mu_overflows_raises(self):
+        # |mu| beyond about 1.34e154 overflows mu * mu, so the closed form gives
+        # NaN; the walk must not fall through to the unbounded-piece assertion
+        with pytest.raises(OverflowError, match=r"slope 1e\+155, omega = 0.0, rate 1.5"):
+            first_crossing_time(PiecewiseLogAffineBound.exponential(1e155), OmegaRPair(0.0, math.pi / 2))
+
+    def test_huge_slope_below_the_overflow_crosses(self):
+        crossing = first_crossing_time(PiecewiseLogAffineBound.exponential(1.3e154), OmegaRPair(0.0, math.pi / 2))
+        assert math.isfinite(crossing) and 0.0 < crossing < 1e-150
+
     def test_phi_at_known_value(self):
         assert state_at(WEI, PAIR_53, math.pi / 2) == pytest.approx(0.5597, abs=5e-4)
 
