@@ -15,12 +15,9 @@ negative slope.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "CONTINUITY_TOL",
@@ -524,125 +521,6 @@ def min_with_tails(
         # _BP_MERGE_TOL after the one before: _canonical would merge them back to m
         return m
     return _canonical(pieces)
-
-
-def _concave_majorant(m: PiecewiseLogAffineBound) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(breakpoints, slopes, intercepts) of the least concave function through or
-    above log m at its breakpoints that ends with m's last slope: the upper hull
-    of those points, cut back to where that slope can go on from."""
-    hull: list[tuple[float, float]] = []
-    for t, a, b in zip(m.breakpoints, m.slopes, m.intercepts):
-        v = a * t + b
-        # drop the last point while it lies on or below the chord from the one before to (t, v)
-        while len(hull) > 1 and (hull[-1][1] - hull[-2][1]) * (t - hull[-1][0]) <= (v - hull[-1][1]) * (
-            hull[-1][0] - hull[-2][0]
-        ):
-            hull.pop()
-        hull.append((t, v))
-    last = m.slopes[-1]
-    while len(hull) > 1 and hull[-1][1] - hull[-2][1] <= last * (hull[-1][0] - hull[-2][0]):
-        hull.pop()
-    slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(hull, hull[1:])] + [last]
-    return (
-        np.array([t for t, _ in hull]),
-        np.array(slopes),
-        np.array([v - a * t for (t, v), a in zip(hull, slopes)]),
-    )
-
-
-def _sweep_keeps(m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float]]) -> bool:
-    """True only if ``min_with_tails(m, tails) == m``, found without the sweep;
-    False when the replay below cannot tell.
-
-    Let M be the least concave majorant of log m (log m itself if concave).
-    Each tail's gap above M, line minus M, is convex on its domain, least at
-    its start or at the first breakpoint of M after it where M's slope falls to
-    the tail's (a tail steeper than m's last piece ends below m: False).  A tail
-    whose least gap exceeds 1e-9 times the size of the values lies above m
-    beyond any rounding of the sweep's values and crossings, and takes part in
-    no decision.  Any other tail is near m only on the pieces of M around that
-    breakpoint, when its gap at their ends exceeds that margin (else False); on
-    the sweep's intervals [s, e) that start there, the sweep's decisions on m's
-    piece P at s are replayed with its own float expressions.  The sweep stays
-    on P if no tail lies below P at s, or ties it there with a smaller slope,
-    and none of smaller slope crosses it before e - ``_BP_MERGE_TOL`` (a crossing
-    before s counting at s).  One line below P at s is allowed: the line Q of
-    m's piece that ends at s, when P is steeper and their crossing rounds to s
-    or before.  The sweep takes Q there and moves back to P at s, as no tail of
-    slope below Q's crosses Q by s unless P's slope is below its own or it is
-    P's line; the join at s leaves the pieces as they were.  So the sweep
-    appends m's pieces unchanged at their breakpoints and each tail start as a
-    split of a piece that :func:`_canonical` merges back, unless a start lies
-    within ``_BP_MERGE_TOL`` before a breakpoint, where the join could move it:
-    False.
-    """
-    if not tails:
-        return True
-    starts, at, bt = np.fromiter(itertools.chain.from_iterable(tails), float, 3 * len(tails)).reshape(-1, 3).T
-    bps, slopes, intercepts = np.array(m.breakpoints), np.array(m.slopes), np.array(m.intercepts)
-    n = len(bps)
-    if at.min() < slopes[-1]:
-        return False
-    after = np.searchsorted(bps, starts, side="right")
-    if np.any(bps[np.minimum(after, n - 1)] - starts <= np.where(after < n, _BP_MERGE_TOL, -math.inf)):
-        return False
-    # the size of the values compared, below 1e300 so that no sum of a few overflows
-    size = 1.0 + (np.abs(slopes).max() + np.abs(at).max()) * max(bps[-1], starts.max())
-    size += np.abs(intercepts).max() + np.abs(bt).max()
-    if not size < 1e300:
-        return False
-    margin = (1e-9 + 1e-12 * n) * size  # beyond rounding, and beyond m's jumps at all its breakpoints
-    hull_bps, hull_slopes, hull_intercepts = _concave_majorant(m)
-    h = len(hull_bps)
-
-    def gap(i, k, x):
-        return at[i] * x + bt[i] - (hull_slopes[k] * x + hull_intercepts[k])
-
-    first = np.searchsorted(hull_bps, starts, side="right") - 1
-    k = np.searchsorted(-hull_slopes, -at)
-    k = np.where(k < first, first, k)  # the piece of M where the gap is least
-    near = np.flatnonzero(~(gap(slice(None), k, np.where(starts < hull_bps[k], hull_bps[k], starts)) > margin))
-    if not len(near):
-        return True
-    k, first = k[near], first[near]
-    # each near tail's window, from breakpoint lo of M (its start if lo <= first) to
-    # breakpoint hi (no end if hi == h), widened until the gap at both ends exceeds the margin
-    lo, hi, step = np.where(k - 1 < first, first, k - 1), k + 1, 2
-    while True:
-        lo_open = (lo > first) & ~(gap(near, lo, hull_bps[lo]) > margin)
-        hi_at = np.where(hi < h, hi, 0)
-        hi_open = (hi < h) & ~(gap(near, hi_at, hull_bps[hi_at]) > margin)
-        if not (lo_open.any() or hi_open.any()):
-            break
-        lo = np.where(lo_open, np.where(k - step < first, first, k - step), lo)
-        hi = np.where(hi_open, np.where(k + step > h, h, k + step), hi)
-        step *= 2
-    # the sweep's interval starts, as it builds them
-    s = np.array(sorted({*m.breakpoints[bisect.bisect_left(m.breakpoints, float(starts.min())) :], *starts.tolist()}))
-    e = np.append(s[1:], math.inf)
-    lo = np.searchsorted(s, np.where(lo > first, hull_bps[lo], starts[near]))
-    hi = np.where(hi < h, np.searchsorted(s, hull_bps[np.where(hi < h, hi, 0)]), len(s))
-    # the pairs (interval, tail) of the windows
-    tail = np.repeat(near, hi - lo)
-    iv = np.array([i for first_i, end_i in zip(lo.tolist(), hi.tolist()) for i in range(first_i, end_i)], dtype=int)
-    j = np.searchsorted(bps, s, side="right") - 1
-    ap, bp, aq, bq = slopes[j], intercepts[j], slopes[j - 1], intercepts[j - 1]
-    with np.errstate(all="ignore"):  # a quotient that is not finite decides as in the sweep
-        back = (j > 0) & (bps[j] == s) & (ap < aq) & ((bp - bq) / (aq - ap) <= s)
-        a, b, x = at[tail], bt[tail], s[iv]
-        ap, bp, aq, bq = ap[iv], bp[iv], aq[iv], bq[iv]
-        vt, vp = a * x + b, ap * x + bp
-        below = (vt < vp) | (vt == vp) & (a < ap)
-        tc = (b - bp) / (ap - a)
-        if np.any((a < ap) & (np.where(tc < x, x, tc) < e[iv] - _BP_MERGE_TOL)):
-            return False
-        if not below.any():
-            return True
-        # tails that would beat P on the move away from Q at s
-        rival = (a < aq) & ((b - bq) / (aq - a) <= x) & (a <= ap) & ~((a == ap) & (b == bp))
-    rivalled = np.bincount(iv, rival, minlength=len(s)) > 0
-    q_line = (a == aq) & (b == bq) & back[iv] & ~rivalled[iv]
-    return not np.any(below & ~q_line)
 
 
 def splice(

@@ -39,15 +39,14 @@ update.  A step whose update is carried on redoes only what the update changed.
 The update holds the pieces of the bound it came from up to
 :func:`_agreed_until`, and a crossing before that time is kept: the walk reads
 only the slopes and breakpoints of the pieces up to the one where it lands.
-Only the other pairs are walked.  The next step then skips the merge when every
-tail equals the one already merged for its pair and
-:func:`~sgbounds.bounds._sweep_keeps` shows that the sweep keeps the bound
-against them.  Equality alone would not do: where tails pass through nearly one
-point, merging them back into the bound they built can move a piece by
-rounding.  A step that continues from the envelope's interpolant carries
-nothing.  Either way the steps equal those of walking every crossing and
-merging every tail.  A step is a function of its update alone, so an update
-equal to the previous one repeats its step, objects and all, as stationary.
+Only the other pairs are walked.  When every tail of the next step equals the
+one already merged for its pair, the step takes its update to be the bound
+itself, the previous update, as min(min(m, T), T) = min(m, T) in exact
+arithmetic; a merge would give that bound up to rounding, since where tails
+pass through nearly one point the sweep can move a piece by a few ulps.  A step
+that continues from the envelope's interpolant carries nothing.  A step is a
+function of its update alone, so an update equal to the previous one repeats
+its step, objects and all, as stationary.
 Order-sensitive single passes are available as :func:`update_chain`, whose
 rates come from one ``pairs`` call too.
 """
@@ -60,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import PiecewiseLogAffineBound, _sweep_keeps, log_concavity, min_with_tails
+from .bounds import PiecewiseLogAffineBound, log_concavity, min_with_tails
 from .envelope import GridBound, piecewise_interpolant, subadditive_envelope
 from .riccati import OmegaRPair, first_crossing_time, update_bound, update_tail
 
@@ -280,9 +279,10 @@ def iterate(
     ``==`` to the previous one repeats its step (the same objects) and stops.
 
     After a step that carries its update on, the crossings before the first
-    piece the update changed are kept, and the next merge is skipped when all
-    its tails were merged already and the sweep provably keeps the bound; the
-    trace is the one every crossing walk and every merge would give.
+    piece the update changed are kept.  When every tail of the next step is
+    ``==`` to the one merged for its pair, that step's update is the bound
+    itself (min(min(m, T), T) = min(m, T)), so it repeats the step before and
+    stops; merging would give the same bound up to rounding.
     """
     if not m.is_normalized:
         raise ValueError("iteration requires a normalized bound")
@@ -299,8 +299,7 @@ def iterate(
     stationary_at = last_updated = None
     for k in range(1, max_steps + 1):
         tails = [update_tail(cur, pair, c) for pair, c in zip(pairs, crossings)]
-        holds = tails == held and _sweep_keeps(cur, [tail for tail in tails if tail is not None])
-        updated = min_update(cur, [] if holds else tails)  # cur holds them all: the sweep returns it
+        updated = cur if tails == held else min_update(cur, tails)  # min(min(m, T), T) = min(m, T)
         if updated == last_updated:
             steps.append(IterationStep(k, cur, cur_grid, steps[-1].argmin_omegas))
             stationary_at = k - 1

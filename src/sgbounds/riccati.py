@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import PiecewiseLogAffineBound, _continuity_slack, min_with_tails
+from .bounds import _BP_MERGE_TOL, CONTINUITY_TOL, PiecewiseLogAffineBound, _continuity_slack, min_with_tails
 
 __all__ = [
     "BRANCH_TOL",
@@ -277,7 +277,10 @@ def update_tail(
     None when the update leaves m unchanged.
 
     The splice is postponed to the re-entry whenever the tail lies below m at
-    twice the crossing by more than the jump a bound can store there.
+    twice the crossing by more than the jump a bound can store there.  A tail
+    that starts within ``_BP_MERGE_TOL`` of 0 would take over m's first piece
+    from t = 0, so one whose log there is not 0 raises ArithmeticError: m
+    rises too steeply for its update to stay normalized.
     """
     if not m.is_normalized:
         raise ValueError("update requires a normalized bound (m(0) = 1)")
@@ -294,6 +297,10 @@ def update_tail(
         start = _first_reentry(m, slope, intercept, start)
         if start is None:
             return None
+    if start <= _BP_MERGE_TOL and abs(intercept) > CONTINUITY_TOL:
+        raise ArithmeticError(
+            f"update tail for omega = {pair.omega!r} starts at t = {start:g}, so the update has log m(0) = {intercept:.4g}"
+        )
     return start, slope, intercept
 
 

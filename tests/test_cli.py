@@ -514,6 +514,18 @@ def test_slope_overflow_exits_3(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["update", "iterate"])
+def test_tail_at_zero_that_leaves_the_bound_unnormalized_exits_3(capsys, tmp_path, command):
+    # a slope of 1.3e154 crosses at 1.37e-152: the tail starts within 1e-12 of
+    # t = 0, where its log is 355.1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial_bound": {"exp": 1.3e154}, "omega_set": [0.0]}))
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 3 and out == ""
+    assert "numeric failure: update tail for omega = 0.0 starts at t = 2.73155e-152" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config, omega",
     [

@@ -282,12 +282,15 @@ class TestIterate:
             assert lowest >= 0.0, f"step {step.index}: log m reaches {lowest:.3g} on [0, 1)"
 
 
+def fresh_tails(m, pairs):
+    return [update_tail(m, pair, first_crossing_time(m, pair)) for pair in pairs]
+
+
 def step_after(prev, pairs, h, n, envelope):
     """The update of ``prev.bound`` and the step iterate builds from it, recomputed
     without the repeat rule: sample the update, apply the envelope rule, walk
     every crossing of the new bound and take the argmin."""
-    tails = [update_tail(prev.bound, pair, first_crossing_time(prev.bound, pair)) for pair in pairs]
-    updated = min_update(prev.bound, tails)
+    updated = min_update(prev.bound, fresh_tails(prev.bound, pairs))
     sampled = GridBound.sample(updated, h, n)
     if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
         bound, grid = updated, sampled
@@ -463,20 +466,25 @@ class TestDomination:
                 assert bound.log_at(t) >= log_norm - 1e-9
 
 
-def rebuilt_trace(m, pairs, max_steps, h, n, envelope):
+def rebuilt_trace(m, pairs, max_steps, h, n, envelope, skip_confirming=True):
     """The trace of iterate rebuilt from scratch: each step from :func:`step_after`,
     which takes every tail and walks every crossing, until an update repeats the
-    one before or two grids agree to 1e-10."""
+    one before or two grids agree to 1e-10.  With ``skip_confirming``, a step
+    after one that carried its update on repeats that step and stops when its
+    fresh tails are ``==`` to the tails merged for it, as iterate does by
+    min(min(m, T), T) = min(m, T); without it, every step merges."""
     crossings = [first_crossing_time(m, pair) for pair in pairs]
     steps = [IterationStep(0, m, GridBound.sample(m, h, n), argmin_abscissas(pairs, crossings))]
-    last_updated = None
+    last_updated = held = None
     for k in range(1, max_steps + 1):
         prev = steps[-1]
+        tails = fresh_tails(prev.bound, pairs)
         updated, step = step_after(prev, pairs, h, n, envelope)
-        if updated == last_updated:
+        if updated == last_updated or skip_confirming and tails == held:
             steps.append(IterationStep(k, prev.bound, prev.grid, prev.argmin_omegas))
             return IterationTrace(tuple(steps), k - 1)
         last_updated = updated
+        held = tails if step.bound is updated else None
         steps.append(step)
         if np.max(np.abs(np.subtract(step.grid.values, prev.grid.values))) <= 1e-10:
             return IterationTrace(tuple(steps), k - 1)
@@ -520,9 +528,25 @@ def profiles_and_abscissas(draw):
     return ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JORDAN3)), np.exp(logs).tolist()
 
 
+# tails through nearly one point at t = 1, where merging the same tails into the
+# bound they built moves a piece by rounding; iterate repeats the step instead
+NEAR_ONE_POINT = (
+    PiecewiseLogAffineBound((0.0, 0.5), (1e-10, 1.0), (0.0, -0.49999999995)),
+    (
+        ResolventProfile(fn=diffop_rate),
+        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.5, 1.25, 1.75, 1.875, 2.5, 0.5, 0.75, 0.625, 0.25, 0.125]
+        + [0.1875, 0.0625, 0.03125, 0.015625],
+    ),
+    0.05,
+    3,
+    True,
+)
+
+
 class TestFromScratchOracle:
-    """iterate carries crossings and merged tails over a step whose update it keeps;
-    its trace must equal the one rebuilt from every tail and every crossing."""
+    """iterate carries crossings over a step whose update it keeps, and repeats that
+    step when the next tails are the ones merged into it; its trace must equal the
+    one rebuilt from every crossing and every tail under that rule."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -532,25 +556,26 @@ class TestFromScratchOracle:
         st.integers(1, 8),
         st.booleans(),
     )
-    # tails through nearly one point at t = 1, where merging the same tails into
-    # the bound they built moves a piece by rounding: that update is not skipped
-    @example(
-        PiecewiseLogAffineBound((0.0, 0.5), (1e-10, 1.0), (0.0, -0.49999999995)),
-        (
-            ResolventProfile(fn=diffop_rate),
-            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.5, 1.25, 1.75, 1.875, 2.5, 0.5, 0.75, 0.625, 0.25, 0.125]
-            + [0.1875, 0.0625, 0.03125, 0.015625],
-        ),
-        0.05,
-        3,
-        True,
-    )
+    @example(*NEAR_ONE_POINT)
     def test_iterate_equals_the_rebuilt_trace(self, m, profile_and_omegas, h, max_steps, envelope):
         profile, omegas = profile_and_omegas
         n = round(8.0 / h)
         pairs = profile.pairs(OmegaSet.of(omegas))
         trace = iterate(m, omegas, profile, max_steps, (h, n), envelope=envelope)
         assert trace == rebuilt_trace(m, pairs, max_steps, h, n, envelope)
+
+    def test_a_confirming_step_repeats_the_step_before(self):
+        # a merge would move the bound by rounding here; the identity rule repeats
+        # the bound, and every step before it is the every-merge step
+        m, (profile, omegas), h, max_steps, envelope = NEAR_ONE_POINT
+        n = round(8.0 / h)
+        trace = iterate(m, omegas, profile, max_steps, (h, n), envelope=envelope)
+        every_merge = rebuilt_trace(m, profile.pairs(OmegaSet.of(omegas)), max_steps, h, n, envelope, False)
+        *before, prev, last = trace.steps
+        assert trace != every_merge
+        assert (*before, prev) == every_merge.steps[: len(trace.steps) - 1]
+        assert last.bound is prev.bound and last.grid is prev.grid
+        assert trace.stationary_at == prev.index
 
 
 class TestCarriedSteps:
@@ -573,7 +598,7 @@ class TestCarriedSteps:
         omegas, profile, h, n = np.linspace(-5.0, 5.0, 200).tolist(), ResolventProfile(fn=diffop_rate), 0.05, 400
         trace = iterate(m, omegas, profile, 8, (h, n))
         assert trace.steps[-1].bound is trace.steps[-2].bound  # ended by the repeat rule
-        assert len(merged) >= 2 and merged[-1] == []
+        assert len(merged) >= 1 and len(merged) == len(trace.steps) - 2  # the last step merges nothing
         assert len(walked) - 200 < 200
         monkeypatch.undo()
         assert trace == rebuilt_trace(m, profile.pairs(OmegaSet.of(omegas)), 8, h, n, True)

@@ -46,7 +46,6 @@ from sgbounds.bounds import (
     _append_joined,
     _expire,
     _insert,
-    _sweep_keeps,
     min_with_tails,
     pointwise_min,
     splice,
@@ -521,151 +520,3 @@ def test_envelope_drops_the_middle_of_three_lines_through_one_point(lines):
 def test_envelope_keeps_the_lower_of_equal_slopes():
     lines = [(0.5, 1.0), (-1.0, 2.0), (0.5, 0.0), (0.5, 1.0)]
     check_envelope([(0.0, lines), (1.0, [(0.5, -1.0), (-1.0, 3.0)])])
-
-
-# -- deciding without the sweep that it keeps m ----------------------------------
-
-
-@st.composite
-def bound_and_tails(draw):
-    """A bound, log-concave or not, with pieces down to 1e-9 wide, and 1-30 tails
-    on or above it: fans through one of its points, lines of its pieces moved by
-    an ulp or lifted slightly, or lines anywhere above it, starting anywhere, at
-    its breakpoints or within a few 1e-12 of them."""
-    n = draw(st.integers(1, 7))
-    concave = draw(st.booleans())
-    slopes = [draw(st.floats(-1.0, 2.0))]
-    for _ in range(n - 1):
-        step = draw(st.sampled_from([1e-3, 0.05, 0.5, 1.5]) | st.floats(1e-3, 1.5))
-        slopes.append(slopes[-1] - step * (1.0 if concave else draw(st.sampled_from([-1.0, 1.0]))))
-    widths = [draw(st.sampled_from([1e-9, 1e-7, 1e-3, 0.1, 1.0]) | st.floats(0.05, 2.0)) for _ in range(n - 1)]
-    m = PiecewiseLogAffineBound.from_slopes(slopes, np.cumsum(widths).tolist())
-    top = m.breakpoints[-1] + 3.0
-    lift = st.sampled_from([0.0, 0.0, 1e-15, 1e-13, 1e-10, 1e-6]) | st.floats(0.0, 2.0)
-    near = st.builds(
-        lambda t, d: max(t + d, 0.0), st.sampled_from(m.breakpoints), st.sampled_from([0.0, 1e-13, -1e-13, 5e-12, 1e-9])
-    )
-    point = draw(st.floats(0.0, top))
-    tails = []
-    for _ in range(draw(st.integers(1, 30))):
-        kind = draw(st.sampled_from(["fan", "piece", "above"]))
-        if kind == "piece":
-            j = draw(st.integers(0, n - 1))
-            ulps = [math.nextafter(m.slopes[j], toward) for toward in (m.slopes[j], math.inf, -math.inf)]
-            a = draw(st.sampled_from(ulps))
-            b = m.intercepts[j] + draw(lift)
-        else:
-            at_point = point if kind == "fan" else draw(st.floats(0.0, top))
-            a = draw(st.floats(-4.0, 2.0))
-            b = m.log_at(at_point) - a * at_point + draw(lift)
-        start = draw(near | st.floats(0.0, top))
-        j = m.piece_index(start)
-        if a * start + b >= m.slopes[j] * start + m.intercepts[j] - 1e-13:
-            tails.append((start, a, b))
-    return m, tails
-
-
-@settings(max_examples=300, deadline=None)
-@given(bound_and_tails(), st.booleans())
-def test_a_bound_the_replay_keeps_is_the_sweeps(case, merged):
-    # iterate skips the merge of the tails already merged into a bound when the
-    # replay says the sweep keeps it; merged is that case, the bound the sweep of
-    # the same tails built
-    m, tails = case
-    if merged:
-        m = min_with_tails(m, tails)
-    if _sweep_keeps(m, tails):
-        assert min_with_tails(m, tails) == m
-
-
-CONCAVE = PiecewiseLogAffineBound.from_slopes([1.0, -0.5, -2.0], [1.0, 3.0])
-RISE = PiecewiseLogAffineBound.from_slopes([0.0, 1.0], [1.0])
-
-
-@pytest.mark.parametrize(
-    "m, tails, kept",
-    [
-        (CONCAVE, [], True),
-        (CONCAVE, [(0.5, 1.0, 0.5), (2.0, -0.5, 1.5)], True),  # above m, and along its middle piece
-        (CONCAVE, [(0.5, -2.5, 10.0)], False),  # steeper than m's last piece: below m in the end
-        (CONCAVE, [(0.5, -1.0, 2.25)], False),  # crosses the middle piece at t = 1.5
-        (CONCAVE, [(1.0 - 5e-13, 1.0, 0.5)], False),  # a start within 1e-12 before a breakpoint
-        (RISE, [(0.5, 1.0, 0.5), (2.0, 1.0, -1.0)], True),  # above a bound that is not log-concave, and along its rise
-        (RISE, [(0.5, 0.5, -0.2)], False),  # below its rise from t = 1
-    ],
-    ids=["none", "above", "steeper", "crossing", "start_before_breakpoint", "not_concave", "below_a_rise"],
-)
-def test_the_replay_declines_what_it_cannot_tell(m, tails, kept):
-    assert _sweep_keeps(m, tails) is kept
-    if kept:
-        assert min_with_tails(m, tails) == m
-
-
-# bounds the sweep changes by rounding-level moves; each case needs the rule it
-# names, and the replay without that rule would keep the bound
-B = PiecewiseLogAffineBound
-
-
-@pytest.mark.parametrize(
-    "m, tails",
-    [
-        (  # a line of slope 1e-6 below a piece's, crossing it before the next interval start
-            B(
-                (0.0, 30.0, 30.0000001),
-                (1.8141118654932553, 1.7641118654932553, 1.7641108654932554),
-                (0.0, 1.5, 1.500030000000102),
-            ),
-            [
-                (30.00000000813044, 1.7641118654932553, 1.5000000000001),
-                (26.948802293695536, 1.808096655721635, 0.18045629314861888),
-                (3.966255461016404, 1.764111472942437, 1.5000117765245875),
-                (30.000000058851473, 1.7641118654932553, 1.500000000000001),
-                (20.59872749957387, 1.7641108654932554, 1.500030000000102),
-            ],
-        ),
-        (  # lines within 1e-12 of m: the margin
-            B(
-                (0.0, 1.0, 1.0001),
-                (-0.7958638675165316, -1.2958638675165317, -1.7958638675165317),
-                (0.0, 0.5000000000000001, 1.0000499999999999),
-            ),
-            [
-                (2.1749350219423165, -1.7958638675165317, 1.0000499999999999),
-                (1.1915531449946268, -1.7958638675165317, 1.0000500000000998),
-                (1.0000356807553834, -1.2958638676165317, 0.5000000001000101),
-            ],
-        ),
-        (  # a line near m across pieces 1e-4 wide: the window widens past them
-            B(
-                (0.0, 1e-09, 0.00010000100000000001, 30.000100001, 30.100100001, 30.100200001),
-                (0.7543531700118242, 0.2543531700118242, 1.7543531700118242)
-                + (1.7043531700118242, 1.7043521700118243, 1.7043511700118243),
-                (0.0, 5e-10, -0.000150001, 1.499854999050001, 1.4998850991499992, 1.4999151993499993),
-            ),
-            [(11.40997091313417, 1.7043521700118243, 1.4998850991499995)],
-        ),
-        (  # a line of m's piece below the next one where their crossing rounds past the breakpoint
-            B(
-                (0.0, 30.0, 30.000000001, 31.000000001, 31.000100001, 32.000100001),
-                (0.7680287192929365, -0.7319712807070635, -0.7819712807070636)
-                + (-0.7829712807070636, -0.7839712807070636, -0.7849712807070636),
-                (0.0, 45.0, 46.50000000005, 46.531000000051, 46.562000100052, 46.594000200053),
-            ),
-            [(29.03825234130074, -0.7829712807070636, 46.531000000051)],
-        ),
-        (  # a bound that is not log-concave, whose own pieces would misplace the windows: its majorant
-            B(
-                (0.0, 1e-09, 1.0099999999999999e-07, 30.000000101, 31.000000101, 32.000000101),
-                (0.7595527452393771, 0.8095527452393771, 0.8595527452393772)
-                + (0.8585527452393772, 0.9085527452393772, 0.8585527452393772),
-                (0.0, -5.0000000000000034e-11, -5.099999999999999e-09)
-                + (0.02999999500100259, -1.5200000100489994, 0.0799999950010033),
-            ),
-            [(27.602234335546306, 0.8585527452393772, 0.02999999500100259)],
-        ),
-    ],
-    ids=["crossing", "margin", "window", "back_to_p", "majorant"],
-)
-def test_the_replay_declines_bounds_the_sweep_moves(m, tails):
-    assert min_with_tails(m, tails) != m
-    assert not _sweep_keeps(m, tails)
