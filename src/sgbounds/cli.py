@@ -29,9 +29,10 @@ import numpy as np
 
 from . import models
 from .bounds import PiecewiseLogAffineBound
+from .envelope import _log_values
 from .iteration import IterationTrace, OmegaSet, ResolventProfile, iterate, min_update, update_chain
 from .models import ConvergenceError, JordanBlockModel
-from .riccati import OmegaRPair, first_crossing_time, gp_log_bound, update_bound, update_tail
+from .riccati import OmegaRPair, _gp_log_bounds, first_crossing_time, update_bound, update_tail
 
 __all__ = ["ConfigError", "main"]
 
@@ -78,14 +79,17 @@ def _emit_report(
     """The JSON report (``report_json()``, its one-line text) or the CSV rows to
     stdout (JSON unless --format csv); with --out, the .json and .csv files, or
     only the one --format names.  The rows (each bound's log value at t = k h,
-    k = 0..n) are built only for a CSV.  Every text is built before the first
+    k = 0..n) are built only for a CSV, from one :func:`_log_values` call per
+    bound, with each t formatted once.  Every text is built before the first
     file is written, so a failure while building leaves no file behind."""
     fmt = args.format
     h, n = grid
 
     def csv() -> str:
         ts = _grid_times(h, n)
-        return _rows_csv([(t, b.log_at(t), label) for b, label in labelled for t in ts])
+        t_texts = [f"{t:.17g}" for t in ts.tolist()]
+        rows = (f"{t},{v:.17g},{label}" for b, label in labelled for t, v in zip(t_texts, _log_values(b, ts).tolist()))
+        return "\n".join(["t,value,label", *rows]) + "\n"
 
     if args.out is None:
         _write(csv() if fmt == "csv" else report_json() + "\n", None)
@@ -107,12 +111,12 @@ def _step_count(span: float, step: float) -> int:
     return int(round(ratio))
 
 
-def _grid_times(step: float, n: int) -> list[float]:
+def _grid_times(step: float, n: int) -> np.ndarray:
     """k * step for k = 0..n; numpy refuses a count too large to allocate at once."""
-    return (np.arange(n + 1) * step).tolist()
+    return np.arange(n + 1) * step
 
 
-def _time_grid(t_max: float, step: float) -> list[float]:
+def _time_grid(t_max: float, step: float) -> np.ndarray:
     if not step > 0.0:
         raise ConfigError(f"step must be positive, got {step!r}")
     if t_max < 0.0:
@@ -350,7 +354,8 @@ def _cmd_wei(args) -> int:
     pair = OmegaRPair(0.0, args.rate)
     bound = update_bound(PiecewiseLogAffineBound.constant(), pair)
     t_max = args.t_max if args.t_max is not None else 4.0 * math.pi / args.rate
-    rows = [(t, bound.log_at(t), "wei") for t in _time_grid(t_max, args.step)]
+    ts = _time_grid(t_max, args.step)
+    rows = [(t, v, "wei") for t, v in zip(ts.tolist(), _log_values(bound, ts).tolist())]
     _emit_rows(rows, args)
     return 0
 
@@ -402,7 +407,10 @@ def _cmd_update(args) -> int:
         times = _floats(_required(gp_spec, "times", "gp"), "gp.times")
         if not all(map(math.isfinite, times)):
             raise ConfigError(f"gp.times must be finite, got {times!r}")
-        rows = [{"t": t, "log_bound": gp_log_bound(m0, pair, split * t, t - split * t, t)} for t in times]
+        windows = [(split * t, t - split * t, t) for t in times]
+        # a + b can round one ulp above t; a shorter window b only enlarges the bound
+        windows = [(a, b if a + b <= t else math.nextafter(b, 0.0), t) for a, b, t in windows]
+        rows = [{"t": t, "log_bound": v} for t, v in zip(times, _gp_log_bounds(m0, pair, windows))]
         gp = {"omega": w, "rate": pair.rate, "rows": rows}
 
     grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
@@ -436,7 +444,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _omega_grid(args) -> list[float]:
-    return [w + args.omega_min for w in _time_grid(args.omega_max - args.omega_min, args.omega_step)]
+    return [w + args.omega_min for w in _time_grid(args.omega_max - args.omega_min, args.omega_step).tolist()]
 
 
 def _figure_omegar(args) -> list[tuple[float, float, str]]:
@@ -477,12 +485,12 @@ def jordan_figure_bounds() -> tuple[
 def _figure_jordan3(args) -> list[tuple[float, float, str]]:
     model = JordanBlockModel(3)
     numrange, bound_3, bound_101 = jordan_figure_bounds()
-    ts = _time_grid(args.t_max, args.step)
-    norms = models.jordan_semigroup_norm(model, np.array(ts)).tolist()
+    grid = _time_grid(args.t_max, args.step)
+    ts = grid.tolist()
+    norms = models.jordan_semigroup_norm(model, grid).tolist()
     rows = [(t, math.log(norm), "true_norm") for t, norm in zip(ts, norms)]
-    rows += [(t, numrange.log_at(t), "numerical_range") for t in ts]
-    rows += [(t, bound_3.log_at(t), "bound_3_omegas") for t in ts]
-    rows += [(t, bound_101.log_at(t), "bound_101_omegas") for t in ts]
+    for bound, label in ((numrange, "numerical_range"), (bound_3, "bound_3_omegas"), (bound_101, "bound_101_omegas")):
+        rows += [(t, v, label) for t, v in zip(ts, _log_values(bound, grid).tolist())]
     return rows
 
 

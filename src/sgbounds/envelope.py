@@ -57,8 +57,8 @@ class GridBound:
     def sample(cls, m: PiecewiseLogAffineBound, h: float, n_steps: int) -> "GridBound":
         """Sample log m at h, ..., n_steps * h, with the exact 0 at t = 0.
 
-        One vectorised lookup and evaluation with the roundings of
-        :meth:`PiecewiseLogAffineBound.log_at`, so each value equals it.
+        One :func:`_log_values` call, so each value equals
+        :meth:`PiecewiseLogAffineBound.log_at`.
         """
         if h <= 0.0:
             raise ValueError("grid step must be positive")
@@ -69,9 +69,7 @@ class GridBound:
         t = np.arange(1, n_steps + 1) * h
         if len(t) != n_steps:  # np.arange returns an empty array for lengths near 2^63
             raise ValueError(f"{n_steps!r} grid steps do not fit in an array")
-        j = np.searchsorted(m.breakpoints, t, side="right") - 1
-        logs = np.asarray(m.slopes)[j] * t + np.asarray(m.intercepts)[j]
-        return cls(h, (0.0, *logs.tolist()))
+        return cls(h, (0.0, *_log_values(m, t).tolist()))
 
     def to_json_dict(self) -> dict:
         return {"h": self.h, "values": list(self.values)}
@@ -79,6 +77,13 @@ class GridBound:
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(k * self.h for k in range(len(self.values)))
+
+
+def _log_values(m: PiecewiseLogAffineBound, t: np.ndarray) -> np.ndarray:
+    """log m at each time of the array t >= 0, from one lookup and one evaluation
+    with the roundings of :meth:`PiecewiseLogAffineBound.log_at`, which it equals."""
+    j = np.searchsorted(m.breakpoints, t, side="right") - 1
+    return np.asarray(m.slopes)[j] * t + np.asarray(m.intercepts)[j]
 
 
 def subadditive_envelope(g: GridBound) -> GridBound:

@@ -301,19 +301,37 @@ def rate_for_crossing_time(alpha, omega):
     return diffop_rate(2.0 * alpha * omega) / (2.0 * alpha)
 
 
+def _bisect_by_prediction(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """``_bisect_array`` (decreasing f) on one bracket with f(lo) >= 0 > f(hi), in few calls of f:
+    each predicts the remaining steps from the bracket's regula falsi point, evaluates their
+    midpoints, and takes the steps up to the first mispredicted one, which it also takes."""
+    while True:
+        x, path, a, b = lo + f_lo * (hi - lo) / (f_lo - f_hi), [], lo, hi
+        while a < (mid := 0.5 * (a + b)) < b:
+            path.append(mid)
+            a, b = (mid, b) if mid < x else (a, mid)
+        if not path:
+            return 0.5 * (lo + hi)
+        for mid, v in zip(path, f(np.array(path)).tolist()):
+            up = not v < 0.0  # lo moves where f >= 0, as in _bisect_array
+            lo, f_lo, hi, f_hi = (mid, v, hi, f_hi) if up else (lo, f_lo, mid, v)
+            if up != (mid < x):
+                break
+
+
 def improvement_region_thresholds() -> tuple[float, float]:
     """Abscissas where the matched-rate curves for crossing times pi/2 and pi/8
     meet the line r = omega + 1; they delimit where combining a second pair
-    with the reference pair (0, 1) can pay off.  Both are solved in one
-    :func:`_bisect_array` call."""
-    alphas = np.array([0.5 * math.pi, 0.125 * math.pi])
-    f = lambda w: rate_for_crossing_time(alphas, w) - (w + 1.0)
-    lo, hi = np.array([-1.0 + 1e-9, 1.0]), np.array([0.0, 10.0])
-    failed = ~((f(lo) > 0.0) & (f(hi) < 0.0))
-    if failed.any():
-        raise ConvergenceError(f"{'lower' if failed[0] else 'upper'} threshold bracket failed")
-    lower, upper = _bisect_array(f, lo, hi, increasing=False).tolist()
-    return lower, upper
+    with the reference pair (0, 1) can pay off.  Each is the result of a
+    bisection, found by :func:`_bisect_by_prediction`."""
+    def root(name: str, alpha: float, lo: float, hi: float) -> float:
+        f = lambda w: rate_for_crossing_time(alpha, w) - (w + 1.0)
+        f_lo, f_hi = f(np.array([lo, hi])).tolist()
+        if not (f_lo > 0.0 and f_hi < 0.0):
+            raise ConvergenceError(f"{name} threshold bracket failed")
+        return _bisect_by_prediction(f, lo, hi, f_lo, f_hi)
+
+    return root("lower", 0.5 * math.pi, -1.0 + 1e-9, 0.0), root("upper", 0.125 * math.pi, 1.0, 10.0)
 
 
 # -- Jordan blocks ------------------------------------------------------------

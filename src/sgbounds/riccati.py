@@ -17,7 +17,8 @@ the walk over a bound's pieces stops at the piece where the crossing lands.
 
 The module also provides the weighted integral norm of 1/m
 (:func:`log_weighted_inv_norm_sq`) and the quantitative Gearhart-Pruss
-estimate (:func:`gp_log_bound`) it enters.
+estimate (:func:`gp_log_bound`) it enters; estimates at many times share the
+integral of each piece that lies wholly inside their windows.
 
 All formulas are arranged to stay accurate for very large |mu| (rates of
 order exp(-|omega|) drive mu up to 1e17 in the model operators): differences
@@ -27,10 +28,11 @@ conjugates, and coth-type branches are written with expm1.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bounds import _BP_MERGE_TOL, CONTINUITY_TOL, PiecewiseLogAffineBound, _continuity_slack, min_with_tails
 
@@ -50,9 +52,9 @@ __all__ = [
     "update_tail",
 ]
 
-# |mu^2 - 1| below this uses the parabolic (mu^2 = 1) formulas: the
-# trigonometric and hyperbolic branches lose precision as eta -> 0 and the
-# parabolic form is their analytic limit.
+# |mu^2 - 1| below this uses parabolic formulas: the trigonometric and
+# hyperbolic branches lose precision as eta -> 0, and a parabolic flow that
+# is nowhere faster than the true one (see propagate) errs only late.
 BRANCH_TOL = 1e-10
 
 
@@ -114,14 +116,16 @@ def propagate(b: float, mu: float, start: float) -> float:
         return start
     d = mu * mu - 1.0
     if abs(d) < BRANCH_TOL:
-        # parabolic: u' = (u + mu)^2 up to O(BRANCH_TOL)
-        u0 = start + mu
-        if u0 == 0.0:
-            return start
+        # a flow u' = (u + c)^2 nowhere faster than the true (u + mu)^2 + 1 - mu^2 at u >= 0: c = 1
+        # for mu > 1, mu for mu^2 <= 1, and mu + eta for mu < -1 below the equilibrium -c
+        c = min(mu, 1.0) if mu >= -1.0 else mu + math.sqrt((mu - 1.0) * (mu + 1.0))
+        u0 = start + c
+        if u0 == 0.0 or (u0 > 0.0 and mu < -1.0):
+            return min(start, -c)  # on or above -c, which the true state stays on or falls toward
         denom = b - 1.0 / u0
         if u0 > 0.0 and denom >= 0.0:
             raise PoleError(f"blow-up at b = {1.0 / u0:g} <= {b:g}")
-        return -1.0 / denom - mu
+        return -1.0 / denom - c
     if d < 0.0:
         eta = math.sqrt(-d)
         x = eta * b + math.atan((start + mu) / eta)
@@ -174,9 +178,9 @@ def _time_to_one(mu: float, start: float) -> float:
     """Normalized (rate 1) travel time of the flow from ``start`` to 1."""
     d = mu * mu - 1.0
     if abs(d) < BRANCH_TOL:
-        if mu < 0.0:
-            return math.inf
-        return 1.0 / (start + 1.0) - 0.5
+        # the flow of propagate, at or after the true time; for mu < -1 the state stays below 1
+        u0 = start + min(mu, 1.0)
+        return 1.0 / u0 - 1.0 / (1.0 + min(mu, 1.0)) if mu >= -1.0 and u0 > 0.0 else math.inf
     if mu <= -1.0:
         return math.inf
     if d < 0.0:
@@ -204,19 +208,20 @@ def first_crossing_time(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> float:
     slope, omega and rate.
     """
     bps = m.breakpoints
+    omega, rate = pair.omega, pair.rate
+    last = len(bps) - 1
     state = 0.0
-    for j, a in enumerate(m.slopes):
-        mu = (a - pair.omega) / pair.rate
-        t0 = bps[j]
-        t1 = bps[j + 1] if j + 1 < len(bps) else math.inf
-        crossing = t0 + _time_to_one(mu, state) / pair.rate
+    for j, (a, t0) in enumerate(zip(m.slopes, bps)):
+        mu = (a - omega) / rate
+        t1 = bps[j + 1] if j < last else math.inf
+        crossing = t0 + _time_to_one(mu, state) / rate
         if crossing <= t1:
             return crossing
         if math.isnan(crossing):
             raise OverflowError(
-                f"crossing time overflows at slope {a!r}, omega = {pair.omega!r}, rate {pair.rate!r} (mu = {mu:g})"
+                f"crossing time overflows at slope {a!r}, omega = {omega!r}, rate {rate!r} (mu = {mu:g})"
             )
-        state = max(propagate(pair.rate * (t1 - t0), mu, state), 0.0)
+        state = max(propagate(rate * (t1 - t0), mu, state), 0.0)
         if state >= 1.0:
             return t1
     raise AssertionError("final piece is unbounded")
@@ -286,14 +291,18 @@ def update_tail(
         raise ValueError("update requires a normalized bound (m(0) = 1)")
     if not math.isfinite(crossing):
         return None
-    log_at_crossing = m.log_at(crossing)
+    if crossing < 0.0:
+        raise ValueError(f"bound evaluated at negative time {crossing!r}")
+    bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
+    i = bisect.bisect_right(bps, crossing) - 1
     slope = pair.omega - pair.rate
-    intercept = 2.0 * log_at_crossing - slope * 2.0 * crossing
+    intercept = 2.0 * (slopes[i] * crossing + intercepts[i]) - slope * 2.0 * crossing
     start = 2.0 * crossing
-    j = m.piece_index(start)
-    a, b = m.slopes[j], m.intercepts[j]
+    j = bisect.bisect_right(bps, start) - 1
+    a, b = slopes[j], intercepts[j]
     gap = (slope * start + intercept) - (a * start + b)
-    if gap < -_continuity_slack(start, a, b, slope, intercept):
+    # the slack is never below CONTINUITY_TOL
+    if gap < -CONTINUITY_TOL and gap < -_continuity_slack(start, a, b, slope, intercept):
         start = _first_reentry(m, slope, intercept, start)
         if start is None:
             return None
@@ -348,6 +357,24 @@ def _logsumexp(terms: Sequence[float]) -> float:
     return top + math.log(sum(math.exp(x - top) for x in terms))
 
 
+def _log_norms_sq(m: PiecewiseLogAffineBound, omega: float) -> Callable[[float], float]:
+    """horizon -> :func:`log_weighted_inv_norm_sq` (m, omega, horizon).  The term of a piece
+    that lies wholly inside a horizon is computed once, for every horizon that reaches past
+    it, so a horizon adds only its last, partial piece's term."""
+    bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
+    full: list[float] = []
+
+    def log_norm(horizon: float) -> float:
+        if not horizon > 0.0:
+            raise ValueError("integration horizon must be positive")
+        k = bisect.bisect_left(bps, horizon) - 1  # the last piece that starts before the horizon
+        for j in range(len(full), k):
+            full.append(_piece_integral_log(omega - slopes[j], intercepts[j], bps[j], bps[j + 1]))
+        return _logsumexp([*full[:k], _piece_integral_log(omega - slopes[k], intercepts[k], bps[k], horizon)])
+
+    return log_norm
+
+
 def log_weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon: float) -> float:
     """log of the squared weighted norm of 1/m: the integral of
     exp(2 omega s) / m(s)^2 over [0, horizon].
@@ -357,16 +384,24 @@ def log_weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon: 
     exponent 2 (omega - slope) times its width is 0 or subnormal takes the
     linear formula.
     """
-    if horizon <= 0.0:
-        raise ValueError("integration horizon must be positive")
-    terms = []
-    for j, a in enumerate(m.slopes):
-        lo = m.breakpoints[j]
-        if lo >= horizon:
-            break
-        hi = m.breakpoints[j + 1] if j + 1 < len(m.breakpoints) else math.inf
-        terms.append(_piece_integral_log(omega - a, m.intercepts[j], lo, min(hi, horizon)))
-    return _logsumexp(terms)
+    return _log_norms_sq(m, omega)(horizon)
+
+
+def _gp_log_bounds(
+    m: PiecewiseLogAffineBound, pair: OmegaRPair, windows: Iterable, with_decay: bool = True
+) -> Iterator[float]:
+    """:func:`gp_log_bound` at each ``(a, b, t)`` of ``windows`` in turn, all from one :func:`_log_norms_sq`."""
+    log_norm = _log_norms_sq(m, pair.omega)
+    for a, b, t in windows:
+        if a <= 0.0 or b <= 0.0:
+            raise ValueError("window lengths must be positive")
+        if t < a + b:
+            raise ValueError(f"need t >= a + b, got t = {t!r} < {a + b!r}")
+        value = pair.omega * t - math.log(pair.rate)
+        if with_decay:
+            value -= pair.rate * (t - a - b)
+        log_a = log_norm(a)
+        yield value - 0.5 * log_a - 0.5 * (log_a if b == a else log_norm(b))
 
 
 def gp_log_bound(
@@ -382,14 +417,4 @@ def gp_log_bound(
     [0, b].  ``with_decay`` keeps the extra factor exp(-r (t - a - b)) of the
     strengthened estimate; dropping it recovers the plain version.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("window lengths must be positive")
-    if t < a + b:
-        raise ValueError(f"need t >= a + b, got t = {t!r} < {a + b!r}")
-    value = pair.omega * t - math.log(pair.rate)
-    if with_decay:
-        value -= pair.rate * (t - a - b)
-    log_a = log_weighted_inv_norm_sq(m, pair.omega, a)
-    value -= 0.5 * log_a
-    value -= 0.5 * (log_a if b == a else log_weighted_inv_norm_sq(m, pair.omega, b))
-    return value
+    return next(_gp_log_bounds(m, pair, [(a, b, t)], with_decay))

@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import chain_profile, random_bound, random_log_concave_bound, update_tails
-from sgbounds import GridBound, PiecewiseLogAffineBound, first_crossing_time, iterate, min_update, update_bound
+from sgbounds import (
+    GridBound,
+    OmegaRPair,
+    PiecewiseLogAffineBound,
+    first_crossing_time,
+    gp_log_bound,
+    iterate,
+    min_update,
+    update_bound,
+)
 from sgbounds import cli, iteration
 from sgbounds.cli import main
 
@@ -142,6 +151,18 @@ class TestUpdate:
         assert code == 0
         report = json.loads(out)
         assert report["gp"]["rate"] == report["singles"][0]["rate"] == 0.08800590541983289
+
+    def test_gp_windows_that_round_above_t_are_shortened(self, capsys, tmp_path):
+        # 0.3 t + (t - 0.3 t) rounds one ulp above this t, which gp_log_bound rejects
+        t, pair = 26.57154376388876, OmegaRPair(0.0, 1.0)
+        a, b = 0.3 * t, t - 0.3 * t
+        assert a + b > t
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG_53, "gp": {"omega": 0.0, "times": [4.0, t], "split": 0.3}}))
+        code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)["gp"]["rows"]
+        assert rows[1]["log_bound"] == gp_log_bound(PiecewiseLogAffineBound.constant(), pair, a, math.nextafter(b, 0.0), t)
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

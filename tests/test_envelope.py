@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bound, random_lattice_grid, random_log_concave_bound
+from conftest import bounds_strategy, lattice_bounds_strategy, random_bound, random_lattice_grid, random_log_concave_bound
 from sgbounds import (
     GridBound,
     PiecewiseLogAffineBound,
     piecewise_interpolant,
     subadditive_envelope,
 )
+from sgbounds.envelope import _log_values
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
@@ -130,6 +131,19 @@ class TestSamplingMatchesLogAt:
         assert len(m.breakpoints) >= 1000
         for h, n in ((0.02, 2000), (0.013, 2500), (0.05, 700)):
             assert GridBound.sample(m, h, n).values == log_at_loop(m, h, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds_strategy(max_pieces=8) | lattice_bounds_strategy(max_pieces=8), st.randoms(use_true_random=False))
+def test_grid_values_equal_log_at(m, random):
+    """The one-lookup evaluation of a time array is log_at at each time: at 0, on
+    each breakpoint and one ulp either side of it, and far past the last one."""
+    near = (x for t in m.breakpoints[1:] for x in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)))
+    ts = [0.0, 1e-300, *near]
+    last = m.breakpoints[-1]
+    ts += [last + 1.0, 2.0 * last + 1e3, 1e12, 1e300]
+    random.shuffle(ts)
+    assert _log_values(m, np.array(ts)).tolist() == [m.log_at(t) for t in ts]
 
 
 class TestEnvelope:

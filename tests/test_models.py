@@ -364,6 +364,24 @@ class TestImprovementThresholds:
     def test_pinned_values(self):
         assert improvement_region_thresholds() == (-0.8891841364925259, 4.739105903257762)
 
+    def test_at_most_half_the_rate_calls_of_the_bisection(self, monkeypatch):
+        calls = []
+        rate = models.diffop_rate
+        monkeypatch.setattr(models, "diffop_rate", lambda w: calls.append(w) or rate(w))
+        improvement_region_thresholds()
+        assert len(calls) <= 28  # the bisection made 55
+
+    def test_predicted_steps_are_the_bisection_steps(self):
+        # a decreasing line plus ripples that flip the sign many times within
+        # ulps of the root, so most predictions near the root fail
+        rng = np.random.default_rng(61)
+        for root in rng.uniform(-2.0, 2.0, size=8).tolist():
+            f = lambda x: (root - x) + 1e-14 * np.sin(1e16 * x)
+            lo, hi = root - float(rng.uniform(0.1, 3.0)), root + float(rng.uniform(0.1, 3.0))
+            expected = models._bisect_array(f, np.array([lo]), np.array([hi]), increasing=False)
+            f_lo, f_hi = f(np.array([lo, hi])).tolist()
+            assert models._bisect_by_prediction(f, lo, hi, f_lo, f_hi) == expected[0]
+
 
 class TestJordanExponential:
     def test_nilpotent_series(self):

@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from conftest import random_bound, random_log_concave_bound
+from conftest import bounds_strategy, random_bound, random_log_concave_bound
 from sgbounds import (
     MuSegment,
     OmegaRPair,
@@ -25,6 +28,7 @@ from sgbounds import (
     state_at,
     update_bound,
 )
+from sgbounds import riccati
 from sgbounds.bounds import pointwise_min, splice
 
 ONE = PiecewiseLogAffineBound.constant()
@@ -553,3 +557,148 @@ class TestGpBound:
             strict = gp_log_bound(m, pair, a, b, t)
             plain = gp_log_bound(m, pair, a, b, t, with_decay=False)
             assert strict <= plain + 1e-12
+
+
+def reference_log_norm(m: PiecewiseLogAffineBound, omega: float, horizon: float) -> float:
+    """log_weighted_inv_norm_sq as one sum over the pieces that start before the
+    horizon, each piece integrated on its own."""
+    bps, terms = m.breakpoints, []
+    for j, a in enumerate(m.slopes):
+        if bps[j] >= horizon:
+            break
+        hi = bps[j + 1] if j + 1 < len(bps) else math.inf
+        terms.append(riccati._piece_integral_log(omega - a, m.intercepts[j], bps[j], min(hi, horizon)))
+    return riccati._logsumexp(terms)
+
+
+@st.composite
+def gp_times(draw, m: PiecewiseLogAffineBound):
+    """Times in any order, with repeats, that fall on breakpoints, on twice a
+    breakpoint (so a window of split 0.5 ends on one) and past the last one."""
+    inner = [t for bp in m.breakpoints[1:] for t in (bp, 2.0 * bp)]
+    last = m.breakpoints[-1]
+    pick = st.sampled_from(inner) if inner else st.nothing()
+    free = st.floats(0.01, 3.0 * last + 10.0)
+    times = draw(st.lists(pick | free | st.floats(last + 0.01, 4.0 * last + 50.0), min_size=1, max_size=12))
+    return times + draw(st.lists(st.sampled_from(times), max_size=3))
+
+
+class TestGpSharedTerms:
+    """The gp rows share the terms of the pieces that lie wholly inside their
+    windows; every value is bit for bit the one-time estimate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds_strategy(max_pieces=8),
+        st.floats(-3.0, 3.0),
+        st.floats(0.05, 3.0),
+        st.sampled_from([0.5, 0.5, 0.3, 0.7]) | st.floats(0.05, 0.95),
+        st.booleans(),
+        st.data(),
+    )
+    @example(PiecewiseLogAffineBound.from_slopes([0.5, -1.0, 0.25], [1.0, 2.5]), 0.0, 1.0, 0.5, True, None)
+    def test_rows_equal_per_time_estimate(self, m, omega, rate, split, with_decay, data):
+        times = [5.0, 2.0, 5.0, 1.0, 0.5, 40.0] if data is None else data.draw(gp_times(m))
+        pair = OmegaRPair(omega, rate)
+        windows = [(split * t, t - split * t, t) for t in times]
+        windows = [(a, b, max(t, a + b)) for a, b, t in windows]  # a + b can round above t
+        rows = list(riccati._gp_log_bounds(m, pair, windows, with_decay))
+        assert rows == [gp_log_bound(m, pair, a, b, t, with_decay) for a, b, t in windows]
+        horizons = [h for a, b, _ in windows for h in (a, b)]
+        assert [log_weighted_inv_norm_sq(m, omega, h) for h in horizons] == [
+            reference_log_norm(m, omega, h) for h in horizons
+        ]
+
+    def test_full_pieces_are_integrated_once(self, monkeypatch):
+        m = PiecewiseLogAffineBound.from_slopes(
+            [1.0 - 0.3 * j for j in range(12)], [0.5 + 0.75 * j for j in range(11)]
+        )
+        calls = []
+        integral = riccati._piece_integral_log
+        monkeypatch.setattr(riccati, "_piece_integral_log", lambda *args: calls.append(args) or integral(*args))
+        times = np.linspace(0.5, 40.0, 50).tolist()
+        list(riccati._gp_log_bounds(m, OmegaRPair(-0.5, 0.8), [(0.5 * t, t - 0.5 * t, t) for t in times]))
+        assert len(calls) <= 12 + 50
+
+    def test_bad_window_raises_as_per_time(self):
+        pair = OmegaRPair(0.0, 1.0)
+        with pytest.raises(ValueError, match="need t >= a \\+ b"):
+            list(riccati._gp_log_bounds(WEI, pair, [(1.0, 1.0, 2.0), (2.0, 2.0, 3.0)]))
+        with pytest.raises(ValueError, match="integration horizon"):
+            log_weighted_inv_norm_sq(WEI, 0.0, math.nan)
+
+
+# -- the parabolic band |mu^2 - 1| < BRANCH_TOL against 60-digit closed forms ----
+
+
+def exact_state(mu: float, start: float, b: float):
+    """u(b) for u' = (u + mu)^2 - (mu^2 - 1), u(0) = start; None past a pole."""
+    mu, start, b = mpmath.mpf(mu), mpmath.mpf(start), mpmath.mpf(b)
+    d, w0 = mu * mu - 1, start + mu
+    if d < 0:
+        eta = mpmath.sqrt(-d)
+        x = eta * b + mpmath.atan(w0 / eta)
+        return None if x >= mpmath.pi / 2 else eta * mpmath.tan(x) - mu
+    if d == 0:
+        return None if w0 > 0 and b >= 1 / w0 else w0 / (1 - w0 * b) - mu
+    eta = mpmath.sqrt(d)
+    if abs(w0) < eta:
+        return -eta * mpmath.tanh(eta * b + mpmath.atanh(-w0 / eta)) - mu
+    x = eta * b + mpmath.acoth(-w0 / eta)
+    return None if w0 > eta and x >= 0 else -eta * mpmath.coth(x) - mu
+
+
+def exact_time_to_one(mu: float, start: float):
+    """The travel time of the same flow from start to 1; inf when it never gets there."""
+    mu, start = mpmath.mpf(mu), mpmath.mpf(start)
+    d, w0, w1 = mu * mu - 1, start + mu, 1 + mu
+    if mu <= -1:
+        return mpmath.inf
+    if d < 0:
+        eta = mpmath.sqrt(-d)
+        return (mpmath.atan(w1 / eta) - mpmath.atan(w0 / eta)) / eta
+    if d == 0:
+        return 1 / w0 - 1 / w1
+    eta = mpmath.sqrt(d)
+    return (mpmath.log((w1 - eta) / (w1 + eta)) - mpmath.log((w0 - eta) / (w0 + eta))) / (2 * eta)
+
+
+BAND_MUS = sorted({s * (1.0 + k * e) for s in (1.0, -1.0) for k in range(5) for e in (1e-11, -1e-11)})
+BAND_STARTS = [0.0, 0.1, 0.5, 0.9, 0.99999, 1.0 - 1e-11, 1.0 - 1e-13]
+
+
+class TestBranchBand:
+    """Near mu = +-1 the closed forms follow a flow nowhere faster than the true
+    one: crossings come at or after the exact ones and states at or below them,
+    up to a few ulps of the values summed."""
+
+    @pytest.mark.parametrize("mu", BAND_MUS)
+    def test_crossing_times_are_not_early(self, mu):
+        assert abs(mu * mu - 1.0) < riccati.BRANCH_TOL
+        with mpmath.workdps(60):
+            for start in BAND_STARTS:
+                got, exact = riccati._time_to_one(mu, start), exact_time_to_one(mu, start)
+                if exact == mpmath.inf:
+                    assert got == math.inf
+                    continue
+                # the formula subtracts terms of size up to 1 / (start + mu)
+                scale = 1.0 / (start + mu) if start + mu > 0.0 else 1.0
+                assert got >= exact - 4 * math.ulp(max(1.0, scale)), (start, got, float(exact))
+
+    @pytest.mark.parametrize("mu", BAND_MUS)
+    def test_states_are_not_high(self, mu):
+        with mpmath.workdps(60):
+            for start in BAND_STARTS:
+                for b in (1e-6, 0.01, 0.3, 1.0, 10.0, 1e3, 1e6):
+                    exact = exact_state(mu, start, b)
+                    try:
+                        got = propagate(b, mu, start)
+                    except PoleError:
+                        assert exact is None, (start, b)  # the slower flow's pole is not early
+                        continue
+                    if exact is not None:
+                        assert got <= exact + 4 * math.ulp(max(1.0, abs(float(exact)))), (start, b, got, float(exact))
+
+    def test_crossing_after_a_piece_just_past_mu_minus_one(self):
+        m = PiecewiseLogAffineBound.from_slopes([-1.0 - 4e-11, 0.0], [1000.0])
+        assert first_crossing_time(m, OmegaRPair(0.0, 1.0)) >= 1000.00049976342325
