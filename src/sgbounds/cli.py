@@ -117,8 +117,8 @@ def _grid_times(step: float, n: int) -> np.ndarray:
 
 
 def _time_grid(t_max: float, step: float) -> np.ndarray:
-    if not step > 0.0:
-        raise ConfigError(f"step must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"step must be positive and finite, got {step!r}")
     if t_max < 0.0:
         raise ConfigError(f"sweep span must not be negative, got {t_max!r}")
     return _grid_times(step, _step_count(t_max, step))
@@ -203,7 +203,7 @@ def _build_profile(spec) -> ResolventProfile:
         if "path" in block:
             try:
                 pairs = json.loads(Path(block["path"]).read_text())
-            except OSError as exc:
+            except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read model.tabulated.path: {exc}") from exc
         else:
             pairs = _required(block, "pairs", "model.tabulated")

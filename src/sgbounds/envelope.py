@@ -44,8 +44,8 @@ class GridBound:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise ValueError("grid step must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got h = {self.h!r}")
         if not self.values:
             raise ValueError("grid must hold at least the t = 0 value")
         if self.values[0] != 0.0:
@@ -60,8 +60,8 @@ class GridBound:
         One :func:`_log_values` call, so each value equals
         :meth:`PiecewiseLogAffineBound.log_at`.
         """
-        if h <= 0.0:
-            raise ValueError("grid step must be positive")
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got h = {h!r}")
         if n_steps <= 0:
             raise ValueError("need at least one grid step")
         if not m.is_normalized:

@@ -3,12 +3,12 @@
 Each function takes an abscissa or a time and returns a float; nothing here
 builds a profile.  The rate functions and ``jordan_semigroup_norm`` are
 elementwise, with one path each: an array of abscissas (or times) gets the
-array of values, from brackets narrowed by Newton steps and closed by one
-masked numpy bisection per branch (:func:`_narrow_by_newton`,
-:func:`_bisect_array`) or from one stacked SVD, and a float goes through the
-same path as a one-element array and gets a float.  A caller wraps a rate in
-``ResolventProfile(fn=...)``, for the Jordan block with
-``functools.partial(jordan_resolvent_rate, model)``.
+array of values, from brackets narrowed by Newton steps
+(:func:`_narrow_by_newton`) or from one stacked SVD, and a float goes through
+the same path as a one-element array and gets a float.  Every root here, the
+thresholds' too, is closed by :func:`_close`: sectioning, then one masked
+numpy bisection.  A caller wraps a rate in ``ResolventProfile(fn=...)``, for
+the Jordan block with ``functools.partial(jordan_resolvent_rate, model)``.
 
 Differentiation operator: A = d/dx on L2(0, 1) with boundary condition
 u(1) = 0.  Its semigroup is the left shift, which is the identity in norm
@@ -51,9 +51,9 @@ on either side of it.  Each rate is therefore multiplied by
 
 So the margin covers every upward error with room to spare, and every rate
 stays within 1e-13 below the exact one: the margin plus the 5.7e-14 that the
-deep hyperbolic branch can lose.  The Newton narrowing before each bisection
-changes none of this: it moves a bracket end only to a point where the
-computed f has that end's sign and never returns a Newton iterate, so each
+deep hyperbolic branch can lose.  The Newton narrowing and the sectioning
+before each bisection change none of this: they move a bracket end only to a
+point where the computed f has that end's sign and never return a probe, so each
 root is still the midpoint of adjacent floats across a sign change of the same
 computed f, which is all the argument above uses.
 """
@@ -122,16 +122,13 @@ def _narrow(f, w, lo, hi, points, increasing: bool):
 
 
 def _narrow_by_newton(f, newton, w, lo, hi, x, increasing: bool):
-    """Narrow the brackets for :func:`_bisect_array`, each element on its own.
+    """Narrow the brackets for :func:`_close`, each element on its own.
 
     Newton steps from x, with ``newton(x, w)`` giving f and its slope, run
     until the step is below the width within which rounding of f hides the
     root, the Newton point leaves the bracket, or ``_NEWTON_MAX_ITER`` steps.
     Then f is probed at the last point and at that point plus and minus the
-    last step or that width, whichever is larger.  Near omega = -1 the
-    computed f is flat over up to 2^50 ulps of the root, which no Newton step
-    can see into; there brackets still wider than ``_CLOSE_ULPS`` ulps are cut
-    into 64 equal parts per round.
+    last step or that width, whichever is larger.
     """
     w_ulp = np.spacing(np.abs(w))
     active = np.ones(len(w), dtype=bool)
@@ -148,15 +145,25 @@ def _narrow_by_newton(f, newton, w, lo, hi, x, increasing: bool):
             x = np.where(active, x_new, x)
             reach = np.where(active, np.maximum(np.abs(step), blur), reach)
             active &= np.abs(step) > blur
-    lo, hi = _narrow(f, w, lo, hi, x + reach * _NEWTON_PROBES, increasing)
-    wide = hi - lo > _CLOSE_ULPS * np.spacing(hi)
+    return _narrow(f, w, lo, hi, x + reach * _NEWTON_PROBES, increasing)
+
+
+def _close(f, w, lo, hi, increasing: bool) -> np.ndarray:
+    """The roots of f(., w) in the brackets [lo, hi], each element on its own.
+
+    Brackets still wider than ``_CLOSE_ULPS`` ulps are cut into 64 equal
+    parts per round (near omega = -1 the computed secular function is flat
+    over up to 2^50 ulps of the root, which no Newton step can see into), and
+    one :func:`_bisect_array` closes them all.
+    """
+    wide = hi - lo > _CLOSE_ULPS * np.spacing(np.abs(hi))
     for _ in range(_BISECT_MAX_ITER):
         if not wide.any():
             break
         i = np.flatnonzero(wide)
         lo[i], hi[i] = _narrow(f, w[i], lo[i], hi[i], lo[i] + (hi[i] - lo[i]) * _SECTIONS, increasing)
-        wide[i] = hi[i] - lo[i] > _CLOSE_ULPS * np.spacing(hi[i])
-    return lo, hi
+        wide[i] = hi[i] - lo[i] > _CLOSE_ULPS * np.spacing(np.abs(hi[i]))
+    return _bisect_array(lambda x: f(x, w), lo, hi, increasing)
 
 
 # the secular functions of the two branches, and each with its slope for Newton
@@ -199,7 +206,7 @@ def _nu(w: np.ndarray) -> np.ndarray:
     series = np.sqrt(3.0 * s - 0.6 * s * s + 12.0 / 175.0 * s**3)
     far = math.pi - 2.0 * math.pi / (s + np.sqrt(s * s + 4.0 * math.pi**2 / 3.0))
     lo, hi = _narrow_by_newton(_trig, _trig_newton, w, lo, hi, np.minimum(series, far), increasing=True)
-    return _bisect_array(lambda nu: _trig(nu, w), lo, hi, increasing=True)
+    return _close(_trig, w, lo, hi, increasing=True)
 
 
 def _eta(w: np.ndarray) -> np.ndarray:
@@ -220,7 +227,7 @@ def _eta(w: np.ndarray) -> np.ndarray:
         series = np.sqrt(3.0 * s + 0.6 * s * s + 12.0 / 175.0 * s**3)
         far = -w * (1.0 - 2.0 * np.exp(2.0 * w))
     lo, hi = _narrow_by_newton(_hyp, _hyp_newton, w, lo, -w + 1.0, np.minimum(series, far), increasing=False)
-    return _bisect_array(lambda eta: _hyp(eta, w), lo, hi, increasing=False)
+    return _close(_hyp, w, lo, hi, increasing=False)
 
 
 def diffop_eigenroot(omega):
@@ -231,7 +238,7 @@ def diffop_eigenroot(omega):
     and 0 at omega = -1.  Elementwise: an array of abscissas gets the array of
     roots, and a float is solved as a one-element array and gets a float.
     Each branch narrows its brackets with :func:`_narrow_by_newton` and closes
-    them with one :func:`_bisect_array`; a root does not depend on which other
+    them with one :func:`_close`; a root does not depend on which other
     abscissas share its array.
     """
     omegas = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -284,8 +291,8 @@ def diffop_rate(omega):
 
 def diffop_semigroup_norm(t: float) -> float:
     """Exact norm of the shift semigroup: 1 before time 1, 0 from time 1 on."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got t = {t!r}")
     return 1.0 if t < 1.0 else 0.0
 
 
@@ -301,37 +308,18 @@ def rate_for_crossing_time(alpha, omega):
     return diffop_rate(2.0 * alpha * omega) / (2.0 * alpha)
 
 
-def _bisect_by_prediction(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """``_bisect_array`` (decreasing f) on one bracket with f(lo) >= 0 > f(hi), in few calls of f:
-    each predicts the remaining steps from the bracket's regula falsi point, evaluates their
-    midpoints, and takes the steps up to the first mispredicted one, which it also takes."""
-    while True:
-        x, path, a, b = lo + f_lo * (hi - lo) / (f_lo - f_hi), [], lo, hi
-        while a < (mid := 0.5 * (a + b)) < b:
-            path.append(mid)
-            a, b = (mid, b) if mid < x else (a, mid)
-        if not path:
-            return 0.5 * (lo + hi)
-        for mid, v in zip(path, f(np.array(path)).tolist()):
-            up = not v < 0.0  # lo moves where f >= 0, as in _bisect_array
-            lo, f_lo, hi, f_hi = (mid, v, hi, f_hi) if up else (lo, f_lo, mid, v)
-            if up != (mid < x):
-                break
-
-
 def improvement_region_thresholds() -> tuple[float, float]:
     """Abscissas where the matched-rate curves for crossing times pi/2 and pi/8
     meet the line r = omega + 1; they delimit where combining a second pair
-    with the reference pair (0, 1) can pay off.  Each is the result of a
-    bisection, found by :func:`_bisect_by_prediction`."""
-    def root(name: str, alpha: float, lo: float, hi: float) -> float:
-        f = lambda w: rate_for_crossing_time(alpha, w) - (w + 1.0)
-        f_lo, f_hi = f(np.array([lo, hi])).tolist()
-        if not (f_lo > 0.0 and f_hi < 0.0):
-            raise ConvergenceError(f"{name} threshold bracket failed")
-        return _bisect_by_prediction(f, lo, hi, f_lo, f_hi)
-
-    return root("lower", 0.5 * math.pi, -1.0 + 1e-9, 0.0), root("upper", 0.125 * math.pi, 1.0, 10.0)
+    with the reference pair (0, 1) can pay off.  Both brackets are closed by
+    one :func:`_close`, with the crossing times as its w."""
+    f = lambda w, alpha: rate_for_crossing_time(alpha, w) - (w + 1.0)
+    alpha, lo, hi = np.array([0.5 * math.pi, 0.125 * math.pi]), np.array([-1.0 + 1e-9, 1.0]), np.array([0.0, 10.0])
+    f_lo, f_hi = f(np.stack([lo, hi]), alpha)
+    failed = ~((f_lo > 0.0) & (f_hi < 0.0))
+    if failed.any():
+        raise ConvergenceError(f"{'lower' if failed[0] else 'upper'} threshold bracket failed")
+    return tuple(_close(f, alpha, lo, hi, increasing=False).tolist())
 
 
 # -- Jordan blocks ------------------------------------------------------------
@@ -374,8 +362,9 @@ def jordan_semigroup_norm(model: JordanBlockModel, t):
     :func:`jordan_resolvent_rate` is in omega: a float gets a float, and an
     array of times the array of norms from one stacked SVD call."""
     ts = np.asarray(t, dtype=float)
-    if (ts < 0.0).any():
-        raise ValueError("time must be nonnegative")
+    bad = ~((ts >= 0.0) & (ts < math.inf))
+    if bad.any():
+        raise ValueError(f"time must be nonnegative and finite, got t = {_first(ts, bad)!r}")
     norms = np.linalg.svd(jordan_matrix_exponential(model, ts), compute_uv=False)[..., 0]
     return norms if np.ndim(t) else float(norms)
 

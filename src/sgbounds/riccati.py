@@ -365,8 +365,8 @@ def _log_norms_sq(m: PiecewiseLogAffineBound, omega: float) -> Callable[[float],
     full: list[float] = []
 
     def log_norm(horizon: float) -> float:
-        if not horizon > 0.0:
-            raise ValueError("integration horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"integration horizon must be positive and finite, got {horizon!r}")
         k = bisect.bisect_left(bps, horizon) - 1  # the last piece that starts before the horizon
         for j in range(len(full), k):
             full.append(_piece_integral_log(omega - slopes[j], intercepts[j], bps[j], bps[j + 1]))
@@ -397,6 +397,8 @@ def _gp_log_bounds(
             raise ValueError("window lengths must be positive")
         if t < a + b:
             raise ValueError(f"need t >= a + b, got t = {t!r} < {a + b!r}")
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got t = {t!r}")
         value = pair.omega * t - math.log(pair.rate)
         if with_decay:
             value -= pair.rate * (t - a - b)

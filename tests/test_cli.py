@@ -317,6 +317,15 @@ class TestIterate:
         assert code == 2
         assert "config error" in err
 
+    def test_tabulated_path_not_json_names_the_key(self, capsys, tmp_path):
+        table = tmp_path / "pairs.txt"
+        table.write_text("0.0 1.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"tabulated": {"path": str(table)}}, "omega_set": [0.0]}))
+        code, _, err = run(capsys, ["update", "--config", str(cfg)])
+        assert code == 2
+        assert "config error: cannot read model.tabulated.path: " in err
+
 
 @pytest.mark.parametrize(
     "override",
@@ -354,13 +363,22 @@ def test_wrongly_typed_config_exits_2(capsys, tmp_path, override):
 
 @pytest.mark.parametrize(
     "argv",
-    [["wei", "1", "--step", "0"], ["figure", "omegar", "--omega-step", "0"], ["figure", "diffop_r", "--omega-step", "0"]],
-    ids=["wei", "omegar", "diffop_r"],
+    [
+        ["wei", "1", "--step", "0"],
+        ["figure", "omegar", "--omega-step", "0"],
+        ["figure", "diffop_r", "--omega-step", "0"],
+        ["wei", "1", "--step", "inf"],
+        ["figure", "jordan3", "--step", "inf"],
+        ["figure", "omegar", "--omega-step", "inf"],
+        ["figure", "diffop_r", "--omega-step", "inf"],
+    ],
+    ids=["wei", "omegar", "diffop_r", "wei_inf", "jordan3_inf", "omegar_inf", "diffop_r_inf"],
 )
 def test_zero_step_exits_2(capsys, argv):
+    # an infinite step would make the grid's k * step NaN at k = 0
     code, _, err = run(capsys, argv)
     assert code == 2
-    assert "config error" in err
+    assert "config error" in err and f"got {float(argv[-1])!r}" in err
 
 
 @pytest.mark.parametrize(

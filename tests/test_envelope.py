@@ -101,6 +101,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             GridBound.sample(PiecewiseLogAffineBound.constant(), 1.0, 2**63)
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_non_finite_step_is_rejected(self, h):
+        # the step is named, not the values that an infinite step would turn into NaN
+        with pytest.raises(ValueError, match=f"grid step must be positive and finite, got h = {h!r}"):
+            GridBound(h, (0.0,))
+        with pytest.raises(ValueError, match=f"grid step must be positive and finite, got h = {h!r}"):
+            GridBound.sample(PiecewiseLogAffineBound.constant(), h, 4)
+
 
 def log_at_loop(m, h, n):
     return (0.0, *(m.log_at(k * h) for k in range(1, n + 1)))

@@ -291,6 +291,11 @@ class TestTrueNorm:
         with pytest.raises(ValueError):
             diffop_semigroup_norm(-0.1)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match=f"got t = {t!r}"):
+            diffop_semigroup_norm(t)
+
     def test_wei_bound_valid_and_optimal(self):
         r0 = math.pi / 2
         for t in np.linspace(0.0, 3.0, 301):
@@ -371,16 +376,46 @@ class TestImprovementThresholds:
         improvement_region_thresholds()
         assert len(calls) <= 28  # the bisection made 55
 
-    def test_predicted_steps_are_the_bisection_steps(self):
-        # a decreasing line plus ripples that flip the sign many times within
-        # ulps of the root, so most predictions near the root fail
-        rng = np.random.default_rng(61)
-        for root in rng.uniform(-2.0, 2.0, size=8).tolist():
-            f = lambda x: (root - x) + 1e-14 * np.sin(1e16 * x)
-            lo, hi = root - float(rng.uniform(0.1, 3.0)), root + float(rng.uniform(0.1, 3.0))
-            expected = models._bisect_array(f, np.array([lo]), np.array([hi]), increasing=False)
-            f_lo, f_hi = f(np.array([lo, hi])).tolist()
-            assert models._bisect_by_prediction(f, lo, hi, f_lo, f_hi) == expected[0]
+
+BRACKETS = st.lists(
+    st.tuples(
+        st.floats(0.5, 2.0), st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 0.4), st.floats(1e-3, 0.4)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def brackets(cases):
+    """Roots of either sign, each with a bracket that stays clear of 0."""
+    roots = np.array([sign * size for size, sign, _, _ in cases])
+    return roots, roots - np.array([c[2] for c in cases]), roots + np.array([c[3] for c in cases])
+
+
+class TestClose:
+    @settings(max_examples=200, deadline=None)
+    @given(BRACKETS, st.booleans())
+    def test_lands_on_a_sign_change_of_the_computed_f(self, cases, increasing):
+        # a line plus ripples that flip the sign many times within ulps of the
+        # root: the result is one of two adjacent floats across which the
+        # computed f changes sign, classified as in _bisect_array
+        sign = 1.0 if increasing else -1.0
+        f = lambda x, w: sign * (x - w) + 1e-14 * np.sin(1e16 * x)
+        roots, lo, hi = brackets(cases)
+        got = models._close(f, roots, lo, hi, increasing)
+        below, above = np.nextafter(got, -np.inf), np.nextafter(got, np.inf)
+        up = lambda x: (f(x, roots) < 0.0) == increasing
+        at = up(got)
+        assert np.where(at, ~up(above), up(below)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(BRACKETS, st.booleans())
+    def test_equals_the_bisection_on_monotone_f(self, cases, increasing):
+        sign = 1.0 if increasing else -1.0
+        f = lambda x, w: sign * (x - w) * (1.0 + x * x)  # the sign of x - w, exactly
+        roots, lo, hi = brackets(cases)
+        expected = models._bisect_array(lambda x: f(x, roots), lo.copy(), hi.copy(), increasing)
+        assert models._close(f, roots, lo, hi, increasing).tolist() == expected.tolist()
 
 
 class TestJordanExponential:
@@ -407,6 +442,13 @@ class TestJordanExponential:
     def test_norm_negative_time_rejected(self):
         with pytest.raises(ValueError):
             jordan_semigroup_norm(JordanBlockModel(2), -1.0)
+
+    @pytest.mark.parametrize(
+        "ts, named", [(math.inf, "inf"), (math.nan, "nan"), (np.array([0.0, 1.0, math.inf]), "inf")]
+    )
+    def test_norm_non_finite_time_rejected(self, ts, named):
+        with pytest.raises(ValueError, match=f"got t = {named}$"):
+            jordan_semigroup_norm(JordanBlockModel(3), ts)
 
     @pytest.mark.parametrize("ts", [[0.0, 1.0, -1e-300, 2.0], [-1.0], [[0.0, 1.0], [2.0, -3.0]]])
     def test_a_negative_time_anywhere_in_an_array_is_rejected(self, ts):

@@ -496,6 +496,11 @@ class TestWeightedNorm:
         with pytest.raises(ValueError):
             log_weighted_inv_norm_sq(ONE, 0.0, 0.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_requires_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match=f"got {horizon!r}$"):
+            log_weighted_inv_norm_sq(ONE, 0.0, horizon)
+
     def test_huge_positive_weight_stays_finite(self):
         # the norm itself, (exp(1000) - 1) / 2, overflows a float; its log does not
         value = log_weighted_inv_norm_sq(ONE, 1.0, 500.0)
@@ -546,6 +551,13 @@ class TestGpBound:
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError):
             gp_log_bound(ONE, OmegaRPair(0.0, 1.0), 2.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "a, t, named", [(1.0, math.inf, "t = inf"), (1.0, math.nan, "t = nan"), (math.inf, math.inf, "t = inf")]
+    )
+    def test_rejects_non_finite_time(self, a, t, named):
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            gp_log_bound(ONE, OmegaRPair(0.0, 1.0), a, 1.0, t)
 
     def test_decay_factor_only_helps(self):
         rng = np.random.default_rng(53)
