@@ -303,6 +303,9 @@ def _insert(live: list[tuple[float, float]], line: tuple[float, float]) -> None:
     sorted by slope, each strictly lowest somewhere.  The line is dropped if it
     is nowhere lowest, and so is each neighbour it leaves nowhere lowest; of
     two equal slopes the lower intercept stays."""
+    if not live:
+        live.append(line)
+        return
     i = bisect.bisect_left(live, line)
     if i and live[i - 1][0] == line[0] or line in live[i : i + 1]:
         return
@@ -329,10 +332,10 @@ def _expire(live: list[tuple[float, float]], s: float) -> None:
 def _with_own_pieces(
     pieces: list[tuple[float, float, float]] | None, m: PiecewiseLogAffineBound, s: float, start: int, stop: int
 ) -> list[tuple[float, float, float]]:
-    """``pieces``, the sweep's pieces of m and a line from s on, with m's own
-    pieces ``start`` to ``stop - 1`` added as the sweep adds them.  Before the
-    line is first taken ``pieces`` is None, ``start`` is the piece that holds s,
-    and the sweep's pieces of m up to s come first."""
+    """``pieces``, the sweep's pieces so far, with m's own pieces ``start`` to
+    ``stop - 1`` added as the sweep adds them.  Before anything is copied
+    ``pieces`` is None, ``start`` is the piece that holds s, and the sweep's
+    pieces of m up to s come first."""
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     if pieces is None:
         j, start = start, start + (s != bps[start])
@@ -352,72 +355,18 @@ def _with_own_pieces(
     return pieces
 
 
-def _min_with_line(
-    m: PiecewiseLogAffineBound, s: float, at: float, bt: float
-) -> PiecewiseLogAffineBound | None:
-    """The sweep of m and the one tail ``(s, at, bt)`` as one walk over m's pieces
-    from s (see :func:`min_with_tails`), or None for a start it leaves to the
-    sweep.  Each comparison, and each join where the minimum switches, is the
-    sweep's own; m's own pieces in between are copied."""
-    bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
-    n = len(bps)
-    j = m.piece_index(s)
-    am, bm = slopes[j], intercepts[j]
-    below = (am * s + bm) - (at * s + bt)
-    if below > CONTINUITY_TOL and below > _continuity_slack(s, am, bm, at, bt):
-        raise ValueError(f"tail starts {below:g} below m at t = {s!r}")
-    if s != bps[j] and (s - bps[j] <= _BP_MERGE_TOL or j + 1 < n and bps[j + 1] - s <= _BP_MERGE_TOL):
-        return None
-    pieces = None  # the sweep's pieces, once it takes the line
-    run: int | None = j  # m's own pieces from run on are still to come; None on the line
-    for k in range(j, n):
-        x = bps[k] if k > j else s
-        e = bps[k + 1] if k + 1 < n else math.inf
-        am, bm = slopes[k], intercepts[k]
-        vt, vm = at * x + bt, am * x + bm
-        if vt < vm or (vt == vm and at < am):
-            if run is not None:
-                pieces = _with_own_pieces(pieces, m, s, run, k)
-                _append_joined(pieces, x, at, bt)
-                run = None
-            elif pieces[-1][1:] == (at, bt) and x - pieces[-1][0] > _BP_MERGE_TOL:
-                pieces.append((x, at, bt))  # the line taken again, as _append_joined appends it
-            else:
-                _append_joined(pieces, x, at, bt)
-        elif run is None:
-            _append_joined(pieces, x, am, bm)
-            run = k + 1
-        # at most one crossing, to the line of smaller slope
-        if run is None:
-            if am < at:
-                tc = max((bm - bt) / (at - am), x)
-                if tc < e - _BP_MERGE_TOL:
-                    _append_joined(pieces, tc, am, bm)
-                    run = k + 1
-        elif at < am:
-            tc = max((bt - bm) / (am - at), x)
-            if tc < e - _BP_MERGE_TOL:
-                pieces = _with_own_pieces(pieces, m, s, run, k + 1)
-                _append_joined(pieces, tc, at, bt)
-                run = None
-    if pieces is None:
-        return m
-    if run is not None:
-        pieces = _with_own_pieces(pieces, m, s, run, n)
-    return _canonical(pieces)
-
-
 def min_with_tails(
     m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float]]
 ) -> PiecewiseLogAffineBound:
     """Pointwise minimum of m and the lines ``(start, slope, intercept)``, each
     counted only on [start, inf), in canonical form.  Each tail must start on or
     above m, up to the continuity slack, as ``riccati.update_tail``'s do; one that
-    starts lower raises ValueError.
+    starts lower, or at a negative time, raises ValueError.
 
-    One sweep over the breakpoints of m and the tail starts, keeping the tails'
-    lower envelope on [s, inf) for each interval start s, the last line lowest
-    at s.  Each interval starts from the lower of m and that line and moves on
+    One sweep over m's pieces from the one that holds the first start, each
+    piece cut into intervals at the tail starts inside it, keeping the tails'
+    lower envelope on [x, inf) for each interval start x, the last line lowest
+    at x.  Each interval starts from the lower of m and that line and moves on
     to the line of smaller slope whose crossing comes first; ties go to the
     smaller slope, and m wins ties between equal lines.  A crossing that rounds
     to before the current point takes effect there, never decided again by
@@ -427,99 +376,126 @@ def min_with_tails(
     of folding ``splice(m, pointwise_min(m, tail), start)`` over the tails with
     :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
 
-    An interval that starts on the line already last, more than
-    ``_BP_MERGE_TOL`` after its start, appends it again as it is, as
-    :func:`_append_joined` would; a later join that takes over the start of a
-    piece at most that wide then stops there.  The starts stay more than
-    ``_BP_MERGE_TOL`` apart, so :func:`_canonical` only merges equal slopes.
+    :func:`_append_joined` runs where the minimum switches.  An interval that
+    starts on the line already last, more than ``_BP_MERGE_TOL`` after its
+    start, appends it again as it is, as :func:`_append_joined` would; a later
+    join that takes over the start of a piece at most that wide then stops
+    there.  The starts stay more than ``_BP_MERGE_TOL`` apart, so
+    :func:`_canonical` only merges equal slopes.
 
-    m's pieces before the first tail start are copied as they are: as m's
-    breakpoints lie more than ``_BP_MERGE_TOL`` apart, the constructor's
-    continuity check is the one :func:`_append_joined` makes, so they would
-    pass it unchanged.  When the sweep takes no tail line and joins no piece,
-    the result is m, and m itself is returned.
-
-    One tail ``(s, at, bt)`` is not swept but walked, with the sweep's own
-    comparisons: from the piece of m that holds s, each interval [x, e[ across
-    m's later breakpoints starts from the line if it is below m's piece at x,
-    or tied there at a smaller slope, and switches to the other one at most
-    once, where the two meet (or at x if that rounds before it), unless that is
-    not before e - ``_BP_MERGE_TOL``.  :func:`_append_joined` runs only where
-    the minimum switches; the line taken again at an interval start is
-    appended again as it is, as in the sweep.  m's own pieces in between are
-    copied, as before the first start: each one that follows m's piece before
-    it by more than ``_BP_MERGE_TOL`` would pass :func:`_append_joined`
-    unchanged.  So the pieces are the sweep's.  A line never taken returns m
-    itself; otherwise the pieces go to :func:`_canonical` as the sweep's do.
-    One input goes to the sweep instead: a start that is not a breakpoint of m
-    but lies within ``_BP_MERGE_TOL`` of one.
+    m's own pieces are copied, not joined: those before the first start, and
+    each run over which m stays lowest, once a line is taken, a tail starts
+    inside the run, or the sweep ends.  As m's breakpoints lie more than
+    ``_BP_MERGE_TOL`` apart, the constructor's continuity check is the one
+    :func:`_append_joined` makes, so they would pass it unchanged.  When no
+    line is taken and no interval starts within ``_BP_MERGE_TOL`` of the one
+    before, the pieces are m's, and m itself is returned.
     """
     if not tails:
         return m
-    if len(tails) == 1:
-        walked = _min_with_line(m, *tails[0])
-        if walked is not None:
-            return walked
-    order = sorted(tails)
-    bps = m.breakpoints
-    i = bisect.bisect_left(bps, order[0][0])  # m's pieces before the first start
-    pieces: list[tuple[float, float, float]] = list(zip(bps[:i], m.slopes[:i], m.intercepts[:i]))
-    base = sorted({*bps[i:], *(tail[0] for tail in order)})
-    live: list[tuple[float, float]] = []  # the tails' lower envelope on [s, inf)
-    n = len(bps)
-    j, k = max(i - 1, 0), 0
-    took_tail = False
-    for s, e in zip(base, [*base[1:], math.inf]):
-        # base holds the breakpoints of m from its first point on, so none lies inside [s, e[
-        while j + 1 < n and bps[j + 1] <= s:
-            j += 1
-        am, bm = m.slopes[j], m.intercepts[j]
-        while k < len(order) and order[k][0] <= s:
-            _, at, bt = order[k]  # s is this tail's start
-            below = (am * s + bm) - (at * s + bt)
-            if below > CONTINUITY_TOL and below > _continuity_slack(s, am, bm, at, bt):
-                raise ValueError(f"tail starts {below:g} below m at t = {s!r}")
-            _insert(live, (at, bt))
-            k += 1
-        _expire(live, s)
-        a, b = am, bm
-        if live:
-            at, bt = live[-1]
-            vt, vm = at * s + bt, am * s + bm
-            if vt < vm or (vt == vm and at < am):
-                a, b = at, bt
-                took_tail = True
-        if pieces and pieces[-1][1:] == (a, b) and s - pieces[-1][0] > _BP_MERGE_TOL:
-            pieces.append((s, a, b))  # the last line taken again, as _append_joined appends it
-        else:
-            _append_joined(pieces, s, a, b)
-        x = s
-        while True:
-            # the next line is the one of smaller slope whose crossing comes
-            # first; tails are scanned by slope, so the first of tied crossings
-            # has the smaller slope
-            best, nxt = e - _BP_MERGE_TOL, None
-            for a2, b2 in live:
-                if a2 >= a:
+    order = sorted(tails) if len(tails) > 1 else tails
+    bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
+    n, count = len(bps), len(order)
+    s0 = order[0][0]
+    if s0 < 0.0:
+        raise ValueError(f"tail starts at negative time {s0!r}")
+    j0 = bisect.bisect_right(bps, s0) - 1  # the piece that holds s0
+    own = s0  # where m's copied pieces go on from its prefix, for _with_own_pieces
+    pieces: list[tuple[float, float, float]] | None = None  # the sweep's pieces, once copied
+    run: int | None = j0  # m's own pieces from run on are still to be copied; None on a line
+    live: list[tuple[float, float]] = []  # the tails' lower envelope on [x, inf)
+    lat = lbt = low = 0.0  # the line of live lowest at x, and live's smallest slope
+    took = near = False  # near: an interval starts within _BP_MERGE_TOL of the one before or of the next
+    i = 0  # the next tail to insert
+    x = s0
+    for k in range(j0, n):
+        am, bm = slopes[k], intercepts[k]
+        end = bps[k + 1] if k + 1 < n else math.inf
+        while True:  # the intervals [x, e[ of m's piece k, cut at the tail starts inside it
+            if i < count and order[i][0] <= x:
+                if x != bps[k]:  # the interval before x starts at m's breakpoint or at the last start
+                    lo = order[i - 1][0] if i and order[i - 1][0] > bps[k] else bps[k]
+                    near = near or x - lo <= _BP_MERGE_TOL or end - x <= _BP_MERGE_TOL
+                while i < count and order[i][0] <= x:
+                    _, at, bt = order[i]  # x is this tail's start
+                    below = (am * x + bm) - (at * x + bt)
+                    if below > CONTINUITY_TOL and below > _continuity_slack(x, am, bm, at, bt):
+                        raise ValueError(f"tail starts {below:g} below m at t = {x!r}")
+                    _insert(live, (at, bt))
+                    i += 1
+                if len(live) > 1:
+                    _expire(live, x)
+                (lat, lbt), low = live[-1], live[0][0]
+            elif low < lat:  # two or more lines are live
+                _expire(live, x)
+                lat, lbt = live[-1]
+            e = order[i][0] if i < count and order[i][0] < end else end
+            vt, vm = lat * x + lbt, am * x + bm
+            if vt < vm or (vt == vm and lat < am):
+                a, b = lat, lbt
+                took = True
+                if run is not None:
+                    # m's pieces up to x: its piece at x too if x is inside it, unless x is
+                    # the first start, whose piece the prefix holds
+                    pieces = _with_own_pieces(pieces, m, own, run, k if x == bps[k] or x == s0 else k + 1)
+                    _append_joined(pieces, x, a, b)
+                    run = None
+                elif pieces[-1][1:] == (a, b) and x - pieces[-1][0] > _BP_MERGE_TOL:
+                    pieces.append((x, a, b))  # the line taken again, as _append_joined appends it
+                else:
+                    _append_joined(pieces, x, a, b)
+            else:
+                a, b = am, bm
+                if run is None:
+                    _append_joined(pieces, x, a, b)
+                    run = k + 1
+                elif x != bps[k]:
+                    if x == s0:
+                        if x - bps[k] <= _BP_MERGE_TOL:
+                            own = bps[k]  # m's piece at s0 joins back onto the prefix's last piece
+                    else:
+                        # a tail starts inside the run: m's piece at x, as the sweep repeats it
+                        pieces = _with_own_pieces(pieces, m, own, run, k + 1)
+                        _append_joined(pieces, x, a, b)
+                        run = k + 1
+            while low < a or am < a:  # a line of smaller slope may cross the current one
+                # the next line is the one of smaller slope whose crossing comes
+                # first; tails are scanned by slope, so the first of tied crossings
+                # has the smaller slope
+                best, nxt, to_m = e - _BP_MERGE_TOL, None, False
+                if low < a:
+                    for a2, b2 in live:
+                        if a2 >= a:
+                            break
+                        tc = (b2 - b) / (a - a2)
+                        if tc < x:
+                            tc = x
+                        if tc < best:
+                            best, nxt = tc, (a2, b2)
+                if am < a:
+                    tc = max((bm - b) / (a - am), x)
+                    if tc < best or (nxt is not None and tc == best and am < nxt[0]):
+                        best, nxt, to_m = tc, (am, bm), True
+                if nxt is None:
                     break
-                tc = (b2 - b) / (a - a2)
-                if tc < x:
-                    tc = x
-                if tc < best:
-                    best, nxt = tc, (a2, b2)
-            if am < a:
-                tc = max((bm - b) / (a - am), x)
-                if tc < best or (nxt is not None and tc == best and am < nxt[0]):
-                    best, nxt = tc, (am, bm)
-            if nxt is None:
+                x, (a, b) = best, nxt
+                took = True
+                if run is not None:
+                    pieces = _with_own_pieces(pieces, m, own, run, k + 1)
+                    run = None
+                _append_joined(pieces, x, a, b)
+                if to_m:
+                    run = k + 1
+            if e == end:
                 break
-            x, (a, b) = best, nxt
-            took_tail = True
-            _append_joined(pieces, x, a, b)
-    if not took_tail and len(pieces) == i + len(base):
-        # every piece is m's line from a start of its own, each more than
-        # _BP_MERGE_TOL after the one before: _canonical would merge them back to m
+            x = e
+        x = end
+    if not took and not near:
+        # m's own pieces from interval starts each more than _BP_MERGE_TOL after
+        # the one before: _canonical would merge them back to m
         return m
+    if run is not None:
+        pieces = _with_own_pieces(pieces, m, own, run, n)
     return _canonical(pieces)
 
 

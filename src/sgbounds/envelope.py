@@ -22,6 +22,7 @@ so the DP leaves such a grid unchanged up to rounding, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ class GridBound:
             raise ValueError("need at least one grid step")
         if not m.is_normalized:
             raise ValueError("sampling requires a normalized bound")
+        if n_steps > sys.float_info.max / h or not math.isfinite(n_steps * h):
+            raise ValueError(f"{n_steps!r} grid steps of h = {h!r} reach past the largest float")
         t = np.arange(1, n_steps + 1) * h
         if len(t) != n_steps:  # np.arange returns an empty array for lengths near 2^63
             raise ValueError(f"{n_steps!r} grid steps do not fit in an array")

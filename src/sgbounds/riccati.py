@@ -337,17 +337,23 @@ def _first_reentry(
 # -- weighted norms and the Gearhart-Pruss estimate -------------------------
 
 
-def _piece_integral_log(kappa: float, beta: float, lo: float, hi: float) -> float:
-    """log of the integral of exp(2 kappa s - 2 beta) over [lo, hi]."""
+def _piece_integral_log(kappa: float, slope: float, intercept: float, lo: float, hi: float) -> float:
+    """log of the integral of exp(2 omega s) / m(s)^2 over [lo, hi], less 2 omega hi, where
+    log m = slope s + intercept there and kappa = omega - slope: -2 log m(hi) plus the log
+    of the integral of exp(-2 kappa u) over [0, hi - lo].  No term grows with omega, and
+    2 kappa is never formed, so it cannot overflow."""
     width = hi - lo
-    z = 2.0 * kappa * width
+    z = kappa * width
+    term = -2.0 * (slope * hi + intercept)
     if abs(z) < sys.float_info.min:
-        # z zero or subnormal: the linear formula is exact to rounding
-        return math.log(width) + 2.0 * kappa * lo - 2.0 * beta
-    if z > 700.0:  # expm1 would overflow; log(expm1(z)/(2 kappa)) ~ z - log(2 kappa)
-        return 2.0 * kappa * lo - 2.0 * beta + z - math.log(2.0 * kappa)
-    # expm1(z)/(2 kappa) > 0 for either sign of kappa
-    return 2.0 * kappa * lo - 2.0 * beta + math.log(math.expm1(z) / (2.0 * kappa))
+        # z zero or subnormal: the integral is the width to rounding
+        return term + math.log(width)
+    if abs(z) < 350.0:
+        # (1 - exp(-2 z)) / (2 z) > 0 for either sign of z
+        return term + math.log(-math.expm1(-2.0 * z) / (2.0 * z) * width)
+    if z > 0.0:  # exp(-2 z) is below 1e-304
+        return term - math.log(2.0) - math.log(kappa)
+    return term - 2.0 * z - math.log(2.0) - math.log(-kappa)
 
 
 def _logsumexp(terms: Sequence[float]) -> float:
@@ -358,10 +364,14 @@ def _logsumexp(terms: Sequence[float]) -> float:
 
 
 def _log_norms_sq(m: PiecewiseLogAffineBound, omega: float) -> Callable[[float], float]:
-    """horizon -> :func:`log_weighted_inv_norm_sq` (m, omega, horizon).  The term of a piece
-    that lies wholly inside a horizon is computed once, for every horizon that reaches past
-    it, so a horizon adds only its last, partial piece's term."""
+    """horizon -> :func:`log_weighted_inv_norm_sq` (m, omega, horizon) - 2 omega horizon.
+    Each piece's term is taken at its right end hi and shifted by 2 omega (hi - horizon).
+    The term of a piece that lies wholly inside a horizon is computed once, for every
+    horizon that reaches past it, so a horizon adds only its last, partial piece's term."""
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
+    two_omega = 2.0 * omega  # inf for |omega| near the largest float, so each shift is -inf or inf
     full: list[float] = []
 
     def log_norm(horizon: float) -> float:
@@ -369,8 +379,10 @@ def _log_norms_sq(m: PiecewiseLogAffineBound, omega: float) -> Callable[[float],
             raise ValueError(f"integration horizon must be positive and finite, got {horizon!r}")
         k = bisect.bisect_left(bps, horizon) - 1  # the last piece that starts before the horizon
         for j in range(len(full), k):
-            full.append(_piece_integral_log(omega - slopes[j], intercepts[j], bps[j], bps[j + 1]))
-        return _logsumexp([*full[:k], _piece_integral_log(omega - slopes[k], intercepts[k], bps[k], horizon)])
+            full.append(_piece_integral_log(omega - slopes[j], slopes[j], intercepts[j], bps[j], bps[j + 1]))
+        terms = [x + two_omega * (hi - horizon) for x, hi in zip(full[:k], bps[1:])]  # hi < horizon
+        terms.append(_piece_integral_log(omega - slopes[k], slopes[k], intercepts[k], bps[k], horizon))
+        return _logsumexp(terms)
 
     return log_norm
 
@@ -380,18 +392,28 @@ def log_weighted_inv_norm_sq(m: PiecewiseLogAffineBound, omega: float, horizon: 
     exp(2 omega s) / m(s)^2 over [0, horizon].
 
     Summed piece by piece in log scale from the exact exponential
-    antiderivative, so it neither overflows nor underflows; only a piece whose
-    exponent 2 (omega - slope) times its width is 0 or subnormal takes the
-    linear formula.
+    antiderivative, each piece relative to its right end, so it neither
+    overflows nor underflows short of the result itself; only a piece whose
+    exponent omega - slope times its width is 0 or subnormal takes the
+    linear formula.  A non-finite omega, or a result that overflows, raises
+    ValueError.
     """
-    return _log_norms_sq(m, omega)(horizon)
+    value = _log_norms_sq(m, omega)(horizon) + omega * (2.0 * horizon)
+    if not math.isfinite(value):
+        raise ValueError(f"weighted norm overflows at omega = {omega!r}")
+    return value
 
 
 def _gp_log_bounds(
     m: PiecewiseLogAffineBound, pair: OmegaRPair, windows: Iterable, with_decay: bool = True
 ) -> Iterator[float]:
-    """:func:`gp_log_bound` at each ``(a, b, t)`` of ``windows`` in turn, all from one :func:`_log_norms_sq`."""
-    log_norm = _log_norms_sq(m, pair.omega)
+    """:func:`gp_log_bound` at each ``(a, b, t)`` of ``windows`` in turn, all from one :func:`_log_norms_sq`.
+
+    omega t is split as omega (t - a - b), summed exactly, plus omega a and omega b, which
+    cancel against the norms' 2 omega a and 2 omega b before they are formed, so no term
+    grows with omega."""
+    omega = pair.omega
+    log_norm = _log_norms_sq(m, omega)
     for a, b, t in windows:
         if a <= 0.0 or b <= 0.0:
             raise ValueError("window lengths must be positive")
@@ -399,11 +421,15 @@ def _gp_log_bounds(
             raise ValueError(f"need t >= a + b, got t = {t!r} < {a + b!r}")
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got t = {t!r}")
-        value = pair.omega * t - math.log(pair.rate)
+        gap = math.fsum((t, -a, -b))
+        value = omega * gap - math.log(pair.rate)
         if with_decay:
-            value -= pair.rate * (t - a - b)
+            value -= pair.rate * gap
         log_a = log_norm(a)
-        yield value - 0.5 * log_a - 0.5 * (log_a if b == a else log_norm(b))
+        value = value - 0.5 * log_a - 0.5 * (log_a if b == a else log_norm(b))
+        if not math.isfinite(value):
+            raise ValueError(f"Gearhart-Pruss bound overflows at omega = {omega!r}")
+        yield value
 
 
 def gp_log_bound(

@@ -164,6 +164,22 @@ class TestUpdate:
         rows = json.loads(out)["gp"]["rows"]
         assert rows[1]["log_bound"] == gp_log_bound(PiecewiseLogAffineBound.constant(), pair, a, math.nextafter(b, 0.0), t)
 
+    def test_gp_at_a_huge_abscissa_is_never_nan(self, capsys, tmp_path):
+        # the README's tabulated model at omega = 1e308: omega t and the norms'
+        # 2 omega a cancel before they are formed, so the rows are log(2 omega)
+        config = {
+            "model": {"tabulated": {"pairs": [[-1.0, 0.05], [0.0, 1.0]]}},
+            "initial_bound": "one",
+            "omega_set": [0.0, -1.0],
+            "gp": {"omega": 1e308, "times": [2.0, 4.0]},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
+        assert code == 0 and "NaN" not in out
+        rows = json.loads(out)["gp"]["rows"]
+        assert [row["log_bound"] for row in rows] == pytest.approx([math.log(2.0) + math.log(1e308)] * 2, rel=1e-12)
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**CONFIG_53, "typo": 1}))

@@ -101,6 +101,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             GridBound.sample(PiecewiseLogAffineBound.constant(), 1.0, 2**63)
 
+    def test_grid_that_overflows_names_the_step(self):
+        # 2 * 1e308 is not a float: the step and the count are named before any time is built
+        with pytest.raises(ValueError, match="2 grid steps of h = 1e\\+308"):
+            GridBound.sample(PiecewiseLogAffineBound.constant(), 1e308, 2)
+        # a count too large for a float is named too, not converted
+        with pytest.raises(ValueError, match="grid steps of h = 1.0 reach past the largest float"):
+            GridBound.sample(PiecewiseLogAffineBound.constant(), 1.0, 10**400)
+
     @pytest.mark.parametrize("h", [math.inf, math.nan])
     def test_non_finite_step_is_rejected(self, h):
         # the step is named, not the values that an infinite step would turn into NaN

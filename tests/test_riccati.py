@@ -4,6 +4,7 @@ and the weighted-norm estimates against quadrature."""
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -571,16 +572,58 @@ class TestGpBound:
             assert strict <= plain + 1e-12
 
 
+def exact_gp_log_bound(m: PiecewiseLogAffineBound, omega: float, rate: float, a: float, b: float, t: float):
+    """gp_log_bound with decay in 50-digit arithmetic, each piece integrated in closed form."""
+    with mpmath.workdps(50):
+        bps = [mpmath.mpf(x) for x in m.breakpoints]
+
+        def log_norm(horizon):
+            total = mpmath.mpf(0)
+            for j, (lo, slope, intercept) in enumerate(zip(bps, m.slopes, m.intercepts)):
+                if lo >= horizon:
+                    break
+                hi = min(bps[j + 1], horizon) if j + 1 < len(bps) else horizon
+                kappa, c = mpmath.mpf(omega) - mpmath.mpf(slope), mpmath.mpf(intercept)
+                if kappa == 0:
+                    total += (hi - lo) * mpmath.exp(-2 * c)
+                else:
+                    total += (mpmath.exp(2 * kappa * hi - 2 * c) - mpmath.exp(2 * kappa * lo - 2 * c)) / (2 * kappa)
+            return mpmath.log(total)
+
+        a, b, t, omega, rate = map(mpmath.mpf, (a, b, t, omega, rate))
+        return omega * t - mpmath.log(rate) - rate * (t - a - b) - log_norm(a) / 2 - log_norm(b) / 2
+
+
+class TestGpLargeOmega:
+    """omega t and the norms' 2 omega a and 2 omega b cancel before they are formed,
+    so gp values keep their relative precision at any omega."""
+
+    @pytest.mark.parametrize("m", [ONE, PiecewiseLogAffineBound.from_slopes([0.5, -1.0, 0.25], [1.0, 2.5])])
+    @pytest.mark.parametrize("omega", [-1e8, -3.0, 0.0, 2.5, 1e8, 1e12, 1e16, 1e18])
+    @pytest.mark.parametrize("window", [(1.0, 1.0, 2.0), (0.3, 0.7, 1.0), (1.2, 2.8, 5.0)])
+    def test_against_mpmath(self, m, omega, window):
+        got = gp_log_bound(m, OmegaRPair(omega, 0.5), *window)
+        exact = exact_gp_log_bound(m, omega, 0.5, *window)
+        assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("omega", [1e308, -1e308, math.nan, math.inf])
+    def test_norm_that_overflows_names_omega(self, omega):
+        with pytest.raises(ValueError, match=re.escape(f"omega = {omega!r}") + "|" + re.escape(f"got {omega!r}")):
+            log_weighted_inv_norm_sq(ONE, omega, 1.0)
+
+
 def reference_log_norm(m: PiecewiseLogAffineBound, omega: float, horizon: float) -> float:
     """log_weighted_inv_norm_sq as one sum over the pieces that start before the
-    horizon, each piece integrated on its own."""
+    horizon, each piece integrated on its own relative to its right end hi and
+    shifted by 2 omega (hi - horizon), and 2 omega horizon added back."""
     bps, terms = m.breakpoints, []
     for j, a in enumerate(m.slopes):
         if bps[j] >= horizon:
             break
-        hi = bps[j + 1] if j + 1 < len(bps) else math.inf
-        terms.append(riccati._piece_integral_log(omega - a, m.intercepts[j], bps[j], min(hi, horizon)))
-    return riccati._logsumexp(terms)
+        hi = min(bps[j + 1] if j + 1 < len(bps) else math.inf, horizon)
+        term = riccati._piece_integral_log(omega - a, a, m.intercepts[j], bps[j], hi)
+        terms.append(term + omega * (2.0 * (hi - horizon)))
+    return riccati._logsumexp(terms) + omega * (2.0 * horizon)
 
 
 @st.composite

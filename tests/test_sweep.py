@@ -340,6 +340,12 @@ def test_tails_that_start_below_m():
             min_with_tails(m, tails)
 
 
+def test_a_tail_at_negative_time_is_rejected():
+    # a bound lives on [0, inf), so no tail can start before 0
+    with pytest.raises(ValueError, match="negative time"):
+        min_with_tails(KINK, [(-1.0, 5.0, 10.0)])
+
+
 REPRO_START = PiecewiseLogAffineBound((0.0, 0.3, 0.45), (0.0, 1.0, 0.0), (0.0, -0.3, 0.15))
 
 
@@ -520,3 +526,31 @@ def test_envelope_drops_the_middle_of_three_lines_through_one_point(lines):
 def test_envelope_keeps_the_lower_of_equal_slopes():
     lines = [(0.5, 1.0), (-1.0, 2.0), (0.5, 0.0), (0.5, 1.0)]
     check_envelope([(0.0, lines), (1.0, [(0.5, -1.0), (-1.0, 3.0)])])
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_several_tails_join_only_where_the_minimum_switches(monkeypatch, offset):
+    # three lines below a 1000-piece concave m from t = 100, 200 and 300 on (at
+    # m's breakpoints, or inside its pieces), each up to where m's steeper
+    # pieces cross it: m's own pieces are copied between them, and each line is
+    # appended again as it is at each piece of m it runs along, so joins are
+    # made only where a line is taken and where m comes back
+    m = PiecewiseLogAffineBound.from_slopes([-k / 1000.0 for k in range(1000)], [float(k) for k in range(1, 1000)])
+    tails = []
+    for s in (100.0 + offset, 200.0 + offset, 300.0 + offset):
+        slope = -s / 1000.0 - 0.02
+        tails.append((s, slope, m.log_at(s) - slope * s))
+    joins = 0
+
+    def counting(*args):
+        nonlocal joins
+        joins += 1
+        return _append_joined(*args)
+
+    monkeypatch.setattr(bounds, "_append_joined", counting)
+    got = min_with_tails(m, tails)
+    switches = joins
+    assert got == pairwise_min_with_tails(m, tails)
+    taken = [k for k, a in enumerate(got.slopes) if a in {tail[1] for tail in tails}]
+    assert len(taken) == 3 and all(got.slopes[k + 1] not in {tail[1] for tail in tails} for k in taken)
+    assert switches == 2 * len(taken)
