@@ -38,6 +38,35 @@ def _continuity_slack(t: float, a_l: float, b_l: float, a_r: float, b_r: float) 
     return CONTINUITY_TOL + 4e-16 * (abs(a_l * t) + abs(a_r * t) + abs(b_l) + abs(b_r))
 
 
+def _check_pairs(bps: tuple, slopes: tuple, intercepts: tuple, first: int = 0) -> None:
+    """Check a bound's pieces, or its run from piece ``first`` on, and their adjacent pairs: order or gap faults
+    first, then values not finite (a piece overflowing at a breakpoint too), then slope or continuity faults."""
+    # a finite sum has finite terms, so only a sum that is not finite needs each value tested
+    finite = math.isfinite(sum(bps, sum(slopes, sum(intercepts)))) or all(
+        map(math.isfinite, (*bps, *slopes, *intercepts))
+    )
+    fault = None if finite else "bound data must be finite"
+    pairs = zip(bps, bps[1:], slopes, intercepts, slopes[1:], intercepts[1:])
+    for j, (s, t, a_l, b_l, a_r, b_r) in enumerate(pairs, first):
+        if not t - s > _BP_MERGE_TOL:
+            if not s < t:
+                raise ValueError("breakpoints must increase strictly")
+            raise ValueError(f"breakpoints {s!r} and {t!r} lie within {_BP_MERGE_TOL:g}; not canonical")
+        if fault is None:
+            if a_l == a_r:
+                fault = f"adjacent pieces {j}, {j+1} share a slope; not canonical"
+            else:
+                jump = (a_l * t + b_l) - (a_r * t + b_r)
+                # the slack is never below CONTINUITY_TOL
+                if not -CONTINUITY_TOL <= jump <= CONTINUITY_TOL:
+                    if not math.isfinite(jump):
+                        fault = "bound data must be finite"
+                    elif abs(jump) > _continuity_slack(t, a_l, b_l, a_r, b_r):
+                        fault = f"discontinuity {jump:g} at breakpoint {t:g}"
+    if fault is not None:
+        raise ValueError(fault)
+
+
 @dataclass(frozen=True)
 class LogConcavityReport:
     """Concavity verdict for log m: concave iff the slope sequence never increases."""
@@ -56,7 +85,8 @@ class PiecewiseLogAffineBound:
       * adjacent pieces have distinct slopes (canonical form);
       * pieces agree at interior breakpoints to within ``CONTINUITY_TOL``.
 
-    Evaluation is right-continuous at breakpoints.
+    Evaluation is right-continuous at breakpoints.  The constructor checks every
+    pair of adjacent pieces; :func:`min_with_tails` checks only the pairs it builds.
     """
 
     breakpoints: tuple[float, ...]
@@ -70,35 +100,7 @@ class PiecewiseLogAffineBound:
             raise ValueError("breakpoints, slopes and intercepts must have equal nonzero length")
         if bps[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        # a finite sum has finite terms, so only a sum that is not finite
-        # needs the test of each value
-        finite = math.isfinite(sum(bps, sum(slopes, sum(intercepts)))) or all(
-            map(math.isfinite, (*bps, *slopes, *intercepts))
-        )
-        # one walk over adjacent pieces: an order or gap fault anywhere is
-        # reported first, then a value that is not finite, then the first
-        # slope or continuity fault, where a jump that is not finite (a piece
-        # overflows at a breakpoint) counts as data that is not finite
-        fault = None if finite else "bound data must be finite"
-        pairs = zip(bps, bps[1:], slopes, intercepts, slopes[1:], intercepts[1:])
-        for j, (s, t, a_l, b_l, a_r, b_r) in enumerate(pairs):
-            if not t - s > _BP_MERGE_TOL:
-                if not s < t:
-                    raise ValueError("breakpoints must increase strictly")
-                raise ValueError(f"breakpoints {s!r} and {t!r} lie within {_BP_MERGE_TOL:g}; not canonical")
-            if fault is None:
-                if a_l == a_r:
-                    fault = f"adjacent pieces {j}, {j+1} share a slope; not canonical"
-                else:
-                    jump = (a_l * t + b_l) - (a_r * t + b_r)
-                    # the slack is never below CONTINUITY_TOL
-                    if not -CONTINUITY_TOL <= jump <= CONTINUITY_TOL:
-                        if not math.isfinite(jump):
-                            fault = "bound data must be finite"
-                        elif abs(jump) > _continuity_slack(t, a_l, b_l, a_r, b_r):
-                            fault = f"discontinuity {jump:g} at breakpoint {t:g}"
-        if fault is not None:
-            raise ValueError(fault)
+        _check_pairs(bps, slopes, intercepts)
 
     # -- constructors ------------------------------------------------------
 
@@ -250,11 +252,22 @@ def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float
     pieces.append((lo, a, b))
 
 
-def _canonical(pieces: list[tuple[float, float, float]]) -> PiecewiseLogAffineBound:
-    """The bound of pieces whose starts lie more than _BP_MERGE_TOL apart, as the merges and
-    :func:`canonicalize`'s first pass leave them, each run of equal slopes kept from its first piece."""
-    kept = [pieces[0], *(q for p, q in zip(pieces, pieces[1:]) if q[1] != p[1])]
-    return PiecewiseLogAffineBound(*zip(*kept))
+def _canonical(pieces: list, m: PiecewiseLogAffineBound | None = None, lo=0, rest=0) -> PiecewiseLogAffineBound:
+    """The bound of pieces whose starts lie more than _BP_MERGE_TOL apart, as the merges and :func:`canonicalize`'s
+    first pass leave them, each run of equal slopes kept from its first piece.  A merge passes m: the pieces up to
+    ``lo`` are m's, and m's from ``rest`` on follow as slices of its tuples; only ``lo`` to m's ``rest`` are checked."""
+    kept = pieces[: lo + 1]
+    kept += (q for p, q in zip(pieces[lo:], pieces[lo + 1 :]) if q[1] != p[1])
+    if m is None:
+        return PiecewiseLogAffineBound(*zip(*kept))
+    bps, slopes, intercepts = zip(*kept)
+    rest += rest < len(m.slopes) and m.slopes[rest] == slopes[-1]
+    bps, slopes, intercepts = bps + m.breakpoints[rest:], slopes + m.slopes[rest:], intercepts + m.intercepts[rest:]
+    hi = len(kept) + 1  # the pieces built and one of m's on either side
+    _check_pairs(bps[lo:hi], slopes[lo:hi], intercepts[lo:hi], lo)
+    bound = object.__new__(PiecewiseLogAffineBound)
+    vars(bound).update(breakpoints=bps, slopes=slopes, intercepts=intercepts)
+    return bound
 
 
 def pointwise_min(
@@ -331,11 +344,12 @@ def _expire(live: list[tuple[float, float]], s: float) -> None:
 
 def _with_own_pieces(
     pieces: list[tuple[float, float, float]] | None, m: PiecewiseLogAffineBound, s: float, start: int, stop: int
-) -> list[tuple[float, float, float]]:
-    """``pieces``, the sweep's pieces so far, with m's own pieces ``start`` to
-    ``stop - 1`` added as the sweep adds them.  Before anything is copied
-    ``pieces`` is None, ``start`` is the piece that holds s, and the sweep's
-    pieces of m up to s come first."""
+) -> tuple[list[tuple[float, float, float]], int]:
+    """``pieces``, the sweep's pieces so far, with m's own pieces from ``start``
+    added as the sweep adds them up to the first one before ``stop`` that would
+    pass unchanged, and its index: the caller adds m's pieces from there as they
+    are.  Before anything is copied ``pieces`` is None, ``start`` is the piece
+    that holds s, and the sweep's pieces of m up to s come first."""
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     if pieces is None:
         j, start = start, start + (s != bps[start])
@@ -351,8 +365,7 @@ def _with_own_pieces(
     ):
         _append_joined(pieces, bps[start], slopes[start], intercepts[start])
         start += 1
-    pieces.extend(zip(bps[start:stop], slopes[start:stop], intercepts[start:stop]))
-    return pieces
+    return pieces, start
 
 
 def min_with_tails(
@@ -383,13 +396,19 @@ def min_with_tails(
     there.  The starts stay more than ``_BP_MERGE_TOL`` apart, so
     :func:`_canonical` only merges equal slopes.
 
-    m's own pieces are copied, not joined: those before the first start, and
-    each run over which m stays lowest, once a line is taken, a tail starts
-    inside the run, or the sweep ends.  As m's breakpoints lie more than
-    ``_BP_MERGE_TOL`` apart, the constructor's continuity check is the one
-    :func:`_append_joined` makes, so they would pass it unchanged.  When no
-    line is taken and no interval starts within ``_BP_MERGE_TOL`` of the one
-    before, the pieces are m's, and m itself is returned.
+    The sweep ends at the start of a piece of m with more than 8 left (a test
+    costs about as much as walking 8) once every tail is in, m is lowest, every
+    line is at least as steep as m's pieces left (scanned once per merge), and
+    the lowest lies above m by a margin: a ``_continuity_slack``
+    per breakpoint left, its terms bounded through the largest slope, the last
+    breakpoint and the values at the start, and the rounding of the values
+    compared, so that m's jumps cannot bring a line below it.  m's own pieces
+    are copied, not joined, as they would pass :func:`_append_joined`
+    unchanged: each run over which m stays lowest, and m's pieces before the
+    first start and after the end of the sweep, which go in as slices of m's
+    tuples, only their seams checked.  When no line is taken and no interval
+    starts within ``_BP_MERGE_TOL`` of the one before, the pieces are m's, and
+    m itself is returned.
     """
     if not tails:
         return m
@@ -405,7 +424,8 @@ def min_with_tails(
     run: int | None = j0  # m's own pieces from run on are still to be copied; None on a line
     live: list[tuple[float, float]] = []  # the tails' lower envelope on [x, inf)
     lat = lbt = low = 0.0  # the line of live lowest at x, and live's smallest slope
-    took = near = False  # near: an interval starts within _BP_MERGE_TOL of the one before or of the next
+    took = near = done = False  # near: an interval starts within _BP_MERGE_TOL of the one before or of the next
+    top = bot = None  # m's largest and smallest slope from the first test of the end on
     i = 0  # the next tail to insert
     x = s0
     for k in range(j0, n):
@@ -437,7 +457,9 @@ def min_with_tails(
                 if run is not None:
                     # m's pieces up to x: its piece at x too if x is inside it, unless x is
                     # the first start, whose piece the prefix holds
-                    pieces = _with_own_pieces(pieces, m, own, run, k if x == bps[k] or x == s0 else k + 1)
+                    stop = k if x == bps[k] or x == s0 else k + 1
+                    pieces, j = _with_own_pieces(pieces, m, own, run, stop)
+                    pieces += zip(bps[j:stop], slopes[j:stop], intercepts[j:stop])
                     _append_joined(pieces, x, a, b)
                     run = None
                 elif pieces[-1][1:] == (a, b) and x - pieces[-1][0] > _BP_MERGE_TOL:
@@ -455,9 +477,18 @@ def min_with_tails(
                             own = bps[k]  # m's piece at s0 joins back onto the prefix's last piece
                     else:
                         # a tail starts inside the run: m's piece at x, as the sweep repeats it
-                        pieces = _with_own_pieces(pieces, m, own, run, k + 1)
+                        pieces, j = _with_own_pieces(pieces, m, own, run, k + 1)
+                        pieces += zip(bps[j : k + 1], slopes[j : k + 1], intercepts[j : k + 1])
                         _append_joined(pieces, x, a, b)
                         run = k + 1
+                elif low >= am and n - k > 8 and i == count and vt > vm:  # the sweep may end here: see the docstring
+                    if top is None:
+                        top, bot = max(slopes[k:]), min(slopes[k:])
+                    if low >= top:
+                        values = [vt] if low == lat else [a2 * x + b2 for a2, b2 in live]
+                        span = max(-bot, lat) * bps[-1] + abs(vm) + sum(map(abs, values))
+                        if done := min(values) - vm > (n - k + 1) * (CONTINUITY_TOL + 4e-15 * span):
+                            break
             while low < a or am < a:  # a line of smaller slope may cross the current one
                 # the next line is the one of smaller slope whose crossing comes
                 # first; tails are scanned by slope, so the first of tied crossings
@@ -481,7 +512,8 @@ def min_with_tails(
                 x, (a, b) = best, nxt
                 took = True
                 if run is not None:
-                    pieces = _with_own_pieces(pieces, m, own, run, k + 1)
+                    pieces, j = _with_own_pieces(pieces, m, own, run, k + 1)
+                    pieces += zip(bps[j : k + 1], slopes[j : k + 1], intercepts[j : k + 1])
                     run = None
                 _append_joined(pieces, x, a, b)
                 if to_m:
@@ -489,14 +521,18 @@ def min_with_tails(
             if e == end:
                 break
             x = e
+        if done:
+            break
         x = end
     if not took and not near:
         # m's own pieces from interval starts each more than _BP_MERGE_TOL after
         # the one before: _canonical would merge them back to m
         return m
-    if run is not None:
-        pieces = _with_own_pieces(pieces, m, own, run, n)
-    return _canonical(pieces)
+    pieces, rest = (pieces, n) if run is None else _with_own_pieces(pieces, m, own, run, n)
+    # m's pieces before the first start, but the last, go in as they are if that last one's breakpoint, the same
+    # float object, still starts the piece at its index: a join that popped it and reached further back cannot leave it
+    last = j0 + (own != bps[j0]) - 1
+    return _canonical(pieces, m, last - 1 if 0 < last < len(pieces) and pieces[last][0] is bps[last] else 0, rest)
 
 
 def splice(

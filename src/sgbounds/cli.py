@@ -128,7 +128,11 @@ def _linspace(a: float, b: float, count: int) -> list[float]:
     ks = np.arange(count)  # empty, not an error, for counts near 2^63
     if len(ks) != count:
         raise ConfigError(f"count {count!r} is not a count an array can hold")
-    return (a + (b - a) * ks / (count - 1)).tolist() if count > 1 else [a]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = a + (b - a) * ks / (count - 1) if count > 1 else np.array([a])
+    if not np.isfinite(xs).all():
+        raise ConfigError(f"omega grid from {a!r} to {b!r} with count {count} leaves the float range")
+    return xs.tolist()
 
 
 # -- config parsing -----------------------------------------------------------

@@ -235,8 +235,10 @@ def diffop_eigenroot(omega):
 
     Returns the signed nu^2: nu^2 > 0 for the real root nu in ]0, pi[
     (omega > -1), -eta^2 < 0 for the imaginary root nu = i eta (omega < -1),
-    and 0 at omega = -1.  Elementwise: an array of abscissas gets the array of
-    roots, and a float is solved as a one-element array and gets a float.
+    and 0 at omega = -1; below -sqrt of the largest float -eta^2 overflows,
+    which raises an ``OverflowError`` naming omega.  Elementwise: an array of
+    abscissas gets the array of roots, and a float is solved as a one-element
+    array and gets a float.
     Each branch narrows its brackets with :func:`_narrow_by_newton` and closes
     them with one :func:`_close`; a root does not depend on which other
     abscissas share its array.
@@ -251,6 +253,9 @@ def diffop_eigenroot(omega):
         nu = _nu(omegas[trig])
         nu_sq[trig] = nu * nu
     if hyp.any():
+        huge = omegas < -1.3407807929942596e154  # -sqrt of the largest float; eta rounds to -omega below it
+        if huge.any():
+            raise OverflowError(f"diffop eigenroot -eta^2 overflows at omega = {_first(omegas, huge)!r}")
         eta = _eta(omegas[hyp])
         nu_sq[hyp] = -eta * eta
     return nu_sq if np.ndim(omega) else float(nu_sq[0])

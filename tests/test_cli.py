@@ -623,6 +623,31 @@ def test_non_finite_jordan_omega_exits_2(capsys, tmp_path, argv, config, omega):
     assert "SVD" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["profile", "--omega-min", "1e300", "--omega-max", "1e308", "--count", "3"], None),
+        (["profile", "--model", "jordan", "--omega-min=-1e308", "--omega-max", "1e308", "--count", "101"], None),
+        (["iterate", "--config"], {**CONFIG_53, "omega_set": {"from": 1e300, "to": 1e308, "count": 3}}),
+    ],
+    ids=["profile", "profile_jordan", "omega_set"],
+)
+def test_omega_grid_past_the_float_range_exits_2(capsys, tmp_path, argv, config):
+    # b - a or its multiples overflow: the grid is refused before any model
+    # sees it, naming both ends and the count, with no numpy warning
+    a, b, count = (1e300, 1e308, 3) if "jordan" not in argv else (-1e308, 1e308, 101)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, str(cfg)]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and "config error" in err
+    assert f"from {a!r} to {b!r} with count {count}" in err
+    assert "Warning" not in err and "Traceback" not in err
+    # a grid that stays finite keeps its values bit for bit, even near the limit
+    assert cli._linspace(-1e307, 1e307, 7) == [-1e307 + 2e307 * k / 6 for k in range(7)]
+
+
 # The child caps its address space before it runs the command, so a grid
 # that would fill memory fails there, and a hang ends at the timeout.
 _CAPPED_MAIN = """

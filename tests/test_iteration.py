@@ -31,6 +31,8 @@ from sgbounds import (
     update_chain,
 )
 from sgbounds.bounds import pointwise_min
+from sgbounds.cli import jordan_figure_bounds
+from sgbounds.envelope import _log_values
 from sgbounds.iteration import _agreed_until
 from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate, jordan_semigroup_norm
 from sgbounds.riccati import update_tail
@@ -464,6 +466,25 @@ class TestDomination:
         for bound in emitted_bounds(m, omegas, profile):
             for t, log_norm in zip(JORDAN_TS, JORDAN_LOG_NORMS):
                 assert bound.log_at(t) >= log_norm - 1e-9
+
+
+def test_jordan_gaps_of_the_figure_stages_and_the_1001_chain():
+    # the largest gap of log m over log ||S(t)|| for the size-3 Jordan block on
+    # t = k / 1000, k = 1..20000: the figure's three bounds, then 1001
+    # log-spaced abscissas chained from the 3-abscissa stage; more abscissas
+    # narrow the gap only slightly, and every bound stays above the norm
+    ts = np.arange(1, 20001) / 1000
+    log_norms = np.log(jordan_semigroup_norm(JORDAN3, ts))
+    profile = ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JORDAN3))
+    numrange, bound_3, bound_101 = jordan_figure_bounds()
+    bound_1001 = update_chain(bound_3, [math.exp(-5.0 + k / 100) for k in range(1001)], profile)
+    gaps = []
+    for bound, expected in ((numrange, 8.8339), (bound_3, 5.0654), (bound_101, 3.4626), (bound_1001, 3.4614)):
+        margins = _log_values(bound, ts) - log_norms
+        assert margins.min() >= 0.0
+        assert margins.max() == pytest.approx(expected, abs=5e-4)
+        gaps.append(margins.max())
+    assert gaps[3] < gaps[2]
 
 
 def rebuilt_trace(m, pairs, max_steps, h, n, envelope, skip_confirming=True):

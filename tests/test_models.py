@@ -249,10 +249,21 @@ class TestArrayPath:
             (diffop_rate, [0.0, math.inf, math.nan], ValueError, "inf"),
             (diffop_eigenroot, [-2.0, math.nan], ValueError, "nan"),
             (diffop_rate, [0.0, 1e17, 2e17], ConvergenceError, "1e+17"),
+            (diffop_eigenroot, [-2.0, -1.3407807929942597e154, -1e308], OverflowError, "-1.3407807929942597e+154"),
+            (diffop_rate, [0.0, -1e155], OverflowError, "-1e+155"),
             (functools.partial(jordan_resolvent_rate, JordanBlockModel(3)), [1.0, math.nan], ValueError, "nan"),
             (functools.partial(jordan_resolvent_rate, JordanBlockModel(3)), [1.0, -2.0, 0.0], ValueError, "-2.0"),
         ],
-        ids=["overflow", "non_finite", "eigenroot_non_finite", "bracket", "jordan_non_finite", "jordan_nonpositive"],
+        ids=[
+            "overflow",
+            "non_finite",
+            "eigenroot_non_finite",
+            "bracket",
+            "eigenroot_overflow",
+            "rate_eigenroot_overflow",
+            "jordan_non_finite",
+            "jordan_nonpositive",
+        ],
     )
     def test_errors_name_the_first_offending_omega(self, rate, omegas, error, named):
         with pytest.raises(error, match=re.escape(f"omega = {named}")) as array_error:

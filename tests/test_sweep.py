@@ -50,7 +50,7 @@ from sgbounds.bounds import (
     pointwise_min,
     splice,
 )
-from sgbounds.models import diffop_rate
+from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate
 from sgbounds.riccati import update_tail
 
 DIFFOP = ResolventProfile(fn=diffop_rate)
@@ -462,6 +462,106 @@ def test_merges_build_canonical_bounds_without_canonicalize(case, m, omegas):
             assert got == swept and (got is base) == (swept is base)
         min_update(m, tails)
     assert calls == []
+
+
+# -- the end of the sweep and the runs of m carried over -------------------------
+
+
+@st.composite
+def large_bound_and_tails(draw):
+    """A bound of 2-300 pieces, log-concave or not, and 1-3 tails: update tails of
+    the shift model or of a tabulated profile, and lines from on, just above or
+    well above m, some as steep as its steepest piece."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    steps = rng.uniform(0.001, 0.5, size=n - 1) * (-1.0 if draw(st.booleans()) else rng.choice([-1.0, 1.0], size=n - 1))
+    slopes = (rng.uniform(-1.0, 2.0) + np.concatenate([[0.0], np.cumsum(steps)])).tolist()
+    m = PiecewiseLogAffineBound.from_slopes(slopes, np.cumsum(rng.uniform(0.01, 0.5, size=n - 1)).tolist())
+    tails = []
+    for kind in draw(st.lists(st.sampled_from(["shift", "tabulated", "line"]), min_size=1, max_size=3)):
+        if kind == "line":
+            start = draw(st.sampled_from(m.breakpoints) | st.floats(0.0, m.breakpoints[-1] + 2.0))
+            slope = draw(st.sampled_from([max(m.slopes), *m.slopes]) | st.floats(-4.0, 4.0))
+            lift = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(0.0, 2.0))
+            tails.append((start, slope, m.log_at(start) + lift - slope * start))
+        else:
+            profile, lo, hi = (DIFFOP, -3.0, 3.0) if kind == "shift" else chain_profile(rng, 20)
+            omegas = OmegaSet.of(rng.uniform(lo, hi, size=4).tolist())
+            tails += [tail for tail in update_tails(m, omegas, profile) if tail is not None][:1]
+    return m, tails
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_bound_and_tails())
+def test_sweep_end_merges_pass_the_full_check(case):
+    # a merge checks only the pieces it builds and their seams with the runs of
+    # m it carries over; the result must pass the constructor's check of every
+    # pair, and agree with the pairwise route wherever that can store its result
+    m, tails = case
+    got = min_with_tails(m, tails)
+    assert got == PiecewiseLogAffineBound(got.breakpoints, got.slopes, got.intercepts)
+    try:
+        expected = pairwise_min_with_tails(m, tails)
+    except ValueError:
+        return  # the pairwise route leaves a jump it cannot store
+    scale = 1.0 + max(abs(v) for v in (*got.intercepts, *(a * t for a, t in zip(got.slopes, got.breakpoints))))
+    assert allclose(got, expected, 1e-12 * scale)
+
+
+def test_sweep_end_waits_for_jumps_within_the_slack():
+    # m jumps up by 0.99e-12 at t = 2; a line 0.5e-12 above m at t = 1, as steep
+    # as m's pieces from there on, passes under m from t = 2 until m's steeper
+    # piece crosses it about 4.9e-10 later.  The sweep must not end at t = 1,
+    # where every test but the margin holds.  A second tail starting at t = 50
+    # keeps the sweep going to there, as a sweep without the early end would
+    m = PiecewiseLogAffineBound.from_slopes([0.0, -1.0, *(-1.0 - k / 1000 for k in range(1, 11))], list(range(1, 12)))
+    m = PiecewiseLogAffineBound(m.breakpoints, m.slopes, (*m.intercepts[:2], *(b + 0.99e-12 for b in m.intercepts[2:])))
+    tail = (1.0, -1.0, 1.0 + 0.5e-12)
+    got = min_with_tails(m, [tail])
+    assert got == min_with_tails(m, [tail, (50.0, 5.0, m.log_at(50.0) + 1.0 - 250.0)])
+    assert got.slopes == m.slopes and 2.0 + 4e-10 < got.breakpoints[2] < 2.0 + 6e-10
+
+
+def test_seam_into_m_s_last_run_is_checked():
+    # a built piece that does not meet m's piece where m's last run goes on
+    # fails as the constructor fails on the same pieces
+    m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0, -2.0], [2.0, 4.0])
+    pieces = [(0.0, 1.0, 0.0), (1.0, 0.5, 0.5)]
+    with pytest.raises(ValueError, match="discontinuity -0.5 at breakpoint 2"):
+        bounds._canonical(pieces, m, 0, 1)
+    with pytest.raises(ValueError, match="discontinuity -0.5 at breakpoint 2"):
+        PiecewiseLogAffineBound(*zip(*pieces, *zip(m.breakpoints[1:], m.slopes[1:], m.intercepts[1:])))
+
+
+def test_pairs_checked_by_a_jordan_shaped_merge(monkeypatch):
+    # the Jordan chain's shape: a 1000-piece log-concave m and one update tail
+    # from t = 6.29 that changes a few of its first pieces; the merge checks
+    # only the pairs it builds, and joins only where the minimum switches
+    m = PiecewiseLogAffineBound.from_slopes(
+        [math.sqrt(0.5) * (1.0 - k / 1000.0) for k in range(1000)], [6.3 + 0.01 * k for k in range(999)]
+    )
+    (pair,) = ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JordanBlockModel(3))).pairs([math.exp(4.0)])
+    tail = update_tail(m, pair, first_crossing_time(m, pair))
+    checked, joins = [], 0
+
+    def counting_check(bps, slopes, intercepts, first=0):
+        checked.append(len(bps) - 1)
+        return check_pairs(bps, slopes, intercepts, first)
+
+    def counting_join(*args):
+        nonlocal joins
+        joins += 1
+        return _append_joined(*args)
+
+    check_pairs = bounds._check_pairs
+    monkeypatch.setattr(bounds, "_check_pairs", counting_check)
+    monkeypatch.setattr(bounds, "_append_joined", counting_join)
+    got = min_with_tails(m, [tail])
+    assert 6.0 < tail[0] < 6.3 and 990 < len(got.breakpoints) < 1000
+    assert sum(checked) <= 10 and joins <= 10
+    monkeypatch.undo()
+    assert got == PiecewiseLogAffineBound(got.breakpoints, got.slopes, got.intercepts)
+    assert allclose(got, pairwise_min_with_tails(m, [tail]), 1e-12)
 
 
 # -- the tails' lower envelope -------------------------------------------------
