@@ -273,9 +273,9 @@ def _canonical(pieces: list, m: PiecewiseLogAffineBound | None = None, lo=0, res
 def pointwise_min(
     m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound
 ) -> PiecewiseLogAffineBound:
-    """Pointwise minimum of two bounds, again in canonical form: the tests' pairwise
-    reference for :func:`min_with_tails`, traced by name in ``perfbench/spans.py``,
-    so it moves to the tests once the spans stop naming it.
+    """Pointwise minimum of two bounds, again in canonical form: the fold of
+    :func:`~sgbounds.envelope._closure` over its translates, and the tests'
+    pairwise reference for :func:`min_with_tails`.
 
     Breakpoints of the result are the union of the inputs' breakpoints plus
     the crossing points of overlapping affine pieces, computed in closed form.

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import models
 from .bounds import PiecewiseLogAffineBound
-from .envelope import _log_values
+from .envelope import _closure, _log_values
 from .iteration import IterationTrace, OmegaSet, ResolventProfile, iterate, min_update, update_chain
 from .models import ConvergenceError, JordanBlockModel
 from .riccati import OmegaRPair, _gp_log_bounds, first_crossing_time, update_bound, update_tail
@@ -368,6 +368,7 @@ def _cmd_update(args) -> int:
     config = _load_config(args.config)
     model = config.get("model", "diffop")
     profile = _build_profile(model)
+    grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
     m0 = _build_bound(config.get("initial_bound"))
     omegas = _build_omegas(config.get("omega_set", []))
     update_spec = config.get("update", {})
@@ -377,6 +378,7 @@ def _cmd_update(args) -> int:
     updates = {}
     cur = combined = m0
     if m0.is_normalized:
+        cur = m0 = _closure(m0, grid[0] * grid[1])  # closed on [0, T]: no tail starting there is below m0
         # one rate per distinct abscissa, one crossing walk per bound and abscissa;
         # rows keep their bound objects, so the report dumps each one once
         distinct = OmegaSet.of(omegas)
@@ -417,7 +419,6 @@ def _cmd_update(args) -> int:
         rows = [{"t": t, "log_bound": v} for t, v in zip(times, _gp_log_bounds(m0, pair, windows))]
         gp = {"omega": w, "rate": pair.rate, "rows": rows}
 
-    grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
     labelled = [(combined, "min_update"), (cur, "chain")]
     if model == "diffop":
         for key, rows in updates.items():

@@ -1,33 +1,38 @@
-"""Subadditive envelope of a log bound on a uniform time grid.
+"""Subadditive closure of a log bound: exact on [0, T], and on a uniform grid.
 
 For a semigroup, norms at summed times multiply, so any valid bound m can be
 replaced by the largest minorant compatible with m(t1) m(t2) ... m(tN) over
-all decompositions t = t1 + ... + tN.  On the grid h, 2h, ..., Nh this
-envelope is computed in log scale by an O(N^2) dynamic program: a minimizing
-decomposition with at least two parts splits into its smallest part jh with
-j <= k/2 and an already-enveloped remainder, so
+all decompositions t = t1 + ... + tN: the min-plus subadditive closure of
+f = log m (Le Boudec and Thiran, *Network Calculus*, LNCS 2050, ch. 3).
+
+:func:`_closure` computes it on [0, T] for a piecewise-affine f with f(0) = 0.
+For fixed t, s -> f(s) + f(t - s) is least at s = 0 or at a convex kink b of f
+(where the slope rises), so the min-plus square is the minimum of f and its
+translates f(b) + f(t - b) from t = b on; a concave f has no such kink and is
+its own closure.  Each squaring doubles the number of parts, and at most one
+part is shorter than f's smallest convex kink, so ceil(log2(T / that kink)) + 2
+rounds reach the closure; every round is a valid bound.
+
+:func:`subadditive_envelope` is the grid counterpart, an O(N^2) dynamic
+program on h, 2h, ..., Nh: a minimizing decomposition with at least two parts
+splits into its smallest part jh with j <= k/2 and an enveloped remainder, so
 
     out[k] = min(g[k], min_{1 <= j <= k/2} out[j] + out[k-j]).
 
-The result is the largest grid function below g that is subadditive,
-out[i + j] <= out[i] + out[j] for i, j >= 1.  Only grid semantics are
-claimed: nothing is asserted off-grid.
-
-The envelope can only act on a bound that is not subadditive.  If f = log m
-is concave with f(0) >= 0, then f(a) + f(b) >= f(a + b) + f(0) >= f(a + b),
-so the DP leaves such a grid unchanged up to rounding, and
-:func:`~sgbounds.iteration.iterate` skips it there.
+The result is the largest subadditive grid function below g; the closure's
+samples lie at or below it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PiecewiseLogAffineBound
+from .bounds import PiecewiseLogAffineBound, _append_joined, _canonical, pointwise_min
 
 __all__ = [
     "GridBound",
@@ -111,3 +116,48 @@ def subadditive_envelope(g: GridBound) -> GridBound:
 def piecewise_interpolant(g: GridBound) -> PiecewiseLogAffineBound:
     """Piecewise-affine bound through the grid values, last slope extended."""
     return PiecewiseLogAffineBound.from_knots(g.times, g.values)
+
+
+def _convex_kinks(f: PiecewiseLogAffineBound, horizon: float) -> list[float]:
+    """The breakpoints of f below ``horizon`` where its slope rises, in order."""
+    return [t for t, a0, a1 in zip(f.breakpoints[1:], f.slopes, f.slopes[1:]) if a1 > a0 and t < horizon]
+
+
+def _shifted(g: PiecewiseLogAffineBound, f: PiecewiseLogAffineBound, b: float, cut: float = math.inf):
+    """g on [0, b[, then g(b) + f(t - b) without f's pieces that would start at or past
+    ``cut``, the last one kept extending.  Each intercept g(b) + c - a b is rounded to
+    nearest, so a piece may sit a few ulps of its terms below the exact translate."""
+    gb = g.log_at(b)
+    j = bisect.bisect_left(g.breakpoints, b)
+    pieces = list(zip(g.breakpoints[:j], g.slopes[:j], g.intercepts[:j]))
+    for s, a, c in zip(f.breakpoints, f.slopes, f.intercepts):
+        if s and s + b >= cut:
+            break
+        _append_joined(pieces, s + b, a, gb + c - a * b)
+    return _canonical(pieces)
+
+
+def _squared(g: PiecewiseLogAffineBound, horizon: float) -> PiecewiseLogAffineBound:
+    """One round, the min-plus square of g on [0, ``horizon``]: g and its translates at
+    its convex kinks below ``horizon``, cut there, folded by a balanced tree of
+    :func:`~sgbounds.bounds.pointwise_min` with g first, so g wins ties."""
+    bounds = [g, *(_shifted(g, g, b, horizon) for b in _convex_kinks(g, horizon))]
+    while len(bounds) > 1:
+        bounds = [*map(pointwise_min, bounds[::2], bounds[1::2]), *bounds[len(bounds) & ~1 :]]
+    return bounds[0]
+
+
+def _closure(f: PiecewiseLogAffineBound, horizon: float) -> PiecewiseLogAffineBound:
+    """The subadditive closure g of a normalized f on [0, ``horizon``], then
+    min(f, g(horizon) + f(t - horizon)), valid by submultiplicativity; f itself when it
+    has no convex kink below ``horizon``.  Squares until the result is ``==`` to the
+    one before, at most ceil(log2(horizon / f's smallest convex kink)) + 2 times."""
+    kinks = _convex_kinks(f, horizon)
+    if not kinks:
+        return f
+    g = f
+    for _ in range(math.ceil(math.log2(horizon) - math.log2(kinks[0])) + 2):
+        g, before = _squared(g, horizon), g
+        if g == before:
+            break
+    return pointwise_min(f, _shifted(g, f, horizon))

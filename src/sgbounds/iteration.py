@@ -22,31 +22,19 @@ tails' lower envelope from the current point on, which holds few of a large
 set's tails.
 
 The iteration :func:`iterate` alternates the best update over the whole
-abscissa set with the grid subadditive envelope.  The envelope runs only where
-it can act: a log-concave iterate f = log m with f(0) >= 0 is already
-subadditive, since concavity gives f(a) + f(b) >= f(a + b) + f(0) >= f(a + b),
-so its sampled grid is kept as the envelope grid and the exact piecewise form
-is carried on (the dynamic program could only lower grid values by rounding,
-so skipping it errs toward the larger bound).  A normalized iterate with f(0)
-in [-CONTINUITY_TOL, 0) keeps the envelope.  Otherwise the exact form is kept
-when the envelope moves no grid value by more than 1e-10, and the iteration
-continues from the piecewise interpolant of the grid when it does.  With
-``envelope=False`` the envelope never runs: every iterate is a
-:func:`min_update` of the one before, in exact form, and its sampled grid is
-the step's grid.  The rates of the set come from one ``pairs`` call, and the
-crossing times of each iterate are shared by its argmin report and the next
-update.  A step whose update is carried on redoes only what the update changed.
-The update holds the pieces of the bound it came from up to
-:func:`_agreed_until`, and a crossing before that time is kept: the walk reads
-only the slopes and breakpoints of the pieces up to the one where it lands.
-Only the other pairs are walked.  When every tail of the next step equals the
-one already merged for its pair, the step takes its update to be the bound
-itself, the previous update, as min(min(m, T), T) = min(m, T) in exact
-arithmetic; a merge would give that bound up to rounding, since where tails
-pass through nearly one point the sweep can move a piece by a few ulps.  A step
-that continues from the envelope's interpolant carries nothing.  A step is a
-function of its update alone, so an update equal to the previous one repeats
-its step, objects and all, as stationary.
+abscissa set with its subadditive closure on [0, T], T the grid's horizon
+(:func:`~sgbounds.envelope._closure`); a log-concave update with f(0) = 0 is
+already subadditive and is its own closure.  With ``envelope=False`` every
+iterate is a :func:`min_update` of the one before.  A step's grid samples its
+bound.  The rates of the set come from one ``pairs`` call, and the crossing
+times of each iterate are shared by its argmin report and the next update.  A
+crossing before :func:`_agreed_until` of a bound and the one it came from is
+kept, since the walk reads only the pieces up to the one where it lands.  When
+the bound is the update itself and every tail of the next step equals the one
+merged for its pair, the next update is that bound, as min(min(m, T), T) =
+min(m, T) in exact arithmetic; a merge would give it up to rounding, since
+where tails pass through nearly one point the sweep can move a piece by a few
+ulps.  An update equal to the previous one repeats its step, objects and all.
 Order-sensitive single passes are available as :func:`update_chain`, whose
 rates come from one ``pairs`` call too.
 """
@@ -59,8 +47,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import PiecewiseLogAffineBound, log_concavity, min_with_tails
-from .envelope import GridBound, piecewise_interpolant, subadditive_envelope
+from .bounds import PiecewiseLogAffineBound, min_with_tails
+from .envelope import GridBound, _closure
 from .riccati import OmegaRPair, first_crossing_time, update_bound, update_tail
 
 __all__ = [
@@ -203,10 +191,6 @@ class IterationTrace:
         return self.steps[-1].bound
 
 
-def _crossings(m: PiecewiseLogAffineBound, pairs: Sequence[OmegaRPair]) -> list[float]:
-    return [first_crossing_time(m, pair) for pair in pairs]
-
-
 def _agreed_until(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound) -> float:
     """The time up to which m1 and m2 hold the same pieces: at the first index
     where their (breakpoint, slope, intercept) differ, the smaller of the two
@@ -264,25 +248,15 @@ def iterate(
     grid: tuple[float, int],
     envelope: bool = True,
 ) -> IterationTrace:
-    """Iterate (envelope o best-update) from a normalized bound.
+    """Iterate (closure o best-update) from a normalized bound.
 
     Each step applies :func:`min_update` exactly on the piecewise form and
-    samples it on the grid.  A log-concave update with log m(0) >= 0 is
-    subadditive, so its samples are the step's grid and the exact form is
-    carried to the next step without running the envelope; with
-    ``envelope=False`` every update is treated so, from any normalized start.
-    Any other update goes through the grid subadditive envelope: if that
-    moves no grid value by more than 1e-10 the exact form is carried on,
-    otherwise the iteration continues from the interpolant of the envelope
-    grid.  Stops early once two successive grid snapshots agree to 1e-10 in
-    sup norm, recording the earlier index in ``stationary_at``.  An update
-    ``==`` to the previous one repeats its step (the same objects) and stops.
-
-    After a step that carries its update on, the crossings before the first
-    piece the update changed are kept.  When every tail of the next step is
-    ``==`` to the one merged for its pair, that step's update is the bound
-    itself (min(min(m, T), T) = min(m, T)), so it repeats the step before and
-    stops; merging would give the same bound up to rounding.
+    continues from its subadditive closure on [0, h * n_steps], or from the
+    update itself with ``envelope=False``; the step's grid samples that bound.
+    Stops early once two successive grids agree to 1e-10 in sup norm,
+    recording the earlier index in ``stationary_at``.  An update ``==`` to the
+    previous one repeats its step (the same objects) and stops, and so does
+    one whose tails are all ``==`` to those merged into the bound before.
     """
     if not m.is_normalized:
         raise ValueError("iteration requires a normalized bound")
@@ -293,8 +267,8 @@ def iterate(
     h, n_steps = grid
     cur = m
     cur_grid = GridBound.sample(m, h, n_steps)
-    crossings = _crossings(m, pairs)
-    held = None  # the tails merged into cur, while cur is an update carried on
+    crossings = [first_crossing_time(m, pair) for pair in pairs]
+    held = None  # the tails merged into cur, while cur is the update itself
     steps = [IterationStep(0, m, cur_grid, argmin_abscissas(pairs, crossings))]
     stationary_at = last_updated = None
     for k in range(1, max_steps + 1):
@@ -305,22 +279,13 @@ def iterate(
             stationary_at = k - 1
             break
         last_updated = updated
-        sampled = GridBound.sample(updated, h, n_steps)
-        enveloped, carried = sampled, True
-        if envelope and not (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
-            enveloped = subadditive_envelope(sampled)
-            carried = float(np.max(np.abs(np.subtract(enveloped.values, sampled.values)))) <= _STATIONARY_TOL
-        if carried:
-            agreed = _agreed_until(cur, updated)
-            crossings = [c if c < agreed else first_crossing_time(updated, pair) for pair, c in zip(pairs, crossings)]
-            cur, held = updated, tails
-        else:
-            cur, held = piecewise_interpolant(enveloped), None
-            crossings = _crossings(cur, pairs)
-        steps.append(IterationStep(k, cur, enveloped, argmin_abscissas(pairs, crossings)))
-        gap = float(np.max(np.abs(np.subtract(enveloped.values, cur_grid.values))))
-        cur_grid = enveloped
-        if gap <= _STATIONARY_TOL:
+        closed = _closure(updated, h * n_steps) if envelope else updated
+        agreed = _agreed_until(cur, closed)
+        crossings = [c if c < agreed else first_crossing_time(closed, pair) for pair, c in zip(pairs, crossings)]
+        cur, held = closed, tails if closed is updated else None
+        prev_grid, cur_grid = cur_grid, GridBound.sample(cur, h, n_steps)
+        steps.append(IterationStep(k, cur, cur_grid, argmin_abscissas(pairs, crossings)))
+        if np.max(np.abs(np.subtract(cur_grid.values, prev_grid.values))) <= _STATIONARY_TOL:
             stationary_at = k - 1
             break
     return IterationTrace(tuple(steps), stationary_at)

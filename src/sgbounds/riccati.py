@@ -263,12 +263,8 @@ def normalized_crossing_time(mu: float) -> float:
 def update_bound(m: PiecewiseLogAffineBound, pair: OmegaRPair) -> PiecewiseLogAffineBound:
     """Sharpened bound: m kept up to twice the crossing time, then the minimum
     of m with the exponential tail of slope omega - r through the squared
-    crossing value.  Returns m unchanged when the state never reaches 1.
-
-    When m is not submultiplicative at the splice point the exact update has
-    a downward jump there, which this representation cannot carry; the splice
-    is then postponed to the first time the tail line re-enters below m,
-    which yields the tightest continuous majorant of the exact update.
+    crossing value.  Returns m unchanged when the state never reaches 1, or
+    when the tail starts below m (see :func:`update_tail`).
     """
     tail = update_tail(m, pair, first_crossing_time(m, pair))
     return m if tail is None else min_with_tails(m, [tail])
@@ -279,13 +275,12 @@ def update_tail(
 ) -> tuple[float, float, float] | None:
     """The tail ``(start, slope, intercept)`` that :func:`update_bound` takes the
     minimum with from ``start`` on, given m's first crossing time for the pair;
-    None when the update leaves m unchanged.
-
-    The splice is postponed to the re-entry whenever the tail lies below m at
-    twice the crossing by more than the jump a bound can store there.  A tail
-    that starts within ``_BP_MERGE_TOL`` of 0 would take over m's first piece
-    from t = 0, so one whose log there is not 0 raises ArithmeticError: m
-    rises too steeply for its update to stay normalized.
+    None when the update leaves m unchanged, as it does where the tail starts
+    below m at twice the crossing c by more than the jump a bound can store, so
+    that the exact update would jump down: that needs m(2c) > m(c)^2, which no
+    subadditive log m has.  A tail that starts within ``_BP_MERGE_TOL`` of 0
+    would take over m's first piece from t = 0, so one whose log there is not 0
+    raises ArithmeticError: m rises too steeply for its update to stay normalized.
     """
     if not m.is_normalized:
         raise ValueError("update requires a normalized bound (m(0) = 1)")
@@ -303,35 +298,12 @@ def update_tail(
     gap = (slope * start + intercept) - (a * start + b)
     # the slack is never below CONTINUITY_TOL
     if gap < -CONTINUITY_TOL and gap < -_continuity_slack(start, a, b, slope, intercept):
-        start = _first_reentry(m, slope, intercept, start)
-        if start is None:
-            return None
+        return None
     if start <= _BP_MERGE_TOL and abs(intercept) > CONTINUITY_TOL:
         raise ArithmeticError(
             f"update tail for omega = {pair.omega!r} starts at t = {start:g}, so the update has log m(0) = {intercept:.4g}"
         )
     return start, slope, intercept
-
-
-def _first_reentry(
-    m: PiecewiseLogAffineBound, slope: float, intercept: float, t0: float
-) -> float | None:
-    """Earliest t >= t0 where the line slope*t + intercept >= log m(t)."""
-    j = m.piece_index(t0)
-    n = len(m.breakpoints)
-    while True:
-        a, b = m.slopes[j], m.intercepts[j]
-        lo = max(t0, m.breakpoints[j])
-        hi = m.breakpoints[j + 1] if j + 1 < n else math.inf
-        if slope * lo + intercept >= a * lo + b:
-            return lo
-        if a != slope:
-            tc = (b - intercept) / (slope - a)
-            if lo < tc <= hi:
-                return tc
-        if j + 1 == n:
-            return None
-        j += 1
 
 
 # -- weighted norms and the Gearhart-Pruss estimate -------------------------

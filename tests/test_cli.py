@@ -16,6 +16,7 @@ from sgbounds import (
     GridBound,
     OmegaRPair,
     PiecewiseLogAffineBound,
+    ResolventProfile,
     first_crossing_time,
     gp_log_bound,
     iterate,
@@ -24,6 +25,8 @@ from sgbounds import (
 )
 from sgbounds import cli, iteration
 from sgbounds.cli import main
+from sgbounds.envelope import _closure
+from sgbounds.models import diffop_rate
 
 
 def run(capsys, argv):
@@ -209,6 +212,7 @@ class TestUpdate:
             code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
             assert code == 0
             report = json.loads(out)
+            m0 = _closure(m0, 0.1 * 200)  # the default grid's horizon
             assert [s["omega"] for s in report["singles"]] == sorted(distinct)
             for single in report["singles"]:
                 pair = profile.pairs([single["omega"]])[0]
@@ -224,6 +228,31 @@ class TestUpdate:
                 cur = update_bound(cur, pair)
                 assert step["bound"] == cur.to_json_dict()
             assert report["min_update"] == min_update(m0, update_tails(m0, omegas, profile)).to_json_dict()
+
+    def test_start_that_is_not_subadditive_is_closed_before_its_rows(self, capsys, tmp_path):
+        # log m0 is 0 up to 0.6, then rises to 1.2 and falls: m0(1) > m0(0.5)^2, so
+        # the tail through 2 log m0(c) at twice the crossing c = 0.5 starts below m0
+        # and update_bound keeps m0; the tail line meets m0 again at its fall, where
+        # a splice postponed to that re-entry took it.  The row comes from the closed
+        # start, which is 0 up to 1.44, so its tail starts on it at t = 1
+        m0 = PiecewiseLogAffineBound.from_slopes([0.0, 2.0, -5.0], [0.6, 1.2])
+        pair = ResolventProfile(fn=diffop_rate).pairs([0.0])[0]
+        crossing = first_crossing_time(m0, pair)
+        assert update_bound(m0, pair) is m0
+        cfg = tmp_path / "cfg.json"
+        grid = {"h": 0.1, "T": 6.0}
+        cfg.write_text(json.dumps({"initial_bound": m0.to_json_dict(), "omega_set": [0.0], "grid": grid}))
+        code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
+        assert code == 0
+        row = PiecewiseLogAffineBound.from_json_dict(json.loads(out)["singles"][0]["bound"])
+        slope = pair.omega - pair.rate
+        reentry = (m0.intercepts[2] + slope * 2.0 * crossing) / (slope - m0.slopes[2])
+        ts = np.linspace(0.0, 6.0, 6001)
+        gaps = [row.log_at(t) - m0.log_at(t) for t in ts]
+        assert max(gaps) <= 1e-12 and min(gaps) < -1.0
+        postponed = [m0.log_at(t) if t < reentry else min(m0.log_at(t), slope * (t - 2.0 * crossing)) for t in ts]
+        assert all(row.log_at(t) <= p + 1e-12 for t, p in zip(ts, postponed))
+        assert row.log_at(1.3) < m0.log_at(1.3) - 1.0 and 1.3 < reentry
 
     def test_writes_both_formats(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -878,9 +907,11 @@ def test_iterate_report_text_is_json_dumps(capsys, tmp_path, config, check):
 
 
 
-# on the shift, iterate's step 1 continues from the envelope grid's interpolant,
-# whose line from t = 0.9 to t = 1.05 passes under ||S(t)|| = 1 before t = 1;
-# update's start falls to log m0 = -0.25 at t = 0.5, and every update is at most m0
+# on the shift, this start falls to log m0 = -0.25 at t = 0.5: iterate's step 0
+# is the start itself, and every update is at most m0
+BELOW_NORM = {"breakpoints": [0.0, 0.5], "slopes": [-0.5, 1.0], "intercepts": [0.0, -0.75]}
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -888,20 +919,16 @@ def test_iterate_report_text_is_json_dumps(capsys, tmp_path, config, check):
             "iterate",
             {
                 "model": "diffop",
-                "initial_bound": RISE,
+                "initial_bound": BELOW_NORM,
                 "omega_set": [-40.0, 0.0],
                 "grid": {"h": 0.15, "T": 6.0},
                 "iteration": {"max_steps": 3, "use_semigroupize": True},
             },
-            "step 1: log m = -1.33 is below log||S(t)|| = 0 at t = 1",
+            "step 0: log m = -0.25 is below log||S(t)|| = 0 at t = 0.5",
         ),
         (
             "update",
-            {
-                "model": "diffop",
-                "initial_bound": {"breakpoints": [0.0, 0.5], "slopes": [-0.5, 1.0], "intercepts": [0.0, -0.75]},
-                "omega_set": [-1.0, 0.0],
-            },
+            {"model": "diffop", "initial_bound": BELOW_NORM, "omega_set": [-1.0, 0.0]},
             "singles row 0 (omega = -1.0): log m = ",
         ),
     ],
@@ -915,3 +942,24 @@ def test_shift_bound_below_the_norm_exits_3(capsys, tmp_path, command, config, m
     assert out == "" and not list(tmp_path.glob("run*"))
     assert f"numeric failure: {message}" in err
     assert "Traceback" not in err
+
+
+def test_rise_start_iterates_above_the_norm_between_grid_points(capsys, tmp_path):
+    # the start is valid on the shift and h = 0.15 does not divide 1, where a grid
+    # interpolant passed under the norm: every step keeps log m >= 0 on [0, 1)
+    config = {
+        "model": "diffop",
+        "initial_bound": RISE,
+        "omega_set": [-40.0, 0.0],
+        "grid": {"h": 0.15, "T": 6.0},
+        "iteration": {"max_steps": 3, "use_semigroupize": True},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run(capsys, ["iterate", "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert len(steps) > 1
+    for step in steps:
+        bound = PiecewiseLogAffineBound.from_json_dict(step["bound"])
+        assert min(bound.log_at(k * 1e-3) for k in range(1000)) >= 0.0

@@ -1,4 +1,4 @@
-"""Grid subadditive envelope: DP against brute-force composition enumeration."""
+"""Subadditive closure and grid envelope: each against brute-force minima."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounds_strategy, lattice_bounds_strategy, random_bound, random_lattice_grid, random_log_concave_bound
@@ -16,7 +16,7 @@ from sgbounds import (
     piecewise_interpolant,
     subadditive_envelope,
 )
-from sgbounds.envelope import _log_values
+from sgbounds.envelope import _closure, _log_values, _squared
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
@@ -255,3 +255,83 @@ def test_interpolant_matches_grid_and_extends():
     for k, v in enumerate(g.values):
         assert m.log_at(k * g.h) == pytest.approx(v, abs=1e-12)
     assert m.log_at(3.0) == pytest.approx(-1.75, abs=1e-12)  # last slope carried on
+
+
+def closure_times(f, horizon, count=241):
+    """A uniform grid on [0, horizon] with every breakpoint of f below it and every
+    sum of two, where the closure's pieces meet."""
+    bps = [b for b in f.breakpoints if b <= horizon]
+    sums = [a + b for a in bps for b in bps if a + b <= horizon]
+    return sorted({*np.linspace(0.0, horizon, count).tolist(), *bps, *sums})
+
+
+CLOSURE_STARTS = bounds_strategy(max_pieces=5) | lattice_bounds_strategy(max_pieces=5)
+# log m rises 0.3 by t = 0.45, then stays: its closure on [0, 6] is the line 0
+RISE = PiecewiseLogAffineBound.from_slopes([0.0, 1.0, 0.0], [0.3, 0.45])
+
+
+class TestClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(CLOSURE_STARTS, st.floats(0.5, 12.0))
+    @example(RISE, 6.0)
+    def test_closure_round_matches_the_brute_force_minimum(self, f, horizon):
+        # s -> f(s) + f(t - s) is piecewise affine, so its minimum over [0, t] is at
+        # s = 0, at a breakpoint b of f or at t - b; one round takes it from the
+        # convex kinks alone
+        square = _squared(f, horizon)
+        for t in closure_times(f, horizon):
+            ss = [0.0, t, *(x for b in f.breakpoints if b <= t for x in (b, t - b))]
+            brute = min(f.log_at(s) + f.log_at(t - s) for s in ss)
+            assert square.log_at(t) == pytest.approx(brute, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(CLOSURE_STARTS, st.sampled_from([2.0, 6.0]))
+    @example(RISE, 6.0)
+    def test_closure_is_at_most_its_input(self, f, horizon):
+        closed = _closure(f, horizon)
+        for t in [*closure_times(f, 3.0 * horizon), *closed.breakpoints]:
+            assert closed.log_at(t) <= f.log_at(t) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(CLOSURE_STARTS, st.sampled_from([2.0, 6.0]))
+    @example(RISE, 6.0)
+    def test_closure_past_the_horizon_is_at_least_the_longer_closure(self, f, horizon):
+        # past T the closure goes on as min(f, g(T) + f(t - T)), a valid bound, so
+        # never below the closure taken on [0, 3T]
+        closed, longer = _closure(f, horizon), _closure(f, 3.0 * horizon)
+        for t in closure_times(f, 3.0 * horizon):
+            assert closed.log_at(t) >= longer.log_at(t) - 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(CLOSURE_STARTS, st.sampled_from([0.25, 0.3, 0.5]))
+    @example(RISE, 0.15)
+    def test_closure_is_at_most_the_grid_envelope(self, f, h):
+        # the grid envelope minimizes over decompositions into grid times only; the
+        # closure's own samples are subadditive on the grid
+        n = round(6.0 / h)
+        sampled = GridBound.sample(_closure(f, h * n), h, n)
+        envelope = subadditive_envelope(GridBound.sample(f, h, n))
+        assert all(c <= e + 1e-12 for c, e in zip(sampled.values, envelope.values))
+        assert is_subadditive(sampled)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-3.0, 3.0),
+        st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4),
+        st.lists(st.floats(5e-4, 2e-3), min_size=4, max_size=4),
+        st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    )
+    def test_closure_of_a_convex_bound_is_its_first_line(self, a0, rises, widths, horizon):
+        # with f(0) = 0, a convex f lies above its first line a0 t, which is additive,
+        # and n f(t / n) = a0 t once t / n is inside the first piece; kinks near 1e-3
+        # and horizons up to 1e4 take the translates' rounded intercepts far out
+        f = PiecewiseLogAffineBound.from_slopes([a0, *(a0 + np.cumsum(rises))], np.cumsum(widths[: len(rises)]).tolist())
+        closed = _closure(f, horizon)
+        for t in np.linspace(0.0, horizon, 201).tolist():
+            assert closed.log_at(t) == pytest.approx(a0 * t, abs=1e-12 * (1.0 + horizon))
+
+    def test_no_convex_kink_below_the_horizon_returns_the_bound(self):
+        concave = PiecewiseLogAffineBound.from_slopes([1.0, -0.5], [2.0])
+        assert _closure(concave, 6.0) is concave
+        assert _closure(RISE, 0.3) is RISE
+        assert _closure(RISE, 0.31) is not RISE

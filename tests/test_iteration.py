@@ -25,14 +25,13 @@ from sgbounds import (
     iterate,
     log_concavity,
     min_update,
-    piecewise_interpolant,
     subadditive_envelope,
     update_bound,
     update_chain,
 )
 from sgbounds.bounds import pointwise_min
 from sgbounds.cli import jordan_figure_bounds
-from sgbounds.envelope import _log_values
+from sgbounds.envelope import _closure, _log_values
 from sgbounds.iteration import _agreed_until
 from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate, jordan_semigroup_norm
 from sgbounds.riccati import update_tail
@@ -268,15 +267,10 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(shifted, OmegaSet.of([0.0]), PROFILE_53, 2, (0.5, 10))
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known fault: iterate continues from the log-linear interpolant of the envelope "
-        "grid, which passes under the shift's norm between the grid points 0.9 and 1.05",
-    )
     def test_shift_bounds_stay_above_the_norm_between_grid_points(self):
         # the shift on [0, 1] has ||S(t)|| = 1 for t < 1, so every emitted bound
-        # needs log m >= 0 there; the start is valid and h = 0.15 does not divide 1
+        # needs log m >= 0 there; the start is valid and h = 0.15 does not divide 1,
+        # where an interpolant of the grid envelope passed under the norm
         m0 = PiecewiseLogAffineBound((0.0, 0.3, 0.45), (0.0, 1.0, 0.0), (0.0, -0.3, 0.15))
         trace = iterate(m0, OmegaSet.of([-40.0, 0.0]), ResolventProfile(fn=diffop_rate), 3, (0.15, 40))
         for step in trace.steps:
@@ -290,18 +284,12 @@ def fresh_tails(m, pairs):
 
 def step_after(prev, pairs, h, n, envelope):
     """The update of ``prev.bound`` and the step iterate builds from it, recomputed
-    without the repeat rule: sample the update, apply the envelope rule, walk
-    every crossing of the new bound and take the argmin."""
+    without the repeat rule: close the update on [0, h n] (with the envelope),
+    sample it, walk every crossing of the new bound and take the argmin."""
     updated = min_update(prev.bound, fresh_tails(prev.bound, pairs))
-    sampled = GridBound.sample(updated, h, n)
-    if not envelope or (log_concavity(updated).is_concave and updated.intercepts[0] >= 0.0):
-        bound, grid = updated, sampled
-    else:
-        grid = subadditive_envelope(sampled)
-        drift = np.max(np.abs(np.subtract(grid.values, sampled.values)))
-        bound = updated if drift <= 1e-10 else piecewise_interpolant(grid)
+    bound = _closure(updated, h * n) if envelope else updated
     crossings = [first_crossing_time(bound, pair) for pair in pairs]
-    return updated, IterationStep(prev.index + 1, bound, grid, argmin_abscissas(pairs, crossings))
+    return updated, IterationStep(prev.index + 1, bound, GridBound.sample(bound, h, n), argmin_abscissas(pairs, crossings))
 
 
 class TestRepeatedUpdate:
@@ -332,49 +320,52 @@ class TestRepeatedUpdate:
 
 
 @pytest.fixture
-def envelope_calls(monkeypatch):
-    """Count the calls iterate makes to the grid subadditive envelope."""
+def closure_calls(monkeypatch):
+    """The (input, result) of each call iterate makes to the subadditive closure."""
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return subadditive_envelope(g)
+    def counted(f, horizon):
+        calls.append((f, _closure(f, horizon)))
+        return calls[-1][1]
 
-    monkeypatch.setattr("sgbounds.iteration.subadditive_envelope", counted)
+    monkeypatch.setattr("sgbounds.iteration._closure", counted)
     return calls
 
 
 class TestEnvelopeSkip:
-    """The envelope runs only on iterates it can act on: not log-concave, or log m(0) < 0."""
+    """The closure acts only on updates with a convex kink below the horizon."""
 
     @pytest.mark.parametrize("seed", [3, 5, 8])
-    def test_concave_normalized_start_skips_the_envelope(self, envelope_calls, seed):
+    def test_concave_normalized_start_skips_the_envelope(self, closure_calls, seed):
         m = random_log_concave_bound(np.random.default_rng(seed))
         assert m.intercepts[0] == 0.0
         h, n = 0.25, 240
         trace = iterate(m, OmegaSet.of([0.0, -1.0]), PROFILE_53, 5, (h, n))
-        assert envelope_calls == []
+        assert closure_calls and all(out is f for f, out in closure_calls)
         for step in trace.steps:
             assert step.grid == GridBound.sample(step.bound, h, n)
             excess = np.subtract(step.grid.values, subadditive_envelope(step.grid).values)
             assert 0.0 <= excess.min() and excess.max() <= 1e-12
 
-    def test_rise_start_runs_the_envelope(self, envelope_calls):
+    def test_rise_start_runs_the_envelope(self, closure_calls):
         m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
         omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), ResolventProfile(fn=diffop_rate), 0.05, 200
         updated = min_update(m, update_tails(m, omegas, profile))
         assert not log_concavity(updated).is_concave
         trace = iterate(m, omegas, profile, 3, (h, n))
-        assert envelope_calls
+        assert closure_calls[0] == (updated, trace.steps[1].bound) and trace.steps[1].bound is not updated
         sampled = GridBound.sample(updated, h, n)
-        assert trace.steps[1].grid == subadditive_envelope(sampled)
-        assert trace.steps[1].grid != sampled
+        grid = trace.steps[1].grid
+        assert grid == GridBound.sample(trace.steps[1].bound, h, n) and grid != sampled
+        assert all(v <= e + 1e-12 for v, e in zip(grid.values, subadditive_envelope(sampled).values))
 
-    def test_concave_start_below_one_at_zero_runs_the_envelope(self, envelope_calls):
+    def test_concave_start_below_one_at_zero_runs_the_envelope(self, closure_calls):
+        # log m(0) < 0 and concave: no convex kink, so the closure returns its input
         m = PiecewiseLogAffineBound.from_slopes([0.5, -1.0], [2.0], -1e-13)
         assert m.is_normalized and log_concavity(m).is_concave
         trace = iterate(m, OmegaSet.of([0.0, -1.0]), PROFILE_53, 3, (0.25, 80))
-        assert len(envelope_calls) == len(trace.steps) - 1
+        assert len(closure_calls) == len(trace.steps) - 1
+        assert all(out is f for f, out in closure_calls)
 
 
 class TestIterateUpdatesOnly:
@@ -392,12 +383,12 @@ class TestIterateUpdatesOnly:
             for t in ts:
                 assert step.bound.log_at(t) <= prev.bound.log_at(t) + 1e-12
 
-    def test_non_concave_start_runs_no_envelope(self, envelope_calls):
+    def test_non_concave_start_runs_no_envelope(self, closure_calls):
         m = PiecewiseLogAffineBound.from_slopes([0.1, 1.0, 2.0], [0.3, 1.2])
         assert not log_concavity(m).is_concave
         omegas, profile, h, n = OmegaSet.of([-5.0, 0.0]), ResolventProfile(fn=diffop_rate), 0.05, 200
         trace = iterate(m, omegas, profile, 3, (h, n), envelope=False)
-        assert envelope_calls == []
+        assert closure_calls == []
         assert len(trace.steps) > 1
         for prev, step in zip(trace.steps, trace.steps[1:]):
             assert step.bound == min_update(prev.bound, update_tails(prev.bound, omegas, profile))
@@ -405,12 +396,13 @@ class TestIterateUpdatesOnly:
 
 
 def emitted_bounds(m, omegas, profile, h=0.15):
-    """Every bound that update_bound, update_chain, min_update and iterate
-    without the envelope, on a grid of step h up to T = 6, emit from m over
+    """Every bound that update_bound, update_chain, min_update and iterate with
+    and without the envelope, on a grid of step h up to T = 6, emit from m over
     the abscissas."""
     bounds = [update_bound(m, profile.pairs([w])[0]) for w in omegas]
     bounds += [update_chain(m, omegas, profile), min_update(m, update_tails(m, omegas, profile))]
-    bounds += [step.bound for step in iterate(m, omegas, profile, 3, (h, round(6.0 / h)), envelope=False).steps]
+    for envelope in (False, True):
+        bounds += [step.bound for step in iterate(m, omegas, profile, 3, (h, round(6.0 / h)), envelope=envelope).steps]
     return bounds
 
 
@@ -448,7 +440,7 @@ class TestDomination:
     def test_shift_bounds_stay_above_the_norm(self, m, omegas, h):
         # the shift on [0, 1] has ||S(t)|| = 1 for t < 1 and 0 from t = 1 on;
         # an Omega holding -40 and 0 with a grid step not dividing 1 is where
-        # the envelope's interpolant passes under it (the strict xfail above)
+        # an interpolant of the grid envelope passed under it
         for bound in emitted_bounds(m, omegas, ResolventProfile(fn=diffop_rate), h):
             assert min(bound.log_at(k * 1e-3) for k in range(1000)) >= -1e-9
 

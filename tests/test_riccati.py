@@ -357,16 +357,15 @@ class TestUpdateBound:
         with pytest.raises(ValueError):
             update_bound(shifted, OmegaRPair(0.0, 1.0))
 
-    def test_non_subadditive_bound_gets_continuous_majorant(self):
-        # log m rises with slope 2 then falls: m(2a*) > m(a*)^2, so the exact
-        # update would jump down at the splice; the result must stay continuous,
-        # sound and below m
+    def test_rise_then_fall_splices_at_twice_the_crossing(self):
+        # log m rises with slope 2 then falls: concave, so m(2a*) <= m(a*)^2 and
+        # the tail starts on m at twice the crossing a*, where it is spliced
         m = PiecewiseLogAffineBound.from_slopes([2.0, -1.0], [4.0])
         pair = OmegaRPair(0.0, 1.0)
-        u = update_bound(m, pair)
-        for t in np.linspace(0.0, 30.0, 301):
-            assert u.log_at(t) <= m.log_at(t) + 1e-12
-
+        start, slope, intercept = riccati.update_tail(m, pair, first_crossing_time(m, pair))
+        assert start == 2.0 * first_crossing_time(m, pair)
+        tail = PiecewiseLogAffineBound((0.0,), (slope,), (intercept,))
+        assert update_bound(m, pair) == splice(m, pointwise_min(m, tail), start)
 
     @staticmethod
     def _almost_submultiplicative(g):
@@ -380,25 +379,17 @@ class TestUpdateBound:
         return m, pair, tail, 2.0 * crossing
 
     @pytest.mark.parametrize("g", [1e-11, 1e-10, 5e-10])
-    def test_gap_above_the_continuity_slack_postpones_the_splice(self, g):
+    def test_gap_above_the_continuity_slack_leaves_m_unchanged(self, g):
         m, pair, tail, start = self._almost_submultiplicative(g)
-        u = update_bound(m, pair)
-        for j in range(1, len(u.breakpoints)):
-            t = u.breakpoints[j]
-            left = u.slopes[j - 1] * t + u.intercepts[j - 1]
-            assert abs(left - u.log_at(t)) <= 1e-12
-        for t in np.linspace(0.0, 20.0, 2001):
-            if t < start:
-                assert u.log_at(t) == m.log_at(t)
-            else:
-                assert u.log_at(t) >= min(m.log_at(t), tail.log_at(t)) - 1e-12
-                assert u.log_at(t) <= m.log_at(t) + 1e-12
+        assert tail.log_at(start) < m.log_at(start) - 1e-12
+        assert riccati.update_tail(m, pair, first_crossing_time(m, pair)) is None
+        assert update_bound(m, pair) is m
 
-    def test_gaps_outside_that_range_keep_their_results(self):
+    def test_gap_within_the_slack_splices_and_a_larger_one_keeps_m(self):
         m, pair, tail, start = self._almost_submultiplicative(1e-13)
         assert update_bound(m, pair) == splice(m, pointwise_min(m, tail), start)
         m, pair, _, _ = self._almost_submultiplicative(2e-9)
-        assert update_bound(m, pair) == m
+        assert update_bound(m, pair) is m
 
 
 class TestMonotonicityProperties:

@@ -31,12 +31,15 @@ from conftest import (
     update_tails,
 )
 from sgbounds import (
+    GridBound,
     OmegaSet,
     PiecewiseLogAffineBound,
     ResolventProfile,
     first_crossing_time,
     iterate,
     min_update,
+    piecewise_interpolant,
+    subadditive_envelope,
     update_bound,
     update_chain,
 )
@@ -134,12 +137,13 @@ def test_shift_shapes_match_bit_for_bit(family):
 
 
 def test_grid_interpolant_matches_bit_for_bit():
-    # a rising start is not subadditive, so the envelope changes the grid and
-    # the iteration continues from the interpolant of 1000 grid values
+    # a rising start is not subadditive, so the grid envelope of its update
+    # changes the grid; its interpolant through 1000 grid values is a large bound
     rng = np.random.default_rng(107)
     m0 = shift_start(rng, "rise")
     omegas = OmegaSet.of(rng.uniform(-5.0, 5.0, size=60).tolist())
-    interpolant = iterate(m0, omegas, DIFFOP, 1, (0.05, 1000)).steps[1].bound
+    updated = min_update(m0, update_tails(m0, omegas, DIFFOP))
+    interpolant = piecewise_interpolant(subadditive_envelope(GridBound.sample(updated, 0.05, 1000)))
     assert len(interpolant.breakpoints) >= 500
     expected = pairwise_min_update(interpolant, omegas, DIFFOP)
     assert min_update(interpolant, update_tails(interpolant, omegas, DIFFOP)) == expected
@@ -355,7 +359,7 @@ REPRO_START = PiecewiseLogAffineBound((0.0, 0.3, 0.45), (0.0, 1.0, 0.0), (0.0, -
 @example(REPRO_START, [-40.0, 0.0])
 def test_update_tails_start_on_or_above_m(m, omegas):
     # the tails update_tail builds, from random non-concave starts and from the
-    # interpolants iterate continues from, all pass min_with_tails's start check
+    # closures iterate continues from, all pass min_with_tails's start check
     omegas = OmegaSet.of(omegas)
     min_update(m, update_tails(m, omegas, DIFFOP))
     iterate(m, omegas, DIFFOP, 3, (0.15, 40))
