@@ -86,7 +86,8 @@ class PiecewiseLogAffineBound:
       * pieces agree at interior breakpoints to within ``CONTINUITY_TOL``.
 
     Evaluation is right-continuous at breakpoints.  The constructor checks every
-    pair of adjacent pieces; :func:`min_with_tails` checks only the pairs it builds.
+    pair of adjacent pieces; :func:`min_with_tails`, which walks a bound and the
+    tails' lower envelope together, checks only the pairs it builds.
     """
 
     breakpoints: tuple[float, ...]
@@ -342,30 +343,43 @@ def _expire(live: list[tuple[float, float]], s: float) -> None:
         live.pop()
 
 
-def _with_own_pieces(
-    pieces: list[tuple[float, float, float]] | None, m: PiecewiseLogAffineBound, s: float, start: int, stop: int
-) -> tuple[list[tuple[float, float, float]], int]:
-    """``pieces``, the sweep's pieces so far, with m's own pieces from ``start``
-    added as the sweep adds them up to the first one before ``stop`` that would
-    pass unchanged, and its index: the caller adds m's pieces from there as they
-    are.  Before anything is copied ``pieces`` is None, ``start`` is the piece
-    that holds s, and the sweep's pieces of m up to s come first."""
+def _tail_envelope(
+    m: PiecewiseLogAffineBound, order: Sequence[tuple[float, float, float]]
+) -> list[tuple[float, float, float, bool]]:
+    """The lower envelope of the tails ``order``, sorted by start, each counted
+    from its start on, as pieces ``(start, slope, intercept, at_start)``, with
+    ``at_start`` True where a piece begins at a tail start.  Each tail is checked
+    against m's piece at its start (see :func:`min_with_tails`).  At each start x
+    the live lines are the tails' envelope on [x, inf) (:func:`_insert`,
+    :func:`_expire`); the piece at x holds the one lowest there, or the first
+    after it whose crossing with the one before rounds to after x, and the lines
+    after it begin at their crossings, up to the last that comes more than
+    ``_BP_MERGE_TOL`` before the next start."""
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
-    if pieces is None:
-        j, start = start, start + (s != bps[start])
-        pieces = list(zip(bps[:start], slopes[:start], intercepts[:start]))
-        if start > j and stop > j:
-            pieces.append((s, slopes[j], intercepts[j]))  # m's piece at s
-    # a piece of m more than _BP_MERGE_TOL after m's piece before it passes
-    # _append_joined unchanged, as its check is the constructor's
-    while start < stop and not (
-        pieces
-        and pieces[-1][1:] == (slopes[start - 1], intercepts[start - 1])
-        and bps[start] - pieces[-1][0] > _BP_MERGE_TOL
-    ):
-        _append_joined(pieces, bps[start], slopes[start], intercepts[start])
-        start += 1
-    return pieces, start
+    env: list[tuple[float, float, float, bool]] = []
+    live: list[tuple[float, float]] = []
+    i, count = 0, len(order)
+    while i < count:
+        x = order[i][0]
+        k = bisect.bisect_right(bps, x) - 1
+        am, bm = slopes[k], intercepts[k]
+        while i < count and order[i][0] == x:
+            _, at, bt = order[i]
+            below = (am * x + bm) - (at * x + bt)
+            if below > CONTINUITY_TOL and below > _continuity_slack(x, am, bm, at, bt):
+                raise ValueError(f"tail starts {below:g} below m at t = {x!r}")
+            _insert(live, (at, bt))
+            i += 1
+        _expire(live, x)
+        j = len(live) - 1
+        while j and _cross(live[j], live[j - 1]) <= x:
+            j -= 1
+        env.append((x, *live[j], True))
+        nxt = order[i][0] - _BP_MERGE_TOL if i < count else math.inf
+        while j and (c := _cross(live[j], live[j - 1])) < nxt:
+            j -= 1
+            env.append((c, *live[j], False))
+    return env
 
 
 def min_with_tails(
@@ -376,163 +390,119 @@ def min_with_tails(
     above m, up to the continuity slack, as ``riccati.update_tail``'s do; one that
     starts lower, or at a negative time, raises ValueError.
 
-    One sweep over m's pieces from the one that holds the first start, each
-    piece cut into intervals at the tail starts inside it, keeping the tails'
-    lower envelope on [x, inf) for each interval start x, the last line lowest
-    at x.  Each interval starts from the lower of m and that line and moves on
-    to the line of smaller slope whose crossing comes first; ties go to the
-    smaller slope, and m wins ties between equal lines.  A crossing that rounds
-    to before the current point takes effect there, never decided again by
-    value, so each move lowers the slope and the walk ends.  As in
-    :func:`pointwise_min`, crossings within ``_BP_MERGE_TOL`` of an interval's
-    end are dropped and pieces are joined where they meet.  The result is that
-    of folding ``splice(m, pointwise_min(m, tail), start)`` over the tails with
+    :func:`_tail_envelope` takes the tails' lower envelope L, then one walk goes
+    over m's pieces, from the one that holds the first start, and L's together.
+    At each breakpoint of m and each tail start it takes the lower of m and L
+    (ties to the smaller slope, m on equal lines); where L goes on to its next
+    line it keeps its side.  In between both are affine: at most one crossing
+    follows, in closed form, clamped to the interval start and, as in
+    :func:`pointwise_min`, dropped within ``_BP_MERGE_TOL`` before the next
+    breakpoint of m or tail start.  The result is that of folding
+    ``splice(m, pointwise_min(m, tail), start)`` over the tails with
     :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
 
-    :func:`_append_joined` runs where the minimum switches.  An interval that
-    starts on the line already last, more than ``_BP_MERGE_TOL`` after its
-    start, appends it again as it is, as :func:`_append_joined` would; a later
-    join that takes over the start of a piece at most that wide then stops
-    there.  The starts stay more than ``_BP_MERGE_TOL`` apart, so
-    :func:`_canonical` only merges equal slopes.
+    :func:`_append_joined` runs where the minimum switches.  The side taken
+    again at a breakpoint of m or a tail start (m only at a start inside its
+    piece) is appended again, as it is if the last piece starts more than
+    ``_BP_MERGE_TOL`` before, so a later join that takes over a piece at most
+    that wide stops there.  m's own pieces go in as slices of its tuples, only
+    their seams checked, but one starting at most ``_BP_MERGE_TOL`` after a join
+    is joined too.  When no line is taken and nothing is joined, m is returned.
 
-    The sweep ends at the start of a piece of m with more than 8 left (a test
+    The walk ends at the start of a piece of m with more than 8 left (a test
     costs about as much as walking 8) once every tail is in, m is lowest, every
     line is at least as steep as m's pieces left (scanned once per merge), and
-    the lowest lies above m by a margin: a ``_continuity_slack``
-    per breakpoint left, its terms bounded through the largest slope, the last
-    breakpoint and the values at the start, and the rounding of the values
-    compared, so that m's jumps cannot bring a line below it.  m's own pieces
-    are copied, not joined, as they would pass :func:`_append_joined`
-    unchanged: each run over which m stays lowest, and m's pieces before the
-    first start and after the end of the sweep, which go in as slices of m's
-    tuples, only their seams checked.  When no line is taken and no interval
-    starts within ``_BP_MERGE_TOL`` of the one before, the pieces are m's, and
-    m itself is returned.
+    the lowest lies above m by a margin: a ``_continuity_slack`` per breakpoint
+    left, its terms bounded through the largest slope, the last breakpoint and
+    the values at the start, and the rounding of the values compared, so that
+    m's jumps cannot bring a line below it.
     """
     if not tails:
         return m
     order = sorted(tails) if len(tails) > 1 else tails
+    if order[0][0] < 0.0:
+        raise ValueError(f"tail starts at negative time {order[0][0]!r}")
+    env = _tail_envelope(m, order)
+    low = env[-1][1]  # the least slope of a line
+    env.append((math.inf, 0.0, 0.0, True))
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
-    n, count = len(bps), len(order)
-    s0 = order[0][0]
-    if s0 < 0.0:
-        raise ValueError(f"tail starts at negative time {s0!r}")
-    j0 = bisect.bisect_right(bps, s0) - 1  # the piece that holds s0
-    own = s0  # where m's copied pieces go on from its prefix, for _with_own_pieces
-    pieces: list[tuple[float, float, float]] | None = None  # the sweep's pieces, once copied
-    run: int | None = j0  # m's own pieces from run on are still to be copied; None on a line
-    live: list[tuple[float, float]] = []  # the tails' lower envelope on [x, inf)
-    lat = lbt = low = 0.0  # the line of live lowest at x, and live's smallest slope
-    took = near = done = False  # near: an interval starts within _BP_MERGE_TOL of the one before or of the next
+    n = len(bps)
+    x, a, b, at = env[0]  # at: x is a tail start
+    k = j0 = bisect.bisect_right(bps, x) - 1  # the piece that holds the first start
+    am, bm, end = slopes[k], intercepts[k], bps[k + 1] if k + 1 < n else math.inf
+    l, nxt = 0, env[1]  # L's piece at x and the one after it
+    pieces: list[tuple[float, float, float]] = []
+    run: int | None = 0  # m's pieces from run on are still to be copied; None while a line is lowest
+    same = True  # the pieces are m's
     top = bot = None  # m's largest and smallest slope from the first test of the end on
-    i = 0  # the next tail to insert
-    x = s0
-    for k in range(j0, n):
-        am, bm = slopes[k], intercepts[k]
-        end = bps[k + 1] if k + 1 < n else math.inf
-        while True:  # the intervals [x, e[ of m's piece k, cut at the tail starts inside it
-            if i < count and order[i][0] <= x:
-                if x != bps[k]:  # the interval before x starts at m's breakpoint or at the last start
-                    lo = order[i - 1][0] if i and order[i - 1][0] > bps[k] else bps[k]
-                    near = near or x - lo <= _BP_MERGE_TOL or end - x <= _BP_MERGE_TOL
-                while i < count and order[i][0] <= x:
-                    _, at, bt = order[i]  # x is this tail's start
-                    below = (am * x + bm) - (at * x + bt)
-                    if below > CONTINUITY_TOL and below > _continuity_slack(x, am, bm, at, bt):
-                        raise ValueError(f"tail starts {below:g} below m at t = {x!r}")
-                    _insert(live, (at, bt))
-                    i += 1
-                if len(live) > 1:
-                    _expire(live, x)
-                (lat, lbt), low = live[-1], live[0][0]
-            elif low < lat:  # two or more lines are live
-                _expire(live, x)
-                lat, lbt = live[-1]
-            e = order[i][0] if i < count and order[i][0] < end else end
-            vt, vm = lat * x + lbt, am * x + bm
-            if vt < vm or (vt == vm and lat < am):
-                a, b = lat, lbt
-                took = True
+    while True:
+        if at or x == bps[k]:  # the lower of m and L at x
+            vt, vm = a * x + b, am * x + bm
+            if vt < vm or (vt == vm and a < am):
+                same = False
                 if run is not None:
-                    # m's pieces up to x: its piece at x too if x is inside it, unless x is
-                    # the first start, whose piece the prefix holds
-                    stop = k if x == bps[k] or x == s0 else k + 1
-                    pieces, j = _with_own_pieces(pieces, m, own, run, stop)
-                    pieces += zip(bps[j:stop], slopes[j:stop], intercepts[j:stop])
+                    stop = k + (x != bps[k])
+                    pieces += zip(bps[run:stop], slopes[run:stop], intercepts[run:stop])
                     _append_joined(pieces, x, a, b)
                     run = None
                 elif pieces[-1][1:] == (a, b) and x - pieces[-1][0] > _BP_MERGE_TOL:
-                    pieces.append((x, a, b))  # the line taken again, as _append_joined appends it
+                    pieces.append((x, a, b))  # the line again
                 else:
                     _append_joined(pieces, x, a, b)
+            elif run is None:
+                _append_joined(pieces, x, am, bm)
+                run = k + 1
+            elif at and x != bps[k]:  # m's piece again from a tail start inside it
+                pieces += zip(bps[run : k + 1], slopes[run : k + 1], intercepts[run : k + 1])
+                run = k + 1
+                if pieces[-1][1:] == (am, bm) and x - pieces[-1][0] > _BP_MERGE_TOL:
+                    pieces.append((x, am, bm))
+                else:
+                    same = False
+                    _append_joined(pieces, x, am, bm)
+            elif run == k and pieces and not (
+                pieces[-1][1:] == (slopes[k - 1], intercepts[k - 1]) and x - pieces[-1][0] > _BP_MERGE_TOL
+            ):
+                same = False  # m's piece k starts at most _BP_MERGE_TOL after a join
+                _append_joined(pieces, x, am, bm)
+                run = k + 1
+            elif low >= am and n - k > 8 and order[-1][0] <= x and vt > vm:  # the walk may end: see the docstring
+                if top is None:
+                    top, bot = max(slopes[k:]), min(slopes[k:])
+                if low >= top:
+                    values = [a2 * x + b2 for _, a2, b2, _ in reversed(env[l:-1])]
+                    span = max(-bot, a) * bps[-1] + abs(vm) + sum(map(abs, values))
+                    if min(values) - vm > (n - k + 1) * (CONTINUITY_TOL + 4e-15 * span):
+                        break
+        elif run is None:  # L goes on to its next line
+            _append_joined(pieces, x, a, b)
+        e = nxt[0] if nxt[0] < end else end  # [x, e[ ends at m's next breakpoint or L's next piece
+        cut = e - _BP_MERGE_TOL if e == end or nxt[3] else e  # no margin before a crossing of L
+        if (am < a if run is None else a < am) and (tc := max((bm - b) / (a - am), x)) < cut:
+            if run is None:
+                _append_joined(pieces, tc, am, bm)
+                run = k + 1
             else:
-                a, b = am, bm
-                if run is None:
-                    _append_joined(pieces, x, a, b)
-                    run = k + 1
-                elif x != bps[k]:
-                    if x == s0:
-                        if x - bps[k] <= _BP_MERGE_TOL:
-                            own = bps[k]  # m's piece at s0 joins back onto the prefix's last piece
-                    else:
-                        # a tail starts inside the run: m's piece at x, as the sweep repeats it
-                        pieces, j = _with_own_pieces(pieces, m, own, run, k + 1)
-                        pieces += zip(bps[j : k + 1], slopes[j : k + 1], intercepts[j : k + 1])
-                        _append_joined(pieces, x, a, b)
-                        run = k + 1
-                elif low >= am and n - k > 8 and i == count and vt > vm:  # the sweep may end here: see the docstring
-                    if top is None:
-                        top, bot = max(slopes[k:]), min(slopes[k:])
-                    if low >= top:
-                        values = [vt] if low == lat else [a2 * x + b2 for a2, b2 in live]
-                        span = max(-bot, lat) * bps[-1] + abs(vm) + sum(map(abs, values))
-                        if done := min(values) - vm > (n - k + 1) * (CONTINUITY_TOL + 4e-15 * span):
-                            break
-            while low < a or am < a:  # a line of smaller slope may cross the current one
-                # the next line is the one of smaller slope whose crossing comes
-                # first; tails are scanned by slope, so the first of tied crossings
-                # has the smaller slope
-                best, nxt, to_m = e - _BP_MERGE_TOL, None, False
-                if low < a:
-                    for a2, b2 in live:
-                        if a2 >= a:
-                            break
-                        tc = (b2 - b) / (a - a2)
-                        if tc < x:
-                            tc = x
-                        if tc < best:
-                            best, nxt = tc, (a2, b2)
-                if am < a:
-                    tc = max((bm - b) / (a - am), x)
-                    if tc < best or (nxt is not None and tc == best and am < nxt[0]):
-                        best, nxt, to_m = tc, (am, bm), True
-                if nxt is None:
-                    break
-                x, (a, b) = best, nxt
-                took = True
-                if run is not None:
-                    pieces, j = _with_own_pieces(pieces, m, own, run, k + 1)
-                    pieces += zip(bps[j : k + 1], slopes[j : k + 1], intercepts[j : k + 1])
-                    run = None
-                _append_joined(pieces, x, a, b)
-                if to_m:
-                    run = k + 1
-            if e == end:
+                same = False
+                pieces += zip(bps[run : k + 1], slopes[run : k + 1], intercepts[run : k + 1])
+                _append_joined(pieces, tc, a, b)
+                run = None
+        x, at = e, False
+        if e == end:
+            k += 1
+            if k == n:
                 break
-            x = e
-        if done:
-            break
-        x = end
-    if not took and not near:
-        # m's own pieces from interval starts each more than _BP_MERGE_TOL after
-        # the one before: _canonical would merge them back to m
+            am, bm, end = slopes[k], intercepts[k], bps[k + 1] if k + 1 < n else math.inf
+        if nxt[0] == e:
+            l += 1
+            _, a, b, at = nxt
+            nxt = env[l + 1]
+    if same:
         return m
-    pieces, rest = (pieces, n) if run is None else _with_own_pieces(pieces, m, own, run, n)
-    # m's pieces before the first start, but the last, go in as they are if that last one's breakpoint, the same
-    # float object, still starts the piece at its index: a join that popped it and reached further back cannot leave it
-    last = j0 + (own != bps[j0]) - 1
-    return _canonical(pieces, m, last - 1 if 0 < last < len(pieces) and pieces[last][0] is bps[last] else 0, rest)
+    # m's pieces before the first start but the last two go in unchecked if the one before them still starts with
+    # its breakpoint, the same float object, at its index: a join that reached back there cannot leave it
+    lo = j0 - 2 if 1 < j0 <= len(pieces) and pieces[j0 - 1][0] is bps[j0 - 1] else 0
+    return _canonical(pieces, m, lo, n if run is None else run)
 
 
 def splice(

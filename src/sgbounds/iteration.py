@@ -16,10 +16,10 @@ The set update :func:`min_update` takes the pointwise minimum of the
 single-abscissa updates of m, given the tail of each, which the caller builds
 once per pair from m's crossing time (shared with :func:`argmin_abscissas`).
 Each update keeps m up to its splice point and then takes the minimum with
-its tail line, so the minimum over the set is one sweep over m and all the
-tails, each counted from its own splice point on.  The sweep scans only the
-tails' lower envelope from the current point on, which holds few of a large
-set's tails.
+its tail line, so the minimum over the set is that of m and the tails' lower
+envelope, each tail counted from its own splice point on: the envelope is
+taken first, and one walk then goes over m and the envelope together.  The
+envelope holds few of a large set's tails.
 
 The iteration :func:`iterate` alternates the best update over the whole
 abscissa set with its subadditive closure on [0, T], T the grid's horizon
@@ -32,9 +32,9 @@ crossing before :func:`_agreed_until` of a bound and the one it came from is
 kept, since the walk reads only the pieces up to the one where it lands.  When
 the bound is the update itself and every tail of the next step equals the one
 merged for its pair, the next update is that bound, as min(min(m, T), T) =
-min(m, T) in exact arithmetic; a merge would give it up to rounding, since
-where tails pass through nearly one point the sweep can move a piece by a few
-ulps.  An update equal to the previous one repeats its step, objects and all.
+min(m, T) in exact arithmetic; a merge would give it again only up to
+rounding, so the step is repeated without one.  An update equal to the
+previous one repeats its step, objects and all.
 Order-sensitive single passes are available as :func:`update_chain`, whose
 rates come from one ``pairs`` call too.
 """
@@ -217,8 +217,8 @@ def argmin_abscissas(pairs: Sequence[OmegaRPair], crossings: Sequence[float]) ->
 def min_update(
     m: PiecewiseLogAffineBound, tails: Sequence[tuple[float, float, float] | None]
 ) -> PiecewiseLogAffineBound:
-    """Pointwise minimum of the Riccati updates of m whose tails are given: one
-    sweep over m and the tails (:func:`~sgbounds.bounds.min_with_tails`).
+    """Pointwise minimum of the Riccati updates of m whose tails are given: the
+    tails' lower envelope, then one walk with m (:func:`~sgbounds.bounds.min_with_tails`).
 
     Each tail is ``update_tail(m, pair, first_crossing_time(m, pair))`` for a
     pair, built once by the caller; a None tail leaves m unchanged.  With one

@@ -7,7 +7,24 @@ from hypothesis import strategies as st
 
 from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time
 from sgbounds.bounds import _BP_MERGE_TOL
+from sgbounds.models import diffop_rate
 from sgbounds.riccati import update_tail
+
+
+# a start, the shift model's profile with 20 abscissas, h, max_steps and the
+# envelope, whose step-1 bound has 20 tails through nearly one point at t = 1;
+# iterate repeats the step that merged them instead of merging them again
+NEAR_ONE_POINT = (
+    PiecewiseLogAffineBound((0.0, 0.5), (1e-10, 1.0), (0.0, -0.49999999995)),
+    (
+        ResolventProfile(fn=diffop_rate),
+        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.5, 1.25, 1.75, 1.875, 2.5, 0.5, 0.75, 0.625, 0.25, 0.125]
+        + [0.1875, 0.0625, 0.03125, 0.015625],
+    ),
+    0.05,
+    3,
+    True,
+)
 
 
 def _merged_breakpoints(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound) -> list[float]:

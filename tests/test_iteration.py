@@ -11,7 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import allclose, chain_profile, pairs_and_crossings, random_log_concave_bound, update_tails
+from conftest import (
+    NEAR_ONE_POINT,
+    allclose,
+    chain_profile,
+    pairs_and_crossings,
+    random_log_concave_bound,
+    update_tails,
+)
 from sgbounds import (
     GridBound,
     IterationStep,
@@ -541,21 +548,6 @@ def profiles_and_abscissas(draw):
     return ResolventProfile(fn=functools.partial(jordan_resolvent_rate, JORDAN3)), np.exp(logs).tolist()
 
 
-# tails through nearly one point at t = 1, where merging the same tails into the
-# bound they built moves a piece by rounding; iterate repeats the step instead
-NEAR_ONE_POINT = (
-    PiecewiseLogAffineBound((0.0, 0.5), (1e-10, 1.0), (0.0, -0.49999999995)),
-    (
-        ResolventProfile(fn=diffop_rate),
-        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.5, 1.25, 1.75, 1.875, 2.5, 0.5, 0.75, 0.625, 0.25, 0.125]
-        + [0.1875, 0.0625, 0.03125, 0.015625],
-    ),
-    0.05,
-    3,
-    True,
-)
-
-
 class TestFromScratchOracle:
     """iterate carries crossings over a step whose update it keeps, and repeats that
     step when the next tails are the ones merged into it; its trace must equal the
@@ -578,14 +570,13 @@ class TestFromScratchOracle:
         assert trace == rebuilt_trace(m, pairs, max_steps, h, n, envelope)
 
     def test_a_confirming_step_repeats_the_step_before(self):
-        # a merge would move the bound by rounding here; the identity rule repeats
-        # the bound, and every step before it is the every-merge step
+        # the identity rule repeats the bound, and every step before it is the
+        # every-merge step
         m, (profile, omegas), h, max_steps, envelope = NEAR_ONE_POINT
         n = round(8.0 / h)
         trace = iterate(m, omegas, profile, max_steps, (h, n), envelope=envelope)
         every_merge = rebuilt_trace(m, profile.pairs(OmegaSet.of(omegas)), max_steps, h, n, envelope, False)
         *before, prev, last = trace.steps
-        assert trace != every_merge
         assert (*before, prev) == every_merge.steps[: len(trace.steps) - 1]
         assert last.bound is prev.bound and last.grid is prev.grid
         assert trace.stationary_at == prev.index

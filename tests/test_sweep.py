@@ -1,11 +1,13 @@
-"""The one-sweep set update against the pairwise route it replaces.
+"""The set update against the pairwise route it replaces.
 
-The oracle builds each single update as ``splice(m, pointwise_min(m, tail),
-start)`` and folds the updates with ``pointwise_min``.  On the shapes the
-benchmark workloads draw, the sweep must agree bit for bit; on arbitrary
-starts and on tails placed to hit the sweep's tie and merge rules it must
-agree to 1e-12 in log scale.  The tails' lower envelope the sweep keeps is
-checked on its own against a brute-force one in exact arithmetic.
+``min_with_tails`` takes the tails' lower envelope, then walks m and the
+envelope together.  The oracle builds each single update as ``splice(m,
+pointwise_min(m, tail), start)`` and folds the updates with
+``pointwise_min``.  On the shapes the benchmark workloads draw, the merge
+must agree bit for bit; on arbitrary starts and on tails placed to hit its
+tie and merge rules it must agree to 1e-12 in log scale.  The lines the
+envelope keeps, and its pieces, are checked on their own against brute-force
+ones in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NEAR_ONE_POINT,
     allclose,
     bounds_strategy,
     chain_profile,
@@ -49,6 +52,7 @@ from sgbounds.bounds import (
     _append_joined,
     _expire,
     _insert,
+    _tail_envelope,
     min_with_tails,
     pointwise_min,
     splice,
@@ -365,6 +369,18 @@ def test_update_tails_start_on_or_above_m(m, omegas):
     iterate(m, omegas, DIFFOP, 3, (0.15, 40))
 
 
+def test_merging_the_same_tails_again_keeps_the_bound():
+    # the 20 tails of the step-1 bound of iterate on NEAR_ONE_POINT pass through
+    # nearly one point at t = 1, so the envelope's crossings there lie within
+    # _BP_MERGE_TOL of each other and of the merged bound's breakpoints
+    m, (profile, omegas), h, max_steps, envelope = NEAR_ONE_POINT
+    bound = iterate(m, omegas, profile, max_steps, (h, round(8.0 / h)), envelope=envelope).steps[1].bound
+    tails = [tail for tail in update_tails(bound, OmegaSet.of(omegas), profile) if tail is not None]
+    merged = min_with_tails(bound, tails)
+    assert len(tails) == 20 and merged != bound
+    assert min_with_tails(merged, tails) == merged
+
+
 # -- the one-tail walk ----------------------------------------------------------
 
 
@@ -630,6 +646,41 @@ def test_envelope_drops_the_middle_of_three_lines_through_one_point(lines):
 def test_envelope_keeps_the_lower_of_equal_slopes():
     lines = [(0.5, 1.0), (-1.0, 2.0), (0.5, 0.0), (0.5, 1.0)]
     check_envelope([(0.0, lines), (1.0, [(0.5, -1.0), (-1.0, 3.0)])])
+
+
+# a floor below every lattice tail, for _tail_envelope's start check
+FLOOR = PiecewiseLogAffineBound((0.0,), (0.0,), (-100.0,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.0]), lattice_lines), min_size=1, max_size=12))
+@example([(0.0, (0.0, 0.0)), (1.0, (0.5, -2.0)), (2.0, (1.0, -4.0))])  # three tails through (4, 0)
+@example([(0.0, (-0.5, 1.0)), (1.0, (-0.5, 0.5)), (1.0, (-0.5, 0.75)), (2.0, (-0.5, 0.0))])  # equal slopes
+@example([(1.0, (0.25, 0.0)), (1.0, (-1.0, 2.0)), (1.0, (0.0, 1.0)), (1.0, (-2.0, 4.0))])  # one start
+def test_tail_envelope_is_the_least_started_tail(tails):
+    # in exact arithmetic each piece is the least tail started by its start and
+    # by its midpoint; a piece begins at a tail start, or where its line meets
+    # the one before, rounded, and is marked exactly when it begins at a start
+    order = sorted((start, a, b) for start, (a, b) in tails)
+    env = _tail_envelope(FLOOR, order)
+    starts = {Fraction(start) for start, _, _ in order}
+
+    def least(t):
+        return min(Fraction(a) * t + Fraction(b) for start, a, b in order if start <= t)
+
+    assert env[0][0] == order[0][0]
+    assert all(p[0] < q[0] for p, q in zip(env, env[1:]))
+    for i, (start, a, b, at_start) in enumerate(env):
+        line = (Fraction(a), Fraction(b))
+        assert at_start == (Fraction(start) in starts)
+        t = Fraction(start)
+        if not at_start:
+            a0, b0 = Fraction(env[i - 1][1]), Fraction(env[i - 1][2])
+            t = (b0 - line[1]) / (line[0] - a0)
+            assert float(t) == start
+        end = Fraction(env[i + 1][0]) if i + 1 < len(env) else t + 2
+        for point in (t, (Fraction(start) + end) / 2):
+            assert line[0] * point + line[1] == least(point)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5])
