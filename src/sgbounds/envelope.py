@@ -9,9 +9,12 @@ f = log m (Le Boudec and Thiran, *Network Calculus*, LNCS 2050, ch. 3).
 For fixed t, s -> f(s) + f(t - s) is least at s = 0 or at a convex kink b of f
 (where the slope rises), so the min-plus square is the minimum of f and its
 translates f(b) + f(t - b) from t = b on; a concave f has no such kink and is
-its own closure.  Each squaring doubles the number of parts, and at most one
-part is shorter than f's smallest convex kink, so ceil(log2(T / that kink)) + 2
-rounds reach the closure; every round is a valid bound.
+its own closure.  Squaring starts from min(f, l), where l(t) = a0 t + b0 extends f's
+first piece: for b0 <= 0 and t / n in that piece, n f(t / n) = a0 t + n b0 <= l(t),
+so f* <= min(f, l) <= f and both close to f*.  The minimum adds only concave kinks;
+where f >= l it is l, closed in one round.  Each squaring doubles the number of parts,
+and at most one part is shorter than f's smallest convex kink, so
+ceil(log2(T / that kink)) + 2 rounds reach the closure; every round is a valid bound.
 
 :func:`subadditive_envelope` is the grid counterpart, an O(N^2) dynamic
 program on h, 2h, ..., Nh: a minimizing decomposition with at least two parts
@@ -150,12 +153,14 @@ def _squared(g: PiecewiseLogAffineBound, horizon: float) -> PiecewiseLogAffineBo
 def _closure(f: PiecewiseLogAffineBound, horizon: float) -> PiecewiseLogAffineBound:
     """The subadditive closure g of a normalized f on [0, ``horizon``], then
     min(f, g(horizon) + f(t - horizon)), valid by submultiplicativity; f itself when it
-    has no convex kink below ``horizon``.  Squares until the result is ``==`` to the
-    one before, at most ceil(log2(horizon / f's smallest convex kink)) + 2 times."""
+    has no convex kink below ``horizon``.  Squares min(f, f's first piece extended), or f
+    if that piece starts above 0, until the result is ``==`` to the one before, at most
+    ceil(log2(horizon / f's smallest convex kink)) + 2 times; the module docstring shows
+    that the minimum has the same closure."""
     kinks = _convex_kinks(f, horizon)
     if not kinks:
         return f
-    g = f
+    g = f if f.intercepts[0] > 0.0 else pointwise_min(f, PiecewiseLogAffineBound((0.0,), f.slopes[:1], f.intercepts[:1]))
     for _ in range(math.ceil(math.log2(horizon) - math.log2(kinks[0])) + 2):
         g, before = _squared(g, horizon), g
         if g == before:

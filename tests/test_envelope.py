@@ -16,7 +16,9 @@ from sgbounds import (
     piecewise_interpolant,
     subadditive_envelope,
 )
-from sgbounds.envelope import _closure, _log_values, _squared
+from sgbounds import envelope
+from sgbounds.bounds import pointwise_min
+from sgbounds.envelope import _closure, _convex_kinks, _log_values, _shifted, _squared
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
@@ -268,6 +270,33 @@ def closure_times(f, horizon, count=241):
 CLOSURE_STARTS = bounds_strategy(max_pieces=5) | lattice_bounds_strategy(max_pieces=5)
 # log m rises 0.3 by t = 0.45, then stays: its closure on [0, 6] is the line 0
 RISE = PiecewiseLogAffineBound.from_slopes([0.0, 1.0, 0.0], [0.3, 0.45])
+# like the shift benchmark's anchor start: slope about 0.07 until t = 0.22, then rising
+ANCHOR_LIKE = PiecewiseLogAffineBound.from_slopes([0.073, 1.43, 0.34, 0.24, 0.75, 2.06], [0.22, 1.35, 2.23, 3.32, 5.02])
+
+
+def unseeded_closure(f, horizon):
+    """The closure that squares f itself, not min(f, f's first line): the oracle for
+    the seed."""
+    kinks = _convex_kinks(f, horizon)
+    if not kinks:
+        return f
+    g = f
+    for _ in range(math.ceil(math.log2(horizon) - math.log2(kinks[0])) + 2):
+        g, before = _squared(g, horizon), g
+        if g == before:
+            break
+    return pointwise_min(f, _shifted(g, f, horizon))
+
+
+def closed_or_error(closure, f, horizon):
+    try:
+        return closure(f, horizon)
+    except ValueError as error:
+        return str(error)
+
+
+def pieces_below(m, horizon):
+    return [p for p in zip(m.breakpoints, m.slopes, m.intercepts) if p[0] < horizon]
 
 
 class TestClosure:
@@ -323,12 +352,53 @@ class TestClosure:
     )
     def test_closure_of_a_convex_bound_is_its_first_line(self, a0, rises, widths, horizon):
         # with f(0) = 0, a convex f lies above its first line a0 t, which is additive,
-        # and n f(t / n) = a0 t once t / n is inside the first piece; kinks near 1e-3
-        # and horizons up to 1e4 take the translates' rounded intercepts far out
+        # and n f(t / n) = a0 t once t / n is inside the first piece; the seed is that
+        # line, so below the horizon the closure is its one piece, exactly, also with
+        # kinks near 1e-3 and horizons up to 1e4, where translates would round far out
         f = PiecewiseLogAffineBound.from_slopes([a0, *(a0 + np.cumsum(rises))], np.cumsum(widths[: len(rises)]).tolist())
+        assert pieces_below(_closure(f, horizon), horizon) == [(0.0, a0, 0.0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(CLOSURE_STARTS, st.sampled_from([0.0, -5e-13, 5e-13]), st.sampled_from([2.0, 6.0]))
+    @example(RISE, 0.0, 6.0)
+    @example(ANCHOR_LIKE, 0.0, 6.0)
+    def test_seeded_closure_matches_the_unseeded_squaring(self, f, log_at_zero, horizon):
+        # min(f, f's first line) has f's closure when that line starts at or below 0;
+        # above 0 the squaring starts from f itself, as the oracle does.  Translates of
+        # a start with log m(0) != 0 jump by log m(0) where they begin, and on some
+        # starts the squaring compounds those jumps past the continuity slack and
+        # raises; the seed may close such a start, never fail where the oracle closes,
+        # and its result is then held to the start moved to log m(0) = 0
+        start = PiecewiseLogAffineBound.from_slopes(f.slopes, f.breakpoints[1:], log_at_zero)
+        closed, oracle = (closed_or_error(c, start, horizon) for c in (_closure, unseeded_closure))
+        if log_at_zero > 0.0:
+            assert closed == oracle
+            return
+        if isinstance(oracle, str):
+            if isinstance(closed, str):
+                return
+            oracle = unseeded_closure(f, horizon)
+        assert not isinstance(closed, str)
+        for t in closure_times(f, 3.0 * horizon):
+            assert closed.log_at(t) == pytest.approx(oracle.log_at(t), abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "f, horizon",
+        [
+            (RISE, 6.0),
+            (ANCHOR_LIKE, 100.0),
+            (PiecewiseLogAffineBound.from_slopes([0.5, 1.0, 2.5], [1e-3, 2.2e-3]), 1e4),
+        ],
+        ids=["rise", "anchor_like", "kinks_near_1e-3"],
+    )
+    def test_a_first_line_start_closes_in_one_round(self, f, horizon, monkeypatch):
+        # f lies above its first line on [0, horizon], so the seed is that line: it has
+        # no convex kink there, and its first square returns it unchanged
+        rounds = []
+        monkeypatch.setattr(envelope, "_squared", lambda g, h: rounds.append(h) or _squared(g, h))
         closed = _closure(f, horizon)
-        for t in np.linspace(0.0, horizon, 201).tolist():
-            assert closed.log_at(t) == pytest.approx(a0 * t, abs=1e-12 * (1.0 + horizon))
+        assert len(rounds) <= 1
+        assert pieces_below(closed, horizon) == [(0.0, f.slopes[0], f.intercepts[0])]
 
     def test_no_convex_kink_below_the_horizon_returns_the_bound(self):
         concave = PiecewiseLogAffineBound.from_slopes([1.0, -0.5], [2.0])
