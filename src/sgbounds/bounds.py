@@ -86,8 +86,7 @@ class PiecewiseLogAffineBound:
       * pieces agree at interior breakpoints to within ``CONTINUITY_TOL``.
 
     Evaluation is right-continuous at breakpoints.  The constructor checks every
-    pair of adjacent pieces; :func:`min_with_tails`, which walks a bound and the
-    tails' lower envelope together, checks only the pairs it builds.
+    pair of adjacent pieces; :func:`_walk`, behind both minima, only those it builds.
     """
 
     breakpoints: tuple[float, ...]
@@ -223,10 +222,6 @@ def log_concavity(m: PiecewiseLogAffineBound) -> LogConcavityReport:
     return LogConcavityReport(True, None)
 
 
-def _probe(s: float, e: float) -> float:
-    return s + (min(1.0, e - s) * 0.5 if math.isfinite(e) else 1.0)
-
-
 def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float, b: float) -> None:
     """Append (lo, a, b); where a breakpoint or crossing merged within _BP_MERGE_TOL
     left a jump at lo, start it where its line meets the last piece's.  A parallel
@@ -271,40 +266,13 @@ def _canonical(pieces: list, m: PiecewiseLogAffineBound | None = None, lo=0, res
     return bound
 
 
-def pointwise_min(
-    m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound
-) -> PiecewiseLogAffineBound:
+def pointwise_min(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound) -> PiecewiseLogAffineBound:
     """Pointwise minimum of two bounds, again in canonical form: the fold of
-    :func:`~sgbounds.envelope._closure` over its translates, and the tests'
-    pairwise reference for :func:`min_with_tails`.
-
-    Breakpoints of the result are the union of the inputs' breakpoints plus
-    the crossing points of overlapping affine pieces, computed in closed form.
-    When the two pieces coincide on an interval the piece of ``m1`` is kept,
-    which makes the operation deterministic.  The result takes one sweep over
-    the merged breakpoints, with one piece index per input that only moves right.
-    """
-    base: list[float] = []
-    for t in sorted((*m1.breakpoints, *m2.breakpoints)):
-        if not base or t - base[-1] > _BP_MERGE_TOL:
-            base.append(t)
-    pieces: list[tuple[float, float, float]] = []
-    j1 = j2 = 0
-    for s, e in zip(base, [*base[1:], math.inf]):
-        probe = _probe(s, e)
-        while j1 + 1 < len(m1.breakpoints) and m1.breakpoints[j1 + 1] <= probe:
-            j1 += 1
-        while j2 + 1 < len(m2.breakpoints) and m2.breakpoints[j2 + 1] <= probe:
-            j2 += 1
-        a1, b1, a2, b2 = m1.slopes[j1], m1.intercepts[j1], m2.slopes[j2], m2.intercepts[j2]
-        tc = (b2 - b1) / (a1 - a2) if a1 != a2 else s
-        # drop crossings that collide with an existing breakpoint
-        cuts = (s, tc, e) if s + _BP_MERGE_TOL < tc < e - _BP_MERGE_TOL else (s, e)
-        for lo, hi in zip(cuts, cuts[1:]):
-            probe = _probe(lo, hi)
-            a, b = (a2, b2) if a2 * probe + b2 < a1 * probe + b1 else (a1, b1)
-            _append_joined(pieces, lo, a, b)
-    return _canonical(pieces)
+    :func:`~sgbounds.envelope._closure` over its translates.  :func:`_walk` walks m1
+    against m2, every piece of m2 a start, so ties go to m1 on equal lines; m1
+    itself is returned when m2 is nowhere lower."""
+    env = [*zip(m2.breakpoints, m2.slopes, m2.intercepts, [True] * len(m2.slopes)), (math.inf, 0.0, 0.0, True)]
+    return _walk(m1, env, m2.breakpoints[-1], min(m2.slopes))
 
 
 def _cross(hi: tuple[float, float], lo: tuple[float, float]) -> float:
@@ -348,26 +316,31 @@ def _tail_envelope(
 ) -> list[tuple[float, float, float, bool]]:
     """The lower envelope of the tails ``order``, sorted by start, each counted
     from its start on, as pieces ``(start, slope, intercept, at_start)``, with
-    ``at_start`` True where a piece begins at a tail start.  Each tail is checked
-    against m's piece at its start (see :func:`min_with_tails`).  At each start x
-    the live lines are the tails' envelope on [x, inf) (:func:`_insert`,
-    :func:`_expire`); the piece at x holds the one lowest there, or the first
-    after it whose crossing with the one before rounds to after x, and the lines
-    after it begin at their crossings, up to the last that comes more than
-    ``_BP_MERGE_TOL`` before the next start."""
+    ``at_start`` True where a piece begins at a tail start.  Each tail's start must
+    be at least 0, its fields not NaN, and it is checked against m's piece at its start
+    (see :func:`min_with_tails`).  At each start x the live lines are the tails'
+    envelope on [x, inf) (:func:`_insert`, :func:`_expire`); the piece at x holds the
+    one lowest there, or the first after it whose crossing with the one before rounds
+    to after x, and the lines after it begin at their crossings, up to the last that
+    comes more than ``_BP_MERGE_TOL`` before the next start."""
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     env: list[tuple[float, float, float, bool]] = []
     live: list[tuple[float, float]] = []
     i, count = 0, len(order)
     while i < count:
         x = order[i][0]
+        if not x >= 0.0:
+            raise ValueError(f"tail {order[i]!r} has a negative time or NaN start")
         k = bisect.bisect_right(bps, x) - 1
         am, bm = slopes[k], intercepts[k]
         while i < count and order[i][0] == x:
             _, at, bt = order[i]
             below = (am * x + bm) - (at * x + bt)
-            if below > CONTINUITY_TOL and below > _continuity_slack(x, am, bm, at, bt):
-                raise ValueError(f"tail starts {below:g} below m at t = {x!r}")
+            if not below <= CONTINUITY_TOL:  # a NaN slope or intercept lands here too
+                if math.isnan(at) or math.isnan(bt):
+                    raise ValueError(f"tail {order[i]!r} has a NaN field")
+                if below > _continuity_slack(x, am, bm, at, bt):
+                    raise ValueError(f"tail starts {below:g} below m at t = {x!r}")
             _insert(live, (at, bt))
             i += 1
         _expire(live, x)
@@ -388,46 +361,53 @@ def min_with_tails(
     """Pointwise minimum of m and the lines ``(start, slope, intercept)``, each
     counted only on [start, inf), in canonical form.  Each tail must start on or
     above m, up to the continuity slack, as ``riccati.update_tail``'s do; one that
-    starts lower, or at a negative time, raises ValueError.
+    starts lower, at a negative time, or with a NaN field raises ValueError.
 
-    :func:`_tail_envelope` takes the tails' lower envelope L, then one walk goes
-    over m's pieces, from the one that holds the first start, and L's together.
-    At each breakpoint of m and each tail start it takes the lower of m and L
-    (ties to the smaller slope, m on equal lines); where L goes on to its next
-    line it keeps its side.  In between both are affine: at most one crossing
-    follows, in closed form, clamped to the interval start and, as in
-    :func:`pointwise_min`, dropped within ``_BP_MERGE_TOL`` before the next
-    breakpoint of m or tail start.  The result is that of folding
-    ``splice(m, pointwise_min(m, tail), start)`` over the tails with
-    :func:`pointwise_min`, up to points within ``_BP_MERGE_TOL`` of each other.
-
-    :func:`_append_joined` runs where the minimum switches.  The side taken
-    again at a breakpoint of m or a tail start (m only at a start inside its
-    piece) is appended again, as it is if the last piece starts more than
-    ``_BP_MERGE_TOL`` before, so a later join that takes over a piece at most
-    that wide stops there.  m's own pieces go in as slices of its tuples, only
-    their seams checked, but one starting at most ``_BP_MERGE_TOL`` after a join
-    is joined too.  When no line is taken and nothing is joined, m is returned.
-
-    The walk ends at the start of a piece of m with more than 8 left (a test
-    costs about as much as walking 8) once every tail is in, m is lowest, every
-    line is at least as steep as m's pieces left (scanned once per merge), and
-    the lowest lies above m by a margin: a ``_continuity_slack`` per breakpoint
-    left, its terms bounded through the largest slope, the last breakpoint and
-    the values at the start, and the rounding of the values compared, so that
-    m's jumps cannot bring a line below it.
+    :func:`_tail_envelope` takes the tails' lower envelope L, each tail start a start
+    of it, and :func:`_walk` walks m against L.  The result is that of folding
+    ``splice(m, pointwise_min(m, tail), start)`` over the tails with :func:`pointwise_min`,
+    up to points within ``_BP_MERGE_TOL`` of each other.
     """
     if not tails:
         return m
     order = sorted(tails) if len(tails) > 1 else tails
-    if order[0][0] < 0.0:
-        raise ValueError(f"tail starts at negative time {order[0][0]!r}")
     env = _tail_envelope(m, order)
     low = env[-1][1]  # the least slope of a line
     env.append((math.inf, 0.0, 0.0, True))
+    return _walk(m, env, order[-1][0], low)
+
+
+def _walk(m: PiecewiseLogAffineBound, env: list, last: float, low: float) -> PiecewiseLogAffineBound:
+    """The minimum of m and a function L from L's first start on, in canonical form.
+    ``env`` holds L's pieces ``(start, slope, intercept, at_start)`` in order, closed by
+    ``(inf, 0.0, 0.0, True)``; L jumps only at flagged starts, none after ``last``.
+
+    At each breakpoint of m and each flagged start the walk takes the lower of m
+    and L (ties to the smaller slope, m on equal lines); where L goes on to an
+    unflagged piece it keeps its side.  In between both are affine: at most one
+    crossing follows, in closed form, clamped to the interval start and dropped
+    within ``_BP_MERGE_TOL`` before the next breakpoint of m or flagged start.
+
+    :func:`_append_joined` runs where the minimum switches.  The side taken again at a
+    breakpoint of m or a flagged start (m only at a start inside its piece) is appended
+    again, as it is if the last piece starts more than ``_BP_MERGE_TOL`` before, so a
+    later join that takes over a piece at most that wide stops there.  m's own pieces go
+    in as slices of its tuples, only their seams checked, but one starting at most
+    ``_BP_MERGE_TOL`` after a join is joined too.  When no line is taken and nothing is
+    joined, m is returned.
+
+    The walk ends at the start x of a piece of m with more than 8 left (a test costs
+    about as much as walking 8) once x >= ``last``, m is lowest, ``low``, at most every
+    slope of L, is at least every slope of m's pieces left (scanned once per walk), and
+    L's lines from its piece at x on lie above m at x by a margin: a ``_continuity_slack``
+    per breakpoint left, its terms bounded through the largest slope, the last breakpoint
+    and the values at x, plus the rounding of the values compared.  Then for t >= x any
+    such L, not only an envelope of lines, has L(t) >= their least value at x + ``low``
+    (t - x), and m rises no faster but for its jumps, which the margin covers.
+    """
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     n = len(bps)
-    x, a, b, at = env[0]  # at: x is a tail start
+    x, a, b, at = env[0]  # at: x is a flagged start
     k = j0 = bisect.bisect_right(bps, x) - 1  # the piece that holds the first start
     am, bm, end = slopes[k], intercepts[k], bps[k + 1] if k + 1 < n else math.inf
     l, nxt = 0, env[1]  # L's piece at x and the one after it
@@ -452,7 +432,7 @@ def min_with_tails(
             elif run is None:
                 _append_joined(pieces, x, am, bm)
                 run = k + 1
-            elif at and x != bps[k]:  # m's piece again from a tail start inside it
+            elif at and x != bps[k]:  # m's piece again from a flagged start inside it
                 pieces += zip(bps[run : k + 1], slopes[run : k + 1], intercepts[run : k + 1])
                 run = k + 1
                 if pieces[-1][1:] == (am, bm) and x - pieces[-1][0] > _BP_MERGE_TOL:
@@ -466,7 +446,7 @@ def min_with_tails(
                 same = False  # m's piece k starts at most _BP_MERGE_TOL after a join
                 _append_joined(pieces, x, am, bm)
                 run = k + 1
-            elif low >= am and n - k > 8 and order[-1][0] <= x and vt > vm:  # the walk may end: see the docstring
+            elif low >= am and n - k > 8 and last <= x and vt > vm:  # the walk may end: see the docstring
                 if top is None:
                     top, bot = max(slopes[k:]), min(slopes[k:])
                 if low >= top:
@@ -510,9 +490,9 @@ def splice(
 ) -> PiecewiseLogAffineBound:
     """Bound equal to ``left`` on [0, t[ and to ``right`` on [t, inf).
 
-    The two sides must agree at t up to the continuity tolerance.  Like
-    :func:`pointwise_min`, it is the tests' pairwise reference (for one update), is
-    traced by name in ``perfbench/spans.py``, and moves to the tests with it.
+    The two sides must agree at t up to the continuity tolerance.  It is the tests'
+    pairwise reference for one update, is traced by name in ``perfbench/spans.py``,
+    and moves to the tests once the tracer drops it.
     """
     if t <= 0.0:
         return right

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 from sgbounds import GridBound, OmegaSet, PiecewiseLogAffineBound, ResolventProfile, first_crossing_time
-from sgbounds.bounds import _BP_MERGE_TOL
+from sgbounds.bounds import _BP_MERGE_TOL, _append_joined, _canonical
 from sgbounds.models import diffop_rate
 from sgbounds.riccati import update_tail
 
@@ -50,6 +52,44 @@ def allclose(
         probes.append(0.5 * (pts[i] + pts[i + 1]))
     probes.extend((pts[-1] + 1.0, pts[-1] + 10.0))
     return all(abs(m1.log_at(t) - m2.log_at(t)) <= tol for t in probes)
+
+
+def _probe(s: float, e: float) -> float:
+    return s + (min(1.0, e - s) * 0.5 if math.isfinite(e) else 1.0)
+
+
+def probe_min(m1: PiecewiseLogAffineBound, m2: PiecewiseLogAffineBound) -> PiecewiseLogAffineBound:
+    """The tests' oracle for the pointwise minimum of two bounds: a sweep over the
+    merged breakpoints that picks the lower piece at a probe inside each interval,
+    not the walk of ``bounds._walk`` that ``pointwise_min`` and ``min_with_tails`` run.
+
+    Breakpoints of the result are the union of the inputs' breakpoints plus
+    the crossing points of overlapping affine pieces, computed in closed form.
+    When the two pieces coincide on an interval the piece of ``m1`` is kept,
+    which makes the operation deterministic.  The result takes one sweep over
+    the merged breakpoints, with one piece index per input that only moves right.
+    """
+    base: list[float] = []
+    for t in sorted((*m1.breakpoints, *m2.breakpoints)):
+        if not base or t - base[-1] > _BP_MERGE_TOL:
+            base.append(t)
+    pieces: list[tuple[float, float, float]] = []
+    j1 = j2 = 0
+    for s, e in zip(base, [*base[1:], math.inf]):
+        probe = _probe(s, e)
+        while j1 + 1 < len(m1.breakpoints) and m1.breakpoints[j1 + 1] <= probe:
+            j1 += 1
+        while j2 + 1 < len(m2.breakpoints) and m2.breakpoints[j2 + 1] <= probe:
+            j2 += 1
+        a1, b1, a2, b2 = m1.slopes[j1], m1.intercepts[j1], m2.slopes[j2], m2.intercepts[j2]
+        tc = (b2 - b1) / (a1 - a2) if a1 != a2 else s
+        # drop crossings that collide with an existing breakpoint
+        cuts = (s, tc, e) if s + _BP_MERGE_TOL < tc < e - _BP_MERGE_TOL else (s, e)
+        for lo, hi in zip(cuts, cuts[1:]):
+            probe = _probe(lo, hi)
+            a, b = (a2, b2) if a2 * probe + b2 < a1 * probe + b1 else (a1, b1)
+            _append_joined(pieces, lo, a, b)
+    return _canonical(pieces)
 
 
 def pairs_and_crossings(m, omegas, profile):

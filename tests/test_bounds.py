@@ -4,14 +4,24 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import allclose, bounds_strategy, lattice_bounds_strategy, random_log_concave_bound
+from conftest import (
+    allclose,
+    bounds_strategy,
+    lattice_bounds_strategy,
+    probe_min,
+    random_bound,
+    random_log_concave_bound,
+)
 from sgbounds import PiecewiseLogAffineBound, canonicalize, log_concavity
-from sgbounds.bounds import _BP_MERGE_TOL, pointwise_min, splice
+from sgbounds.bounds import _BP_MERGE_TOL, _continuity_slack, pointwise_min, splice
+from sgbounds.envelope import _shifted
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
 
@@ -222,6 +232,68 @@ def test_min_associative_exact(m1, m2, m3):
 @given(lattice_bounds_strategy())
 def test_min_idempotent_exact(m):
     assert pointwise_min(m, m) == m
+
+
+def _lattice_bound(rng, max_pieces):
+    """Dyadic slopes and breakpoints, as ``lattice_bounds_strategy`` draws them."""
+    n = int(rng.integers(1, max_pieces + 1))
+    steps = rng.integers(1, 65, size=n - 1) * rng.choice([-1, 1], size=n - 1)
+    slopes = np.cumsum([rng.integers(-96, 97), *steps]) / 32.0
+    widths = rng.integers(1, 41, size=n - 1) / 8.0
+    return PiecewiseLogAffineBound.from_slopes(slopes.tolist(), np.cumsum(widths).tolist())
+
+
+@st.composite
+def min_pairs(draw):
+    """(m1, m2, lattice): bounds of 1-300 pieces from a drawn seed, on the lattice or
+    not, m2 drawn on its own or a translate of m1 at one of its breakpoints, sharing
+    m1's prefix as the closure's translates do."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+
+    def bound(normalized=True):
+        return _lattice_bound(rng, 300) if lattice else random_bound(rng, 300, normalized)
+
+    m1 = bound(draw(st.booleans()))
+    if draw(st.booleans()) and len(m1.breakpoints) > 1:
+        m2 = _shifted(m1, bound(), m1.breakpoints[int(rng.integers(1, len(m1.breakpoints)))])
+    else:
+        m2 = bound(draw(st.booleans()))
+    return m1, m2, lattice
+
+
+def _exact(m, j, t):
+    return Fraction(m.slopes[j]) * Fraction(t) + Fraction(m.intercepts[j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(min_pairs())
+def test_pointwise_min_agrees_with_the_probe_oracle(case):
+    # the walk against the probe sweep: the same bound on the lattice, within 1e-10
+    # elsewhere, and neither below the exact min(m1, m2) by more than the continuity
+    # slack at any breakpoint or midpoint
+    m1, m2, lattice = case
+    got, oracle = pointwise_min(m1, m2), probe_min(m1, m2)
+    if lattice:
+        assert got == oracle
+    else:
+        assert allclose(got, oracle, 1e-10)
+    pts = sorted({*m1.breakpoints, *m2.breakpoints, *got.breakpoints, *oracle.breakpoints})
+    for t in [*pts, *(0.5 * (s + e) for s, e in zip(pts, pts[1:])), pts[-1] + 1.0]:
+        j1, j2 = m1.piece_index(t), m2.piece_index(t)
+        least = min(_exact(m1, j1, t), _exact(m2, j2, t))
+        slack = Fraction(_continuity_slack(t, m1.slopes[j1], m1.intercepts[j1], m2.slopes[j2], m2.intercepts[j2]))
+        for m in (got, oracle):
+            assert _exact(m, m.piece_index(t), t) >= least - slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounds_strategy(max_pieces=8) | lattice_bounds_strategy(max_pieces=8), st.floats(0.0, 2.0))
+def test_pointwise_min_returns_m1_where_m2_is_nowhere_lower(m, lift):
+    above = PiecewiseLogAffineBound(m.breakpoints, m.slopes, tuple(b + lift for b in m.intercepts))
+    assert pointwise_min(m, above) is m
+    assert pointwise_min(m, m) is m
+    assert pointwise_min(WEI, PiecewiseLogAffineBound.constant()) is WEI
 
 
 def _many_piece_bound(rng, breakpoints):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bounds_strategy, lattice_bounds_strategy, random_bound, random_lattice_grid, random_log_concave_bound
+from conftest import (
+    bounds_strategy,
+    lattice_bounds_strategy,
+    probe_min,
+    random_bound,
+    random_lattice_grid,
+    random_log_concave_bound,
+)
 from sgbounds import (
     GridBound,
     PiecewiseLogAffineBound,
@@ -17,7 +24,6 @@ from sgbounds import (
     subadditive_envelope,
 )
 from sgbounds import envelope
-from sgbounds.bounds import pointwise_min
 from sgbounds.envelope import _closure, _convex_kinks, _log_values, _shifted, _squared
 
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
@@ -285,7 +291,7 @@ def unseeded_closure(f, horizon):
         g, before = _squared(g, horizon), g
         if g == before:
             break
-    return pointwise_min(f, _shifted(g, f, horizon))
+    return probe_min(f, _shifted(g, f, horizon))
 
 
 def closed_or_error(closure, f, horizon):
@@ -405,3 +411,12 @@ class TestClosure:
         assert _closure(concave, 6.0) is concave
         assert _closure(RISE, 0.3) is RISE
         assert _closure(RISE, 0.31) is not RISE
+
+    def test_a_closed_bound_with_a_convex_kink_is_returned(self):
+        # log f = t up to 1, flat to 2, rising to 2 at 3, then flat: 1-Lipschitz with
+        # f(s) = s for s <= 1 and f <= 2, so f(s + t) <= f(s) + f(t) already holds.  No
+        # translate goes below f, so each minimum returns f itself
+        f = PiecewiseLogAffineBound.from_slopes([1.0, 0.0, 1.0, 0.0], [1.0, 2.0, 3.0])
+        assert _convex_kinks(f, 6.0) == [2.0]
+        assert _closure(f, 6.0) is f
+        assert unseeded_closure(f, 6.0) == f

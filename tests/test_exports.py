@@ -21,8 +21,9 @@ def test_every_exported_name_resolves():
 
 
 def test_every_traced_name_resolves():
-    # the tracer wraps names that src/ keeps only for it (pointwise_min, splice,
-    # solve_crossing, ResolventProfile.rate); a rename must fail here, not in a run
+    # the tracer wraps names that src/ keeps only for it (splice, solve_crossing,
+    # ResolventProfile.rate) and pointwise_min, the closure's entry to the walk that
+    # min_with_tails runs; a rename must fail here, not in a run
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         spans = importlib.import_module("spans")

@@ -16,6 +16,7 @@ from conftest import (
     allclose,
     chain_profile,
     pairs_and_crossings,
+    probe_min,
     random_log_concave_bound,
     update_tails,
 )
@@ -36,7 +37,6 @@ from sgbounds import (
     update_bound,
     update_chain,
 )
-from sgbounds.bounds import pointwise_min
 from sgbounds.cli import jordan_figure_bounds
 from sgbounds.envelope import _closure, _log_values
 from sgbounds.iteration import _agreed_until
@@ -192,7 +192,7 @@ class TestMinUpdate:
 
     def test_two_frequencies_give_min_of_singles(self):
         got = min_update(ONE, update_tails(ONE, [0.0, -1.0], PROFILE_53))
-        expected = pointwise_min(
+        expected = probe_min(
             update_bound(ONE, OmegaRPair(0.0, 1.0)), update_bound(ONE, OmegaRPair(-1.0, 0.05))
         )
         assert got == expected

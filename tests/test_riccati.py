@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from conftest import bounds_strategy, random_bound, random_log_concave_bound
+from conftest import bounds_strategy, probe_min, random_bound, random_log_concave_bound
 from sgbounds import (
     MuSegment,
     OmegaRPair,
@@ -30,7 +30,7 @@ from sgbounds import (
     update_bound,
 )
 from sgbounds import riccati
-from sgbounds.bounds import pointwise_min, splice
+from sgbounds.bounds import splice
 
 ONE = PiecewiseLogAffineBound.constant()
 WEI = PiecewiseLogAffineBound.from_slopes([0.0, -1.0], [math.pi / 2])
@@ -365,7 +365,7 @@ class TestUpdateBound:
         start, slope, intercept = riccati.update_tail(m, pair, first_crossing_time(m, pair))
         assert start == 2.0 * first_crossing_time(m, pair)
         tail = PiecewiseLogAffineBound((0.0,), (slope,), (intercept,))
-        assert update_bound(m, pair) == splice(m, pointwise_min(m, tail), start)
+        assert update_bound(m, pair) == splice(m, probe_min(m, tail), start)
 
     @staticmethod
     def _almost_submultiplicative(g):
@@ -387,7 +387,7 @@ class TestUpdateBound:
 
     def test_gap_within_the_slack_splices_and_a_larger_one_keeps_m(self):
         m, pair, tail, start = self._almost_submultiplicative(1e-13)
-        assert update_bound(m, pair) == splice(m, pointwise_min(m, tail), start)
+        assert update_bound(m, pair) == splice(m, probe_min(m, tail), start)
         m, pair, _, _ = self._almost_submultiplicative(2e-9)
         assert update_bound(m, pair) is m
 

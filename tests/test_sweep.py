@@ -2,8 +2,8 @@
 
 ``min_with_tails`` takes the tails' lower envelope, then walks m and the
 envelope together.  The oracle builds each single update as ``splice(m,
-pointwise_min(m, tail), start)`` and folds the updates with
-``pointwise_min``.  On the shapes the benchmark workloads draw, the merge
+probe_min(m, tail), start)`` and folds the updates with ``probe_min``, the
+probe sweep of ``conftest``.  On the shapes the benchmark workloads draw, the merge
 must agree bit for bit; on arbitrary starts and on tails placed to hit its
 tie and merge rules it must agree to 1e-12 in log scale.  The lines the
 envelope keeps, and its pieces, are checked on their own against brute-force
@@ -29,6 +29,7 @@ from conftest import (
     bounds_strategy,
     chain_profile,
     lattice_bounds_strategy,
+    probe_min,
     random_bound,
     random_log_concave_bound,
     update_tails,
@@ -54,7 +55,6 @@ from sgbounds.bounds import (
     _insert,
     _tail_envelope,
     min_with_tails,
-    pointwise_min,
     splice,
 )
 from sgbounds.models import JordanBlockModel, diffop_rate, jordan_resolvent_rate
@@ -68,8 +68,8 @@ def line(slope: float, intercept: float) -> PiecewiseLogAffineBound:
 
 
 def pairwise_min_with_tails(m, tails):
-    updates = [splice(m, pointwise_min(m, line(a, b)), start) for start, a, b in tails]
-    return functools.reduce(pointwise_min, updates) if updates else m
+    updates = [splice(m, probe_min(m, line(a, b)), start) for start, a, b in tails]
+    return functools.reduce(probe_min, updates) if updates else m
 
 
 def pairwise_update(m, pair):
@@ -79,7 +79,7 @@ def pairwise_update(m, pair):
 
 def pairwise_min_update(m, omegas, profile):
     """The pairwise route on the rates of one ``profile.pairs`` call, as the sweep gets them."""
-    return functools.reduce(pointwise_min, [pairwise_update(m, pair) for pair in profile.pairs(omegas)])
+    return functools.reduce(probe_min, [pairwise_update(m, pair) for pair in profile.pairs(omegas)])
 
 
 # -- the shapes of the benchmark's generators -----------------------------------
@@ -352,6 +352,27 @@ def test_a_tail_at_negative_time_is_rejected():
     # a bound lives on [0, inf), so no tail can start before 0
     with pytest.raises(ValueError, match="negative time"):
         min_with_tails(KINK, [(-1.0, 5.0, 10.0)])
+
+
+def test_a_tail_with_a_nan_field_is_rejected():
+    # the merge names the tail, alone or beside a valid one, and never drops it
+    m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [1.0])
+    for tails in ([(math.nan, 0.0, 0.0)], [(1.0, -2.0, 3.0), (0.5, math.nan, 0.0)], [(0.5, 0.0, math.nan)]):
+        with pytest.raises(ValueError, match=r"tail \(.*nan.*\) has a .*NaN"):
+            min_update(m, tails)
+
+
+def test_a_tail_with_an_infinite_field_keeps_its_result():
+    # a line at +inf from its start on never goes below m and is dropped; one at
+    # -inf gives data that is not finite
+    m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [1.0])
+    valid = (1.0, -2.0, 3.0)
+    for tail in [(math.inf, 0.0, 0.0), (0.5, math.inf, 0.0), (0.5, 0.0, math.inf)]:
+        assert min_update(m, [tail]) == m
+        assert min_update(m, [valid, tail]) == min_update(m, [valid])
+    for tail in [(0.5, -math.inf, 0.0), (0.5, 0.0, -math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            min_update(m, [valid, tail])
 
 
 REPRO_START = PiecewiseLogAffineBound((0.0, 0.3, 0.45), (0.0, 1.0, 0.0), (0.0, -0.3, 0.15))
