@@ -317,12 +317,13 @@ def _tail_envelope(
     """The lower envelope of the tails ``order``, sorted by start, each counted
     from its start on, as pieces ``(start, slope, intercept, at_start)``, with
     ``at_start`` True where a piece begins at a tail start.  Each tail's start must
-    be at least 0, its fields not NaN, and it is checked against m's piece at its start
-    (see :func:`min_with_tails`).  At each start x the live lines are the tails'
-    envelope on [x, inf) (:func:`_insert`, :func:`_expire`); the piece at x holds the
-    one lowest there, or the first after it whose crossing with the one before rounds
-    to after x, and the lines after it begin at their crossings, up to the last that
-    comes more than ``_BP_MERGE_TOL`` before the next start."""
+    be at least 0, neither its fields nor its value at a finite start NaN, and it is
+    checked against m's piece at its start (see :func:`min_with_tails`).  At each
+    start x the live lines are the tails' envelope on [x, inf) (:func:`_insert`,
+    :func:`_expire`); the piece at x holds the one lowest there, or the first after
+    it whose crossing with the one before rounds to after x, and the lines after it
+    begin at their crossings, up to the last that comes more than ``_BP_MERGE_TOL``
+    before the next start."""
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     env: list[tuple[float, float, float, bool]] = []
     live: list[tuple[float, float]] = []
@@ -336,9 +337,11 @@ def _tail_envelope(
         while i < count and order[i][0] == x:
             _, at, bt = order[i]
             below = (am * x + bm) - (at * x + bt)
-            if not below <= CONTINUITY_TOL:  # a NaN slope or intercept lands here too
+            if not below <= CONTINUITY_TOL:  # a NaN slope, intercept or value at x lands here too
                 if math.isnan(at) or math.isnan(bt):
                     raise ValueError(f"tail {order[i]!r} has a NaN field")
+                if x < math.inf and math.isnan(at * x + bt):  # inf * 0 or inf - inf
+                    raise ValueError(f"tail {order[i]!r} has a NaN value at its start")
                 if below > _continuity_slack(x, am, bm, at, bt):
                     raise ValueError(f"tail starts {below:g} below m at t = {x!r}")
             _insert(live, (at, bt))
@@ -361,7 +364,8 @@ def min_with_tails(
     """Pointwise minimum of m and the lines ``(start, slope, intercept)``, each
     counted only on [start, inf), in canonical form.  Each tail must start on or
     above m, up to the continuity slack, as ``riccati.update_tail``'s do; one that
-    starts lower, at a negative time, or with a NaN field raises ValueError.
+    starts lower, at a negative time, with a NaN field or NaN at a finite start
+    raises ValueError.
 
     :func:`_tail_envelope` takes the tails' lower envelope L, each tail start a start
     of it, and :func:`_walk` walks m against L.  The result is that of folding

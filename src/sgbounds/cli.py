@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
+import itertools
 import json
 import math
 import sys
@@ -45,10 +46,8 @@ class ConfigError(ValueError):
 
 
 def _rows_csv(rows: list[tuple[float, float, str]]) -> str:
-    lines = ["t,value,label"]
-    for t, v, label in rows:
-        lines.append(f"{t:.17g},{v:.17g},{label}")
-    return "\n".join(lines) + "\n"
+    """The header, then one ``t,value,label`` line per row, all formatted in one ``%`` call."""
+    return "t,value,label\n" + ("%.17g,%.17g,%s\n" * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _rows_json(rows: list[tuple[float, float, str]]) -> str:
@@ -80,16 +79,14 @@ def _emit_report(
     stdout (JSON unless --format csv); with --out, the .json and .csv files, or
     only the one --format names.  The rows (each bound's log value at t = k h,
     k = 0..n) are built only for a CSV, from one :func:`_log_values` call per
-    bound, with each t formatted once.  Every text is built before the first
-    file is written, so a failure while building leaves no file behind."""
+    bound.  Every text is built before the first file is written, so a failure
+    while building leaves no file behind."""
     fmt = args.format
-    h, n = grid
 
     def csv() -> str:
-        ts = _grid_times(h, n)
-        t_texts = [f"{t:.17g}" for t in ts.tolist()]
-        rows = (f"{t},{v:.17g},{label}" for b, label in labelled for t, v in zip(t_texts, _log_values(b, ts).tolist()))
-        return "\n".join(["t,value,label", *rows]) + "\n"
+        ts = _grid_times(*grid)
+        t_list = ts.tolist()
+        return _rows_csv([(t, v, label) for b, label in labelled for t, v in zip(t_list, _log_values(b, ts).tolist())])
 
     if args.out is None:
         _write(csv() if fmt == "csv" else report_json() + "\n", None)

@@ -156,13 +156,20 @@ def _closure(f: PiecewiseLogAffineBound, horizon: float) -> PiecewiseLogAffineBo
     has no convex kink below ``horizon``.  Squares min(f, f's first piece extended), or f
     if that piece starts above 0, until the result is ``==`` to the one before, at most
     ceil(log2(horizon / f's smallest convex kink)) + 2 times; the module docstring shows
-    that the minimum has the same closure."""
+    that the minimum has the same closure.  A translate begins log m(0) off g, so
+    where the squaring of an f with log m(0) != 0 compounds those jumps into a
+    discontinuity, the ValueError names log m(0)."""
     kinks = _convex_kinks(f, horizon)
     if not kinks:
         return f
     g = f if f.intercepts[0] > 0.0 else pointwise_min(f, PiecewiseLogAffineBound((0.0,), f.slopes[:1], f.intercepts[:1]))
-    for _ in range(math.ceil(math.log2(horizon) - math.log2(kinks[0])) + 2):
-        g, before = _squared(g, horizon), g
-        if g == before:
-            break
+    try:
+        for _ in range(math.ceil(math.log2(horizon) - math.log2(kinks[0])) + 2):
+            g, before = _squared(g, horizon), g
+            if g == before:
+                break
+    except ValueError as exc:
+        if f.intercepts[0] == 0.0:
+            raise
+        raise ValueError(f"cannot close a bound whose log m(0) is {f.intercepts[0]!r}, not 0") from exc
     return pointwise_min(f, _shifted(g, f, horizon))

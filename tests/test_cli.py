@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_profile, random_bound, random_log_concave_bound, update_tails
 from sgbounds import (
@@ -25,7 +27,7 @@ from sgbounds import (
 )
 from sgbounds import cli, iteration
 from sgbounds.cli import main
-from sgbounds.envelope import _closure
+from sgbounds.envelope import _closure, _log_values
 from sgbounds.models import diffop_rate
 
 
@@ -963,3 +965,98 @@ def test_rise_start_iterates_above_the_norm_between_grid_points(capsys, tmp_path
     for step in steps:
         bound = PiecewiseLogAffineBound.from_json_dict(step["bound"])
         assert min(bound.log_at(k * 1e-3) for k in range(1000)) >= 0.0
+
+
+# -- the CSV writer against the row-by-row oracle --------------------------------
+
+
+def csv_oracle(rows):
+    """The CSV text written one row at a time: the header, then ``t,value,label``
+    per row, the floats at 17 significant digits, each line ending in a newline."""
+    return "".join(["t,value,label\n", *(f"{t:.17g},{v:.17g},{label}\n" for t, v, label in rows)])
+
+
+# every label a subcommand writes, bar iterate's step0, step1, ...
+CLI_LABELS = [
+    "wei", "min_update", "chain", "true_norm", "numerical_range", "bound_3_omegas", "bound_101_omegas",
+    "diffop_rate", "rate", "r_eq_omega", "r_eq_omega_plus_1", "matched_rate_pi_4", "matched_rate_pi_2",
+    "matched_rate_pi_8", "threshold_lower", "threshold_upper",
+]
+EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+CSV_VALUES = st.floats() | st.sampled_from(EDGE_VALUES) | st.integers(-(2**64), 2**64)
+CSV_LABELS = st.sampled_from(CLI_LABELS) | st.integers(0, 100).map(lambda k: f"step{k}")
+
+
+class TestCsvOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(CSV_VALUES, CSV_VALUES, CSV_LABELS), max_size=30))
+    @example([])
+    @example([(t, v, label) for t, v in zip(EDGE_VALUES, [*EDGE_VALUES[1:], 7]) for label in CLI_LABELS])
+    def test_rows_csv_is_the_row_by_row_text(self, rows):
+        assert cli._rows_csv(rows) == csv_oracle(rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wei", "1.0", "--t-max", "1"],
+            ["figure", "omegar"],
+            ["figure", "jordan3", "--t-max", "1"],
+            ["figure", "diffop_r", "--omega-max", "-2"],
+            ["profile", "--count", "3"],
+            ["profile", "--model", "jordan", "--omega-min", "0.1", "--count", "3"],
+        ],
+        ids=["wei", "omegar", "jordan3", "diffop_r", "profile_diffop", "profile_jordan"],
+    )
+    def test_rows_subcommands_write_the_oracle_text(self, capsys, argv):
+        # the rows of --format json, rebuilt as CSV by the oracle, are the CSV output,
+        # and every label among them is one the Hypothesis test draws
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        rows = [(r["t"], r["value"], r["label"]) for r in json.loads(out)]
+        assert {label for _, _, label in rows} <= set(CLI_LABELS)
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == csv_oracle(rows)
+
+    @pytest.mark.parametrize("command", ["update", "iterate"])
+    def test_report_csv_is_the_oracle_of_its_bounds(self, capsys, tmp_path, command):
+        # update writes min_update and the chain's last bound, iterate every step's
+        # bound, each read back from the JSON report and evaluated on t = k h
+        config = {**CONFIG_53, "grid": {"h": 0.25, "T": 10.0}, "iteration": {"max_steps": 3}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run.json").read_text())
+        if command == "update":
+            labelled = [(report["min_update"], "min_update"), (report["chain"][-1]["bound"], "chain")]
+        else:
+            labelled = [(step["bound"], f"step{step['index']}") for step in report["steps"]]
+        h, n = cli._build_grid(config["grid"])
+        ts = np.arange(n + 1) * h
+        rows = [
+            (t, v, label)
+            for bound, label in labelled
+            for t, v in zip(ts.tolist(), _log_values(PiecewiseLogAffineBound.from_json_dict(bound), ts).tolist())
+        ]
+        assert len(rows) == 41 * len(labelled)
+        assert (tmp_path / "run.csv").read_text() == csv_oracle(rows)
+        code, out, _ = run(capsys, [command, "--config", str(cfg), "--format", "csv"])
+        assert code == 0 and out == csv_oracle(rows)
+
+
+# log m(0) = 5e-13 is within the normalization tolerance; the closure's squaring
+# compounds the translates' jumps of 5e-13 past the continuity slack
+POSITIVE_AT_ZERO = {"breakpoints": [0.0, 0.25], "slopes": [0.0, 1.0], "intercepts": [5e-13, -0.2499999999995]}
+
+
+@pytest.mark.parametrize("command", ["update", "iterate"])
+def test_a_start_the_closure_cannot_close_names_log_m_at_zero(capsys, tmp_path, command):
+    config = {"initial_bound": POSITIVE_AT_ZERO, "omega_set": [0.0], "grid": {"h": 0.1, "T": 2.0}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == "config error: cannot close a bound whose log m(0) is 5e-13, not 0\n"
+    # the same start with log m(0) = 0 closes
+    config["initial_bound"] = {**POSITIVE_AT_ZERO, "intercepts": [0.0, -0.25]}
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 0

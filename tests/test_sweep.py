@@ -355,11 +355,16 @@ def test_a_tail_at_negative_time_is_rejected():
 
 
 def test_a_tail_with_a_nan_field_is_rejected():
-    # the merge names the tail, alone or beside a valid one, and never drops it
+    # the merge names the tail, alone or beside a valid one, and never drops it;
+    # so too a tail whose value at a finite start is inf * 0 or inf - inf
     m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0], [1.0])
     for tails in ([(math.nan, 0.0, 0.0)], [(1.0, -2.0, 3.0), (0.5, math.nan, 0.0)], [(0.5, 0.0, math.nan)]):
         with pytest.raises(ValueError, match=r"tail \(.*nan.*\) has a .*NaN"):
             min_update(m, tails)
+    for tail in [(0.0, -math.inf, math.inf), (0.0, math.inf, -math.inf), (2.0, math.inf, -math.inf)]:
+        for tails in ([tail], [(1.0, -2.0, 3.0), tail]):
+            with pytest.raises(ValueError, match=r"tail \(.*inf.*\) has a NaN value at its start"):
+                min_update(m, tails)
 
 
 def test_a_tail_with_an_infinite_field_keeps_its_result():
