@@ -180,13 +180,18 @@ def _floats(values, where: str) -> list[float]:
     return [_parse(float, x, where) for x in values]
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple:
+    """(config, model spec, profile, grid, initial bound, abscissas) of the config
+    at path, built and checked in this order."""
     try:
-        data = json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _require_keys(data, {"model", "initial_bound", "omega_set", "grid", "iteration", "update", "gp"}, "config")
-    return data
+    _require_keys(config, {"model", "initial_bound", "omega_set", "grid", "iteration", "update", "gp"}, "config")
+    model = config.get("model", "diffop")
+    profile, grid = _build_profile(model), _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
+    m0, omegas = _build_bound(config.get("initial_bound")), _build_omegas(config.get("omega_set", []))
+    return config, model, profile, grid, m0, omegas
 
 
 def _build_profile(spec) -> ResolventProfile:
@@ -350,8 +355,6 @@ def _iterate_report_json(trace: IterationTrace) -> str:
 
 
 def _cmd_wei(args) -> int:
-    if args.rate <= 0.0:
-        raise ConfigError("rate must be positive")
     pair = OmegaRPair(0.0, args.rate)
     bound = update_bound(PiecewiseLogAffineBound.constant(), pair)
     t_max = args.t_max if args.t_max is not None else 4.0 * math.pi / args.rate
@@ -362,12 +365,7 @@ def _cmd_wei(args) -> int:
 
 
 def _cmd_update(args) -> int:
-    config = _load_config(args.config)
-    model = config.get("model", "diffop")
-    profile = _build_profile(model)
-    grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
-    m0 = _build_bound(config.get("initial_bound"))
-    omegas = _build_omegas(config.get("omega_set", []))
+    config, model, profile, grid, m0, omegas = _load_config(args.config)
     update_spec = config.get("update", {})
     _require_keys(update_spec, {"order"}, "update")
     order = _floats(update_spec.get("order", sorted(omegas)), "update.order")
@@ -426,16 +424,11 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
-    config = _load_config(args.config)
-    model = config.get("model", "diffop")
-    profile = _build_profile(model)
-    m0 = _build_bound(config.get("initial_bound"))
-    omegas = OmegaSet.of(_build_omegas(config.get("omega_set", [])))
+    config, model, profile, grid, m0, omegas = _load_config(args.config)
     iter_spec = config.get("iteration", {})
     _require_keys(iter_spec, {"max_steps", "use_semigroupize"}, "iteration")
     max_steps = _integer(iter_spec.get("max_steps", 8), "iteration.max_steps")
     use_envelope = _flag(iter_spec, "use_semigroupize", True, "iteration")
-    grid = _build_grid(config.get("grid", {"h": 0.1, "T": 20.0}))
 
     trace = iterate(m0, omegas, profile, max_steps, grid, envelope=use_envelope)
     labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
@@ -474,9 +467,8 @@ def jordan_figure_bounds() -> tuple[
     bound, then the 101 log-spaced abscissas sharpen the result further, so
     each stage is everywhere at most its predecessor.
     """
-    model = JordanBlockModel(3)
-    profile = ResolventProfile(fn=functools.partial(models.jordan_resolvent_rate, model))
-    numrange = PiecewiseLogAffineBound.exponential(models.jordan_numerical_range_slope(model))
+    profile = _build_profile({"jordan": {"n": 3}})
+    numrange = PiecewiseLogAffineBound.exponential(models.jordan_numerical_range_slope(JordanBlockModel(3)))
     omegas_3 = [0.5, 1.0, 2.0]
     omegas_101 = [math.exp(-5.0 + 0.1 * k) for k in range(101)]
     bound_3 = update_chain(numrange, omegas_3, profile)
@@ -512,10 +504,7 @@ def _cmd_figure(args) -> int:
 def _cmd_profile(args) -> int:
     if args.count < 1:
         raise ConfigError(f"count must be at least 1, got {args.count!r}")
-    if args.model == "diffop":
-        rate = models.diffop_rate
-    else:
-        rate = functools.partial(models.jordan_resolvent_rate, JordanBlockModel(args.n))
+    rate = _build_profile("diffop" if args.model == "diffop" else {"jordan": {"n": args.n}}).fn
     omegas = _linspace(args.omega_min, args.omega_max, args.count)
     rows = [(w, r, "rate") for w, r in zip(omegas, rate(np.array(omegas)).tolist())]
     _emit_rows(rows, args)

@@ -145,8 +145,10 @@ class OmegaSet:
         if not self.values:
             raise ValueError("abscissa set must be non-empty")
         for a, b in zip(self.values, self.values[1:]):
-            if b <= a:
-                raise ValueError("abscissas must be sorted and distinct")
+            if not b > a:  # false for a NaN too
+                raise ValueError(f"abscissas must be sorted and distinct numbers, got {a!r} before {b!r}")
+        if math.isnan(self.values[0]):  # a one-element set has no pair to compare
+            raise ValueError("abscissa nan is not a number")
 
     @classmethod
     def of(cls, omegas: Sequence[float]) -> "OmegaSet":

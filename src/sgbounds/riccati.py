@@ -87,6 +87,8 @@ class MuSegment:
     def __post_init__(self) -> None:
         if not self.t_start < self.t_end:
             raise ValueError("segment must have positive length")
+        if math.isnan(self.mu):
+            raise ValueError("segment mu nan is not a number")
 
 
 # -- constant-mu closed forms ----------------------------------------------
@@ -106,12 +108,14 @@ def propagate(b: float, mu: float, start: float) -> float:
     """Value at time b of the normalized flow u' = u^2 + 2 mu u + 1, u(0) = start.
 
     ``start`` must be nonnegative.  Raises :class:`PoleError` when the
-    solution blows up at or before b.
+    solution blows up at or before b, and ValueError on a NaN argument.
     """
-    if b < 0.0:
-        raise ValueError("time must be nonnegative")
-    if start < 0.0:
-        raise ValueError("initial state must be nonnegative")
+    if not b >= 0.0:
+        raise ValueError(f"time must be a nonnegative number, got {b!r}")
+    if not start >= 0.0:
+        raise ValueError(f"initial state must be a nonnegative number, got {start!r}")
+    if mu != mu:
+        raise ValueError("mu nan is not a number")
     if b == 0.0:
         return start
     d = mu * mu - 1.0
@@ -168,8 +172,8 @@ def crossing_candidate(segment: MuSegment, start: float, rate: float) -> float:
     """
     if not 0.0 <= start < 1.0:
         raise ValueError(f"state at segment start must be in [0, 1[, got {start!r}")
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    if not rate > 0.0:
+        raise ValueError(f"rate must be a positive number, got {rate!r}")
     dt = _time_to_one(segment.mu, start)
     return segment.t_start + dt / rate if math.isfinite(dt) else math.inf
 
@@ -238,8 +242,8 @@ def state_at(m: PiecewiseLogAffineBound, pair: OmegaRPair, t: float) -> float:
     Valid past the crossing as long as the flow has not blown up; raises
     :class:`PoleError` beyond the blow-up time.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not t >= 0.0:
+        raise ValueError(f"time must be a nonnegative number, got {t!r}")
     bps = m.breakpoints
     state = 0.0
     for j, a in enumerate(m.slopes):
@@ -254,6 +258,8 @@ def state_at(m: PiecewiseLogAffineBound, pair: OmegaRPair, t: float) -> float:
 def normalized_crossing_time(mu: float) -> float:
     """First b > 0 with u(b) = 1 for u' = u^2 + 2 mu u + 1, u(0) = 0, with
     constant mu; +inf when u never reaches 1."""
+    if math.isnan(mu):
+        raise ValueError("mu nan is not a number")
     return _time_to_one(float(mu), 0.0)
 
 
@@ -284,10 +290,10 @@ def update_tail(
     """
     if not m.is_normalized:
         raise ValueError("update requires a normalized bound (m(0) = 1)")
-    if not math.isfinite(crossing):
+    if not crossing >= 0.0:
+        raise ValueError(f"crossing time must be a nonnegative number, got {crossing!r}")
+    if crossing == math.inf:
         return None
-    if crossing < 0.0:
-        raise ValueError(f"bound evaluated at negative time {crossing!r}")
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     i = bisect.bisect_right(bps, crossing) - 1
     slope = pair.omega - pair.rate

@@ -76,7 +76,7 @@ class TestWei:
     def test_rejects_nonpositive_rate(self, capsys):
         code, _, err = run(capsys, ["wei", "-1.0"])
         assert code == 2
-        assert "config error" in err
+        assert err == "config error: rate must be positive, got -1.0\n"
 
 
 class TestUpdate:
@@ -334,6 +334,7 @@ class TestIterate:
             {"model": {"tabulated": {"path": "/nonexistent.json"}}},
             {"model": {"jordan": {}}},
             {"grid": {"h": 0.1}},
+            {"grid": {"h": 1.0, "T": 0.5}},
             {"omega_set": {"from": 0, "to": 1}},
             {"model": {"tabulated": {"pairs": [[0.0, 0.1], [math.nan, 100.0]]}}, "omega_set": [0.5]},
             {**CONFIG_53, "output": {"dir": "results"}},
@@ -347,6 +348,7 @@ class TestIterate:
             "missing_path",
             "jordan_without_n",
             "grid_without_T",
+            "grid_T_below_h",
             "omega_set_without_count",
             "non_finite_pair",
             "output_key",
@@ -1060,3 +1062,71 @@ def test_a_start_the_closure_cannot_close_names_log_m_at_zero(capsys, tmp_path, 
     config["initial_bound"] = {**POSITIVE_AT_ZERO, "intercepts": [0.0, -0.25]}
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["update", "iterate"])
+@pytest.mark.parametrize(
+    "spec, omegas",
+    [
+        ({"from": -1.0, "to": 0.0, "count": 5}, [-1.0, -0.75, -0.5, -0.25, 0.0]),
+        ({"from": -1.0, "to": 1.0, "count": 3, "log_spaced": True}, [math.exp(-1.0), 1.0, math.exp(1.0)]),
+    ],
+    ids=["linear", "log_spaced"],
+)
+def test_an_omega_range_runs_as_its_list(capsys, tmp_path, command, spec, omegas):
+    outputs = []
+    for omega_set in (spec, omegas):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG_53, "omega_set": omega_set}))
+        code, out, err = run(capsys, [command, "--config", str(cfg), "--format", "json"])
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    if command == "update":
+        assert [row["omega"] for row in json.loads(outputs[0])["singles"]] == omegas
+
+
+@pytest.mark.parametrize("command", ["update", "iterate"])
+@pytest.mark.parametrize("text", [None, "{"], ids=["missing", "not_json"])
+def test_an_unreadable_config_exits_2(capsys, tmp_path, command, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: cannot read config {cfg}: ")
+
+
+def test_an_unnormalized_start_without_gp_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    start = {"breakpoints": [0.0], "slopes": [0.0], "intercepts": [0.5]}
+    cfg.write_text(json.dumps({**CONFIG_53, "omega_set": [0.0], "initial_bound": start}))
+    code, out, err = run(capsys, ["update", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == "config error: updates need a normalized initial_bound (log value 0 at t = 0)\n"
+
+
+def test_update_and_iterate_check_a_config_in_one_order(capsys, tmp_path):
+    # bad grid, initial_bound, omega_set and iteration: both commands report the grid
+    cfg = tmp_path / "cfg.json"
+    config = {
+        **CONFIG_53,
+        "grid": {"h": 0.0, "T": 1.0},
+        "initial_bound": {"exp": "fast"},
+        "omega_set": [],
+        "iteration": {"max_steps": "3"},
+    }
+    cfg.write_text(json.dumps(config))
+    errors = {run(capsys, [command, "--config", str(cfg)])[1:] for command in ("update", "iterate")}
+    assert errors == {("", "config error: grid needs h > 0 and T >= h\n")}
+
+
+@pytest.mark.parametrize("command", ["update", "iterate"])
+@pytest.mark.parametrize("omegas", [[math.nan], [0.0, math.nan]], ids=["alone", "beside_zero"])
+def test_a_nan_abscissa_exits_2_naming_it(capsys, tmp_path, command, omegas):
+    # json reads NaN; the message names it, not the profile's domain
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_53, "omega_set": omegas}))
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: abscis") and "nan" in err and "domain" not in err

@@ -184,6 +184,22 @@ class TestOmegaSet:
         with pytest.raises(ValueError):
             OmegaSet.of([])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: OmegaSet((math.nan,)),
+            lambda: OmegaSet((1.0, math.nan, 0.0)),
+            lambda: OmegaSet((0.0, 1.0, math.nan)),
+            lambda: OmegaSet.of([math.nan, 0.0, 1.0]),
+            lambda: OmegaSet.of([0.0, math.nan]),
+        ],
+        ids=["alone", "between_unsorted", "last", "of_first", "of_last"],
+    )
+    def test_a_nan_abscissa_is_named(self, make):
+        # a NaN compares false both ways, so an order check of b <= a lets it through
+        with pytest.raises(ValueError, match="nan"):
+            make()
+
 
 class TestMinUpdate:
     def test_single_frequency_gives_wei(self):
@@ -231,6 +247,10 @@ class TestArgmin:
 
 
 class TestIterate:
+    def test_final_is_the_last_step_bound(self):
+        trace = iterate(ONE, [0.0, -1.0], PROFILE_53, 5, (0.25, 240))
+        assert len(trace.steps) > 1 and trace.final is trace.steps[-1].bound
+
     def test_fixed_point_stationary_at_zero(self):
         trace = iterate(WEI, OmegaSet.of([0.0]), PROFILE_53, 3, (0.25, 80))
         assert trace.stationary_at == 0

@@ -57,6 +57,9 @@ class TestPropagate:
 
     def test_constant_branch(self):
         assert propagate(3.0, -1.0, 1.0) == 1.0
+        assert propagate(0.0, 0.3, 0.5) == 0.5
+        # mu = -1.25 has the equilibria -mu -+ sqrt(mu^2 - 1) = 0.5 and 2
+        assert propagate(1.0, -1.25, 2.0) == 2.0
 
     def test_large_mu_value(self):
         assert propagate(0.05 * math.pi / 2, 20.0, 0.0) == pytest.approx(0.5597, abs=5e-4)
@@ -144,6 +147,30 @@ def knife_edge_cases(seed: int, count: int = 30):
         c0 = first_crossing_time(PiecewiseLogAffineBound.exponential(a0), OmegaRPair(omega, rate))
         assert math.isfinite(c0)
         yield omega, rate, a0, c0
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: propagate(math.nan, 0.5, 0.0),
+        lambda: propagate(1.0, math.nan, 0.0),
+        lambda: propagate(1.0, 0.5, math.nan),
+        lambda: normalized_crossing_time(math.nan),
+        lambda: crossing_candidate(MuSegment(0.0, 1.0, math.nan), 0.0, 1.0),
+        lambda: crossing_candidate(MuSegment(0.0, 1.0, 0.0), 0.0, math.nan),
+        lambda: state_at(WEI, PAIR_53, math.nan),
+        lambda: riccati.update_tail(WEI, PAIR_53, math.nan),
+        lambda: WEI.log_at(math.nan),
+    ],
+    ids=[
+        "propagate_b", "propagate_mu", "propagate_start", "normalized_crossing_time", "candidate_mu",
+        "candidate_rate", "state_at", "update_tail", "log_at",
+    ],
+)
+def test_a_nan_argument_is_named(probe):
+    # not a NaN result, an infinite crossing or a PoleError, which read as numbers or numeric failures
+    with pytest.raises(ValueError, match="nan"):
+        probe()
 
 
 class TestCrossingTimes:
