@@ -166,9 +166,9 @@ class PiecewiseLogAffineBound:
         return max(bisect.bisect_right(self.breakpoints, t) - 1, 0)
 
     def log_at(self, t: float) -> float:
-        """log m(t); raises for a negative or NaN t."""
-        if not t >= 0.0:
-            raise ValueError(f"bound evaluated at time {t!r}, not a nonnegative number")
+        """log m(t); raises for a negative, infinite or NaN t."""
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"bound evaluated at time {t!r}, not a nonnegative finite number")
         j = self.piece_index(t)
         return self.slopes[j] * t + self.intercepts[j]
 

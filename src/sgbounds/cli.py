@@ -27,11 +27,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from . import models
 from .bounds import PiecewiseLogAffineBound
 from .envelope import _closure, _log_values
-from .iteration import IterationTrace, OmegaSet, ResolventProfile, iterate, min_update, update_chain
+from .iteration import OmegaSet, ResolventProfile, iterate, min_update, update_chain
 from .models import ConvergenceError, JordanBlockModel
 from .riccati import OmegaRPair, _gp_log_bounds, first_crossing_time, update_bound, update_tail
 
@@ -50,8 +51,10 @@ def _rows_csv(rows: list[tuple[float, float, str]]) -> str:
     return "t,value,label\n" + ("%.17g,%.17g,%s\n" * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
-def _rows_json(rows: list[tuple[float, float, str]]) -> str:
-    return json.dumps([{"t": t, "value": v, "label": label} for t, v, label in rows]) + "\n"
+def _json(obj) -> str:
+    """obj as one line of compact, strict JSON: every float in its shortest
+    round-trip digits, -0.0 kept, and no NaN or infinity (orjson writes null)."""
+    return orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE).decode()
 
 
 def _write(text: str, out: str | None, suffix: str = "") -> None:
@@ -65,17 +68,19 @@ def _write(text: str, out: str | None, suffix: str = "") -> None:
 
 
 def _emit_rows(rows: list[tuple[float, float, str]], args) -> None:
-    fmt = args.format or "csv"
-    _write(_rows_csv(rows) if fmt == "csv" else _rows_json(rows), args.out)
+    if (args.format or "csv") == "csv":
+        _write(_rows_csv(rows), args.out)
+    else:
+        _write(_json([{"t": t, "value": v, "label": label} for t, v, label in rows]), args.out)
 
 
 def _emit_report(
-    report_json: Callable[[], str],
+    report: Callable[[], object],
     labelled: list[tuple[PiecewiseLogAffineBound, str]],
     grid: tuple[float, int],
     args,
 ) -> None:
-    """The JSON report (``report_json()``, its one-line text) or the CSV rows to
+    """The JSON report (``report()``, as one line) or the CSV rows to
     stdout (JSON unless --format csv); with --out, the .json and .csv files, or
     only the one --format names.  The rows (each bound's log value at t = k h,
     k = 0..n) are built only for a CSV, from one :func:`_log_values` call per
@@ -89,11 +94,11 @@ def _emit_report(
         return _rows_csv([(t, v, label) for b, label in labelled for t, v in zip(t_list, _log_values(b, ts).tolist())])
 
     if args.out is None:
-        _write(csv() if fmt == "csv" else report_json() + "\n", None)
+        _write(csv() if fmt == "csv" else _json(report()), None)
         return
     texts = {}
     if fmt in (None, "json"):
-        texts[".json"] = report_json() + "\n"
+        texts[".json"] = _json(report())
     if fmt in (None, "csv"):
         texts[".csv"] = csv()
     for suffix, text in texts.items():
@@ -291,67 +296,20 @@ def _check_shift_bounds(named: Iterable[tuple[str, PiecewiseLogAffineBound]]) ->
 # -- subcommands ---------------------------------------------------------------
 
 
-def _dumped_once(dump: Callable[[object], str]) -> Callable[[object], str]:
-    """``dump(obj)`` of a bound or grid, made once per object (by id: the caller
-    keeps every object it passes alive)."""
-    texts: dict[int, str] = {}
-
-    def once(obj) -> str:
-        if id(obj) not in texts:
-            texts[id(obj)] = dump(obj)
-        return texts[id(obj)]
-
-    return once
-
-
-class _FloatTexts(dict):
-    """``json.dumps(x)`` of each float x, made once.  Zero is never stored, since
-    0.0 and -0.0 are one key with two texts."""
-
-    def __missing__(self, x: float) -> str:
-        text = float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-        if x:
-            self[x] = text
-        return text
-
-
-def _update_report_json(updates: dict, combined: PiecewiseLogAffineBound, gp: dict | None) -> str:
-    """The text of ``json.dumps(report)`` for the update report: the rows of
-    ``updates["singles"]`` and ``updates["chain"]`` as (omega, pair, crossing,
-    bound), the bound ``combined`` under "min_update" when there are rows, and
-    ``gp``.  Every float of the rows and bounds is formatted once per value
-    (zeros each time, to keep the sign of -0.0), and rows that hold the same
-    bound object share its text: m0 in the singles, the previous bound in the
-    chain.  Items are joined with ", " and ": " as json.dumps joins them."""
-    floats = _FloatTexts()
-
-    def bound_json(b: PiecewiseLogAffineBound) -> str:
-        lists = [", ".join(map(floats.__getitem__, xs)) for xs in (b.breakpoints, b.slopes, b.intercepts)]
-        return '{"breakpoints": [%s], "slopes": [%s], "intercepts": [%s]}' % tuple(lists)
-
-    dump = _dumped_once(bound_json)
-
-    def row_json(w: float, pair: OmegaRPair, crossing: float, bound: PiecewiseLogAffineBound) -> str:
-        head = f'"omega": {floats[w]}, "rate": {floats[pair.rate]}, "first_crossing": {floats[crossing]}'
-        return f'{{{head}, "bound": {dump(bound)}}}'
-
-    fields = {key: "[" + ", ".join(row_json(*row) for row in rows) + "]" for key, rows in updates.items()}
+def _update_report(updates: dict, combined: PiecewiseLogAffineBound, gp: dict | None) -> dict:
+    """The update report: the rows of ``updates["singles"]`` and ``updates["chain"]``
+    as (omega, pair, crossing, bound), the bound ``combined`` under "min_update"
+    when there are rows, and ``gp``.  A crossing that never comes, +inf, is
+    written as null."""
+    report = {
+        key: [{"omega": w, "rate": pair.rate, "first_crossing": c, "bound": b.to_json_dict()} for w, pair, c, b in rows]
+        for key, rows in updates.items()
+    }
     if updates:
-        fields["min_update"] = dump(combined)
+        report["min_update"] = combined.to_json_dict()
     if gp is not None:
-        fields["gp"] = json.dumps(gp)
-    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
-
-
-def _iterate_report_json(trace: IterationTrace) -> str:
-    """The text of ``json.dumps(trace.to_json_dict())``, each bound and grid object dumped once."""
-    dump = _dumped_once(lambda obj: json.dumps(obj.to_json_dict()))
-    steps = ", ".join(
-        f'{{"index": {step.index}, "bound": {dump(step.bound)}, "grid": {dump(step.grid)}, '
-        f'"argmin_omegas": {json.dumps(list(step.argmin_omegas))}}}'
-        for step in trace.steps
-    )
-    return f'{{"steps": [{steps}], "stationary_at": {json.dumps(trace.stationary_at)}}}'
+        report["gp"] = gp
+    return report
 
 
 def _cmd_wei(args) -> int:
@@ -419,7 +377,7 @@ def _cmd_update(args) -> int:
         for key, rows in updates.items():
             _check_shift_bounds((f"{key} row {i} (omega = {w!r})", b) for i, (w, _, _, b) in enumerate(rows))
         _check_shift_bounds((label, b) for b, label in labelled)
-    _emit_report(lambda: _update_report_json(updates, combined, gp), labelled, grid, args)
+    _emit_report(lambda: _update_report(updates, combined, gp), labelled, grid, args)
     return 0
 
 
@@ -434,7 +392,7 @@ def _cmd_iterate(args) -> int:
     labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
     if model == "diffop":
         _check_shift_bounds((f"step {step.index}", step.bound) for step in trace.steps)
-    _emit_report(lambda: _iterate_report_json(trace), labelled, grid, args)
+    _emit_report(trace.to_json_dict, labelled, grid, args)
     return 0
 
 

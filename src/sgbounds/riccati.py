@@ -172,8 +172,8 @@ def crossing_candidate(segment: MuSegment, start: float, rate: float) -> float:
     """
     if not 0.0 <= start < 1.0:
         raise ValueError(f"state at segment start must be in [0, 1[, got {start!r}")
-    if not rate > 0.0:
-        raise ValueError(f"rate must be a positive number, got {rate!r}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be a positive finite number, got {rate!r}")
     dt = _time_to_one(segment.mu, start)
     return segment.t_start + dt / rate if math.isfinite(dt) else math.inf
 

@@ -46,6 +46,20 @@ class TestEval:
         with pytest.raises(ValueError):
             PiecewiseLogAffineBound.constant().log_at(-0.1)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            PiecewiseLogAffineBound.constant(),
+            PiecewiseLogAffineBound.from_slopes([1.0, 0.0], [1.0]),
+            PiecewiseLogAffineBound.exponential(-1.0),
+        ],
+        ids=["constant", "flat_last_piece", "falling"],
+    )
+    def test_infinite_time_rejected(self, m):
+        # not NaN (0 * inf on a flat last piece) or -inf, which read as values
+        with pytest.raises(ValueError, match="inf"):
+            m.log_at(math.inf)
+
     def test_right_continuous_at_breakpoints(self):
         m = PiecewiseLogAffineBound((0.0, 2.0), (1.0, -1.0), (0.0, 4.0))
         assert m.log_at(2.0) == m.slopes[1] * 2.0 + m.intercepts[1]

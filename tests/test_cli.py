@@ -17,6 +17,7 @@ from conftest import chain_profile, random_bound, random_log_concave_bound, upda
 from sgbounds import (
     GridBound,
     OmegaRPair,
+    OmegaSet,
     PiecewiseLogAffineBound,
     ResolventProfile,
     first_crossing_time,
@@ -213,23 +214,11 @@ class TestUpdate:
             )
             code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
             assert code == 0
-            report = json.loads(out)
-            m0 = _closure(m0, 0.1 * 200)  # the default grid's horizon
+            report = strict_json(out)
             assert [s["omega"] for s in report["singles"]] == sorted(distinct)
-            for single in report["singles"]:
-                pair = profile.pairs([single["omega"]])[0]
-                assert single["rate"] == profile.rate(single["omega"])
-                assert single["first_crossing"] == first_crossing_time(m0, pair)
-                assert single["bound"] == update_bound(m0, pair).to_json_dict()
-            cur = m0
+            assert [s["rate"] for s in report["singles"]] == [profile.rate(w) for w in sorted(distinct)]
             assert [s["omega"] for s in report["chain"]] == order
-            for step in report["chain"]:
-                pair = profile.pairs([step["omega"]])[0]
-                assert step["rate"] == pair.rate
-                assert step["first_crossing"] == first_crossing_time(cur, pair)
-                cur = update_bound(cur, pair)
-                assert step["bound"] == cur.to_json_dict()
-            assert report["min_update"] == min_update(m0, update_tails(m0, omegas, profile)).to_json_dict()
+            assert read_back_equal(report, library_update_report(cfg))
 
     def test_start_that_is_not_subadditive_is_closed_before_its_rows(self, capsys, tmp_path):
         # log m0 is 0 up to 0.6, then rises to 1.2 and falls: m0(1) > m0(0.5)^2, so
@@ -794,16 +783,70 @@ def test_every_set_update_goes_through_min_update(capsys, tmp_path, monkeypatch)
     assert calls == {"min_update": 3 + 3 + 1, "sweep": 3 + 3 + 1}
 
 
+def read_back_equal(got, want) -> bool:
+    """A parsed report ``got`` holds ``want``'s values (a bound or trace as its
+    ``to_json_dict()``): every float bit for bit, the sign of zero included, and
+    null exactly where ``want`` holds +inf."""
+    if hasattr(want, "to_json_dict"):
+        want = want.to_json_dict()
+    if isinstance(want, float):
+        if want == math.inf:
+            return got is None
+        return type(got) is float and got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    if isinstance(want, dict):
+        return isinstance(got, dict) and list(got) == list(want) and all(read_back_equal(got[k], want[k]) for k in want)
+    if isinstance(want, (list, tuple)):
+        return isinstance(got, list) and len(got) == len(want) and all(map(read_back_equal, got, want))
+    return type(got) is type(want) and got == want
+
+
+def library_update_report(cfg) -> dict:
+    """The update report of the config file cfg, built row by row from the library:
+    ``update_bound`` for each single and chain step, ``first_crossing_time`` for
+    each crossing (+inf where none comes) and ``gp_log_bound`` for each gp time."""
+    config, _, profile, (h, n), m0, omegas = cli._load_config(str(cfg))
+    report = {}
+    if m0.is_normalized:
+        m0 = _closure(m0, h * n)
+
+        def row(m, w):
+            pair = profile.pairs([w])[0]
+            crossing = first_crossing_time(m, pair)
+            return {"omega": w, "rate": pair.rate, "first_crossing": crossing, "bound": update_bound(m, pair)}
+
+        chain, cur = [], m0
+        for w in config.get("update", {}).get("order", sorted(omegas)):
+            chain.append(row(cur, w))
+            cur = chain[-1]["bound"]
+        singles = [row(m0, w) for w in OmegaSet.of(omegas)]
+        report = {"singles": singles, "chain": chain, "min_update": min_update(m0, update_tails(m0, omegas, profile))}
+    if "gp" in config:
+        g = config["gp"]
+        pair, split = profile.pairs([g["omega"]])[0], g.get("split", 0.5)
+        rows = [{"t": t, "log_bound": gp_log_bound(m0, pair, split * t, t - split * t, t)} for t in g["times"]]
+        report["gp"] = {"omega": g["omega"], "rate": pair.rate, "rows": rows}
+    return report
+
+
+def strict_json(text: str):
+    """json.loads(text), raising on Infinity, -Infinity and NaN, which RFC 8259 has not."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+NEVER_CROSSES = {**CONFIG_53, "model": {"tabulated": {"pairs": [[1.0, 0.5]]}}, "omega_set": [1.0], "update": {}}
+
+
 @pytest.mark.parametrize(
     "config, check",
     [
-        (
-            {**CONFIG_53, "model": {"tabulated": {"pairs": [[1.0, 0.5]]}}, "omega_set": [1.0], "update": {}},
-            lambda out, report: '"first_crossing": Infinity' in out,
-        ),
+        (NEVER_CROSSES, lambda report: report["singles"][0]["first_crossing"] is None),
         (
             {**CONFIG_53, "update": {"order": [0.0, -1.0, 0.0, 0.0]}},
-            lambda out, report: report["chain"][-1]["bound"] == report["chain"][-2]["bound"],
+            lambda report: report["chain"][-1]["bound"] == report["chain"][-2]["bound"],
         ),
         (
             {
@@ -812,7 +855,7 @@ def test_every_set_update_goes_through_min_update(capsys, tmp_path, monkeypatch)
                 "omega_set": [-1.0],
                 "gp": {"omega": -1.0, "times": [4.0, 8.0]},
             },
-            lambda out, report: list(report) == ["gp"],
+            lambda report: list(report) == ["gp"],
         ),
         (
             {
@@ -822,30 +865,29 @@ def test_every_set_update_goes_through_min_update(capsys, tmp_path, monkeypatch)
                 "omega_set": [0.0, -1.0, 2.0],
                 "update": {},
             },
-            lambda out, report: '"slopes": [-0.0, -1.0], "intercepts": [-0.0, 1.0]' in out,
+            lambda report: any(
+                math.copysign(1.0, r["bound"]["slopes"][0]) == math.copysign(1.0, r["bound"]["intercepts"][0]) == -1.0
+                for r in report["singles"]
+            ),
         ),
         (
-            # the float texts are made once per value, but 0.0 and -0.0 are one
-            # value with two texts; the read-back comparison alone cannot see a
-            # lost sign, so the first chain row's omega is checked for it
+            # 0.0 and -0.0 compare equal; the sign of each chain row's omega must survive
             {**CONFIG_53, "omega_set": [0.0, -1.0], "update": {"order": [-0.0, 0.0, -1.0]}},
-            lambda out, report: '"omega": -0.0' in out
-            and '"omega": 0.0' in out
-            and math.copysign(1.0, report["chain"][0]["omega"]) == -1.0,
+            lambda report: [math.copysign(1.0, r["omega"]) for r in report["chain"]] == [-1.0, 1.0, -1.0],
         ),
     ],
     ids=["never_crosses", "repeated_abscissa", "gp_only", "negative_zero", "signed_zero_omegas"],
 )
 def test_update_report_text_is_json_dumps(capsys, tmp_path, config, check):
-    # the report is joined from one text per bound object; it must be the text
-    # json.dumps gives for the report it reads back as, on stdout and in --out
+    # the report reads back as the library's rows, every float with its sign,
+    # and --out writes the same text to run.json
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, _ = run(capsys, ["update", "--config", str(cfg), "--format", "json"])
     assert code == 0
-    report = json.loads(out)
-    assert out == json.dumps(report) + "\n"
-    assert check(out, report)
+    report = strict_json(out)
+    assert read_back_equal(report, library_update_report(cfg))
+    assert check(report)
     code, csv, _ = run(capsys, ["update", "--config", str(cfg), "--format", "csv"])
     assert code == 0
     assert main(["update", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
@@ -895,8 +937,8 @@ RISE = {"breakpoints": [0.0, 0.3, 0.45], "slopes": [0.0, 1.0, 0.0], "intercepts"
     ids=["repeated_step", "max_steps", "every_abscissa", "benchmark_shaped_shift"],
 )
 def test_iterate_report_text_is_json_dumps(capsys, tmp_path, config, check):
-    # the report is joined from one text per bound and grid object; it must be
-    # the text json.dumps gives for the trace, on stdout and in --out
+    # the report reads back as the library's trace, every float with its sign,
+    # and --out writes the same text to run.json
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, _ = run(capsys, ["iterate", "--config", str(cfg), "--format", "json"])
@@ -905,9 +947,36 @@ def test_iterate_report_text_is_json_dumps(capsys, tmp_path, config, check):
     max_steps = config.get("iteration", {}).get("max_steps", 8)
     trace = iterate(m0, config["omega_set"], profile, max_steps, cli._build_grid(config["grid"]))
     assert check(trace)
-    assert out == json.dumps(trace.to_json_dict()) + "\n"
+    assert read_back_equal(strict_json(out), trace)
     assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--format", "json"]) == 0
     assert (tmp_path / "run.json").read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wei", "1.0"],
+        ["figure", "omegar"],
+        ["figure", "jordan3"],
+        ["figure", "diffop_r"],
+        ["profile"],
+        ["profile", "--model", "jordan", "--n", "4", "--omega-min", "0.5"],
+        ["update", "--config", "never_crosses.json"],
+        ["update", "--config", "config_53.json"],
+        ["iterate", "--config", "config_53.json"],
+    ],
+    ids=["wei", "omegar", "jordan3", "diffop_r", "profile_diffop", "profile_jordan", "update_never_crosses",
+         "update", "iterate"],
+)
+def test_every_json_output_is_strict_json(capsys, tmp_path, monkeypatch, argv):
+    # no Infinity or NaN token, and every value a type the writer takes: a numpy
+    # scalar would end in a TypeError, which main does not turn into an exit code
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "never_crosses.json").write_text(json.dumps(NEVER_CROSSES))
+    (tmp_path / "config_53.json").write_text(json.dumps(CONFIG_53))
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert strict_json(out)
 
 
 

@@ -173,6 +173,12 @@ def test_a_nan_argument_is_named(probe):
         probe()
 
 
+def test_an_infinite_rate_is_named():
+    # OmegaRPair rejects it too; the candidate gave a crossing at the segment start
+    with pytest.raises(ValueError, match="inf"):
+        crossing_candidate(MuSegment(0.0, 1.0, 0.0), 0.0, math.inf)
+
+
 class TestCrossingTimes:
     def test_candidate_rejects_bad_start(self):
         seg = MuSegment(0.0, math.inf, 0.0)
