@@ -38,16 +38,13 @@ def _continuity_slack(t: float, a_l: float, b_l: float, a_r: float, b_r: float) 
     return CONTINUITY_TOL + 4e-16 * (abs(a_l * t) + abs(a_r * t) + abs(b_l) + abs(b_r))
 
 
-def _check_pairs(bps: tuple, slopes: tuple, intercepts: tuple, first: int = 0) -> None:
-    """Check a bound's pieces, or its run from piece ``first`` on, and their adjacent pairs: order or gap faults
-    first, then values not finite (a piece overflowing at a breakpoint too), then slope or continuity faults."""
-    # a finite sum has finite terms, so only a sum that is not finite needs each value tested
-    finite = math.isfinite(sum(bps, sum(slopes, sum(intercepts)))) or all(
-        map(math.isfinite, (*bps, *slopes, *intercepts))
-    )
+def _check_pairs(bps: tuple, slopes: tuple, intercepts: tuple) -> None:
+    """Check a bound's pieces, or its first ones, and their adjacent pairs: order or gap faults first,
+    then values not finite (a piece overflowing at a breakpoint too), then slope or continuity faults."""
+    finite = all(map(math.isfinite, (*bps, *slopes, *intercepts)))
     fault = None if finite else "bound data must be finite"
     pairs = zip(bps, bps[1:], slopes, intercepts, slopes[1:], intercepts[1:])
-    for j, (s, t, a_l, b_l, a_r, b_r) in enumerate(pairs, first):
+    for j, (s, t, a_l, b_l, a_r, b_r) in enumerate(pairs):
         if not t - s > _BP_MERGE_TOL:
             if not s < t:
                 raise ValueError("breakpoints must increase strictly")
@@ -86,7 +83,8 @@ class PiecewiseLogAffineBound:
       * pieces agree at interior breakpoints to within ``CONTINUITY_TOL``.
 
     Evaluation is right-continuous at breakpoints.  The constructor checks every
-    pair of adjacent pieces; :func:`_walk`, behind both minima, only those it builds.
+    pair of adjacent pieces; :func:`_walk`, behind both minima, those from the first
+    piece through the first of m's after the last piece it builds.
     """
 
     breakpoints: tuple[float, ...]
@@ -248,19 +246,19 @@ def _append_joined(pieces: list[tuple[float, float, float]], lo: float, a: float
     pieces.append((lo, a, b))
 
 
-def _canonical(pieces: list, m: PiecewiseLogAffineBound | None = None, lo=0, rest=0) -> PiecewiseLogAffineBound:
+def _canonical(pieces: list, m: PiecewiseLogAffineBound | None = None, rest=0) -> PiecewiseLogAffineBound:
     """The bound of pieces whose starts lie more than _BP_MERGE_TOL apart, as the merges and :func:`canonicalize`'s
-    first pass leave them, each run of equal slopes kept from its first piece.  A merge passes m: the pieces up to
-    ``lo`` are m's, and m's from ``rest`` on follow as slices of its tuples; only ``lo`` to m's ``rest`` are checked."""
-    kept = pieces[: lo + 1]
-    kept += (q for p, q in zip(pieces[lo:], pieces[lo + 1 :]) if q[1] != p[1])
+    first pass leave them, each run of equal slopes kept from its first piece.  A merge passes m, whose pieces from
+    ``rest`` on follow as slices of its tuples; every pair from piece 0 through the first of those is checked."""
+    kept = pieces[:1]
+    kept += (q for p, q in zip(pieces, pieces[1:]) if q[1] != p[1])
     if m is None:
         return PiecewiseLogAffineBound(*zip(*kept))
     bps, slopes, intercepts = zip(*kept)
     rest += rest < len(m.slopes) and m.slopes[rest] == slopes[-1]
     bps, slopes, intercepts = bps + m.breakpoints[rest:], slopes + m.slopes[rest:], intercepts + m.intercepts[rest:]
-    hi = len(kept) + 1  # the pieces built and one of m's on either side
-    _check_pairs(bps[lo:hi], slopes[lo:hi], intercepts[lo:hi], lo)
+    hi = len(kept) + 1  # the pieces built and the first of m's after them
+    _check_pairs(bps[:hi], slopes[:hi], intercepts[:hi])
     bound = object.__new__(PiecewiseLogAffineBound)
     vars(bound).update(breakpoints=bps, slopes=slopes, intercepts=intercepts)
     return bound
@@ -285,9 +283,6 @@ def _insert(live: list[tuple[float, float]], line: tuple[float, float]) -> None:
     sorted by slope, each strictly lowest somewhere.  The line is dropped if it
     is nowhere lowest, and so is each neighbour it leaves nowhere lowest; of
     two equal slopes the lower intercept stays."""
-    if not live:
-        live.append(line)
-        return
     i = bisect.bisect_left(live, line)
     if i and live[i - 1][0] == line[0] or line in live[i : i + 1]:
         return
@@ -374,7 +369,7 @@ def min_with_tails(
     """
     if not tails:
         return m
-    order = sorted(tails) if len(tails) > 1 else tails
+    order = sorted(tails)
     env = _tail_envelope(m, order)
     low = env[-1][1]  # the least slope of a line
     env.append((math.inf, 0.0, 0.0, True))
@@ -396,9 +391,9 @@ def _walk(m: PiecewiseLogAffineBound, env: list, last: float, low: float) -> Pie
     breakpoint of m or a flagged start (m only at a start inside its piece) is appended
     again, as it is if the last piece starts more than ``_BP_MERGE_TOL`` before, so a
     later join that takes over a piece at most that wide stops there.  m's own pieces go
-    in as slices of its tuples, only their seams checked, but one starting at most
-    ``_BP_MERGE_TOL`` after a join is joined too.  When no line is taken and nothing is
-    joined, m is returned.
+    in as slices of its tuples, but one starting at most ``_BP_MERGE_TOL`` after a join
+    is joined too; :func:`_canonical` checks every pair up to the first piece of m after
+    the last one built.  When no line is taken and nothing is joined, m is returned.
 
     The walk ends at the start x of a piece of m with more than 8 left (a test costs
     about as much as walking 8) once x >= ``last``, m is lowest, ``low``, at most every
@@ -412,7 +407,7 @@ def _walk(m: PiecewiseLogAffineBound, env: list, last: float, low: float) -> Pie
     bps, slopes, intercepts = m.breakpoints, m.slopes, m.intercepts
     n = len(bps)
     x, a, b, at = env[0]  # at: x is a flagged start
-    k = j0 = bisect.bisect_right(bps, x) - 1  # the piece that holds the first start
+    k = bisect.bisect_right(bps, x) - 1  # the piece that holds the first start
     am, bm, end = slopes[k], intercepts[k], bps[k + 1] if k + 1 < n else math.inf
     l, nxt = 0, env[1]  # L's piece at x and the one after it
     pieces: list[tuple[float, float, float]] = []
@@ -483,10 +478,7 @@ def _walk(m: PiecewiseLogAffineBound, env: list, last: float, low: float) -> Pie
             nxt = env[l + 1]
     if same:
         return m
-    # m's pieces before the first start but the last two go in unchecked if the one before them still starts with
-    # its breakpoint, the same float object, at its index: a join that reached back there cannot leave it
-    lo = j0 - 2 if 1 < j0 <= len(pieces) and pieces[j0 - 1][0] is bps[j0 - 1] else 0
-    return _canonical(pieces, m, lo, n if run is None else run)
+    return _canonical(pieces, m, n if run is None else run)
 
 
 def splice(

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import orjson
@@ -75,12 +75,12 @@ def _emit_rows(rows: list[tuple[float, float, str]], args) -> None:
 
 
 def _emit_report(
-    report: Callable[[], object],
+    report: dict,
     labelled: list[tuple[PiecewiseLogAffineBound, str]],
     grid: tuple[float, int],
     args,
 ) -> None:
-    """The JSON report (``report()``, as one line) or the CSV rows to
+    """The JSON report (``report``, as one line) or the CSV rows to
     stdout (JSON unless --format csv); with --out, the .json and .csv files, or
     only the one --format names.  The rows (each bound's log value at t = k h,
     k = 0..n) are built only for a CSV, from one :func:`_log_values` call per
@@ -94,11 +94,11 @@ def _emit_report(
         return _rows_csv([(t, v, label) for b, label in labelled for t, v in zip(t_list, _log_values(b, ts).tolist())])
 
     if args.out is None:
-        _write(csv() if fmt == "csv" else _json(report()), None)
+        _write(csv() if fmt == "csv" else _json(report), None)
         return
     texts = {}
     if fmt in (None, "json"):
-        texts[".json"] = _json(report())
+        texts[".json"] = _json(report)
     if fmt in (None, "csv"):
         texts[".csv"] = csv()
     for suffix, text in texts.items():
@@ -332,8 +332,7 @@ def _cmd_update(args) -> int:
     cur = combined = m0
     if m0.is_normalized:
         cur = m0 = _closure(m0, grid[0] * grid[1])  # closed on [0, T]: no tail starting there is below m0
-        # one rate per distinct abscissa, one crossing walk per bound and abscissa;
-        # rows keep their bound objects, so the report dumps each one once
+        # one rate per distinct abscissa, one crossing walk per bound and abscissa
         distinct = OmegaSet.of(omegas)
         keys = list(dict.fromkeys([*distinct, *order]))
         pairs = dict(zip(keys, profile.pairs(keys)))
@@ -377,7 +376,7 @@ def _cmd_update(args) -> int:
         for key, rows in updates.items():
             _check_shift_bounds((f"{key} row {i} (omega = {w!r})", b) for i, (w, _, _, b) in enumerate(rows))
         _check_shift_bounds((label, b) for b, label in labelled)
-    _emit_report(lambda: _update_report(updates, combined, gp), labelled, grid, args)
+    _emit_report(_update_report(updates, combined, gp), labelled, grid, args)
     return 0
 
 
@@ -392,7 +391,7 @@ def _cmd_iterate(args) -> int:
     labelled = [(step.bound, f"step{step.index}") for step in trace.steps]
     if model == "diffop":
         _check_shift_bounds((f"step {step.index}", step.bound) for step in trace.steps)
-    _emit_report(trace.to_json_dict, labelled, grid, args)
+    _emit_report(trace.to_json_dict(), labelled, grid, args)
     return 0
 
 
@@ -463,7 +462,10 @@ def _cmd_profile(args) -> int:
     if args.count < 1:
         raise ConfigError(f"count must be at least 1, got {args.count!r}")
     rate = _build_profile("diffop" if args.model == "diffop" else {"jordan": {"n": args.n}}).fn
-    omegas = _linspace(args.omega_min, args.omega_max, args.count)
+    omega_min = args.omega_min
+    if omega_min is None:  # the Jordan block's rate exists only for omega > 0
+        omega_min = -5.0 if args.model == "diffop" else 0.1
+    omegas = _linspace(omega_min, args.omega_max, args.count)
     rows = [(w, r, "rate") for w, r in zip(omegas, rate(np.array(omegas)).tolist())]
     _emit_rows(rows, args)
     return 0
@@ -515,7 +517,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="sweep a model's resolvent rate")
     p.add_argument("--model", choices=("diffop", "jordan"), default="diffop")
     p.add_argument("--n", type=int, default=3, help="Jordan block size")
-    p.add_argument("--omega-min", type=float, default=-5.0)
+    p.add_argument("--omega-min", type=float, default=None, help="default: -5 for diffop, 0.1 for jordan")
     p.add_argument("--omega-max", type=float, default=5.0)
     p.add_argument("--count", type=int, default=101)
     common(p)

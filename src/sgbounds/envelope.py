@@ -100,17 +100,11 @@ def _log_values(m: PiecewiseLogAffineBound, t: np.ndarray) -> np.ndarray:
 def subadditive_envelope(g: GridBound) -> GridBound:
     """The grid subadditive envelope: out[k] is the smallest sum of g over the
     decompositions of k steps, by the split-at-smallest-part DP of the module
-    docstring, one sum into a reused buffer and one minimum per grid index.
-
-    ``rev`` is out reversed, so rev[n - k : n - k + half] is out[k - 1], ...,
-    out[k - half], the partners of out[1], ..., out[half]."""
+    docstring: per grid index one sum of out[1], ..., out[k // 2] and their
+    partners out[k - 1], ..., out[k - k // 2], a fresh array, and its minimum."""
     out = np.array(g.values, dtype=float)
-    n = len(out)
-    rev = out[::-1]
-    buf = np.empty(n // 2)
-    for k in range(2, n):
-        half = k // 2
-        best = np.minimum.reduce(np.add(out[1 : half + 1], rev[n - k : n - k + half], out=buf[:half]))
+    for k in range(2, len(out)):
+        best = (out[1 : k // 2 + 1] + out[k - 1 : (k - 1) // 2 : -1]).min()
         if best < out[k]:
             out[k] = best
     return GridBound(g.h, tuple(out.tolist()))

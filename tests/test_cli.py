@@ -559,6 +559,17 @@ class TestProfileCommand:
         assert rows[0][1] == pytest.approx(1.0, abs=1e-10)
         assert rows[-1][1] == pytest.approx(math.pi / 2, abs=1e-10)
 
+    def test_bare_jordan_sweep_starts_where_its_rate_exists(self, capsys):
+        # the Jordan block's rate exists only for omega > 0, so --omega-min defaults to 0.1
+        code, out, err = run(capsys, ["profile", "--model", "jordan"])
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert len(rows) == 101 and rows[0][0] == 0.1 and all(r > 0.0 for _, r, _ in rows)
+
+    def test_bare_diffop_sweep_starts_at_minus_5(self, capsys):
+        bare = run(capsys, ["profile"])
+        assert bare[0] == 0 and bare == run(capsys, ["profile", "--omega-min", "-5"])
+
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         from sgbounds import models
         from sgbounds.models import ConvergenceError

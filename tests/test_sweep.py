@@ -574,7 +574,7 @@ def test_seam_into_m_s_last_run_is_checked():
     m = PiecewiseLogAffineBound.from_slopes([1.0, -1.0, -2.0], [2.0, 4.0])
     pieces = [(0.0, 1.0, 0.0), (1.0, 0.5, 0.5)]
     with pytest.raises(ValueError, match="discontinuity -0.5 at breakpoint 2"):
-        bounds._canonical(pieces, m, 0, 1)
+        bounds._canonical(pieces, m, 1)
     with pytest.raises(ValueError, match="discontinuity -0.5 at breakpoint 2"):
         PiecewiseLogAffineBound(*zip(*pieces, *zip(m.breakpoints[1:], m.slopes[1:], m.intercepts[1:])))
 
@@ -582,7 +582,9 @@ def test_seam_into_m_s_last_run_is_checked():
 def test_pairs_checked_by_a_jordan_shaped_merge(monkeypatch):
     # the Jordan chain's shape: a 1000-piece log-concave m and one update tail
     # from t = 6.29 that changes a few of its first pieces; the merge checks
-    # only the pairs it builds, and joins only where the minimum switches
+    # only the pairs up to the first of m's after those it builds, and joins
+    # only where the minimum switches.  A tail that starts past m's 200th
+    # breakpoint has every pair from piece 0 on checked, and no more
     m = PiecewiseLogAffineBound.from_slopes(
         [math.sqrt(0.5) * (1.0 - k / 1000.0) for k in range(1000)], [6.3 + 0.01 * k for k in range(999)]
     )
@@ -590,9 +592,9 @@ def test_pairs_checked_by_a_jordan_shaped_merge(monkeypatch):
     tail = update_tail(m, pair, first_crossing_time(m, pair))
     checked, joins = [], 0
 
-    def counting_check(bps, slopes, intercepts, first=0):
+    def counting_check(bps, slopes, intercepts):
         checked.append(len(bps) - 1)
-        return check_pairs(bps, slopes, intercepts, first)
+        return check_pairs(bps, slopes, intercepts)
 
     def counting_join(*args):
         nonlocal joins
@@ -605,9 +607,19 @@ def test_pairs_checked_by_a_jordan_shaped_merge(monkeypatch):
     got = min_with_tails(m, [tail])
     assert 6.0 < tail[0] < 6.3 and 990 < len(got.breakpoints) < 1000
     assert sum(checked) <= 10 and joins <= 10
+    x = m.breakpoints[200] + 0.005  # inside piece 200; the line leaves m below it
+    a = m.slopes[200] - 0.005
+    late = (x, a, m.log_at(x) - a * x)
+    checked.clear()
+    got_late = min_with_tails(m, [late])
     monkeypatch.undo()
     assert got == PiecewiseLogAffineBound(got.breakpoints, got.slopes, got.intercepts)
     assert allclose(got, pairwise_min_with_tails(m, [tail]), 1e-12)
+    assert got_late == PiecewiseLogAffineBound(got_late.breakpoints, got_late.slopes, got_late.intercepts)
+    assert allclose(got_late, pairwise_min_with_tails(m, [late]), 1e-12)
+    m_pieces = set(zip(m.breakpoints, m.slopes, m.intercepts))
+    built = [i for i, p in enumerate(zip(got_late.breakpoints, got_late.slopes, got_late.intercepts)) if p not in m_pieces]
+    assert built[0] == 201 and got_late.slopes[201] == a and sum(checked) <= built[-1] + 2
 
 
 # -- the tails' lower envelope -------------------------------------------------
